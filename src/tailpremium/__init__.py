@@ -39,11 +39,9 @@ from .models import (
     CensoringScheme,
     ParetoModel,
     burr_scheme,
-    draw_censored_sample,
     gamma2_from_p,
     h_threshold,
     karamata_premium,
-    second_order_A1,
     theoretical_premium,
 )
 from .samples import (
@@ -97,7 +95,6 @@ __all__ = [
     "burr_scheme",
     "censored_hill",
     "confidence_interval",
-    "draw_censored_sample",
     "gamma2_from_p",
     "gaussian_quantile",
     "h_threshold",
@@ -111,7 +108,6 @@ __all__ = [
     "replicate_stream",
     "run_replicate",
     "run_study",
-    "second_order_A1",
     "study_cells",
     "tail_index_path",
     "theoretical_premium",

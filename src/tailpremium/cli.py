@@ -31,13 +31,12 @@ from .asymptotics import (
     normalization_factor,
 )
 from .errors import DomainError, FileFormatError, ValidationError
-from .estimators import censored_hill, php_estimate
+from .estimators import censored_hill, kaplan_meier_survival, php_estimate
 from .samples import (
     THRESHOLD,
     CensoredObservation,
     EstimationSettings,
     SortedCensoredSample,
-    build_sorted_sample,
 )
 from .study import StudyConfig, StudyRow, run_study
 from .threshold import reiss_thomas_k
@@ -69,8 +68,12 @@ def _fmt(value: float) -> str:
 def read_claims(path: str) -> SortedCensoredSample:
     """Parse a claims CSV with exact header ``z,delta``.
 
-    Every parse failure carries the offending line number.
+    The two columns are streamed into lists and validated in bulk by
+    :class:`SortedCensoredSample`; every parse failure carries the line
+    number of the first offending row.
     """
+    z: List[float] = []
+    delta: List[int] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -79,21 +82,29 @@ def read_claims(path: str) -> SortedCensoredSample:
             raise FileFormatError(
                 f"{path}:1: expected header 'z,delta', got '{got}'"
             )
-        records: List[CensoredObservation] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise FileFormatError(
                     f"{path}:{lineno}: expected 2 fields, got {len(row)}"
                 )
             try:
-                z = float(row[0])
-                delta = int(row[1])
-                records.append(CensoredObservation(z, delta))
-            except (ValueError, ValidationError) as exc:
+                z.append(float(row[0]))
+                delta.append(int(row[1]))
+            except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not records:
+    if not z:
         raise FileFormatError(f"{path}: no data rows")
-    return build_sorted_sample(records)
+    try:
+        return SortedCensoredSample.from_unsorted(z, delta)
+    except (ValidationError, OverflowError):
+        # Only the failure path walks the rows, to name the first bad one;
+        # a flag too large for int64 lands here as an OverflowError.
+        for lineno, record in enumerate(zip(z, delta), start=2):
+            try:
+                CensoredObservation(*record)
+            except ValidationError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        raise
 
 
 def _parse_scalar(caster, path: str, lineno: int, key: str, raw: str):
@@ -258,17 +269,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_km(args: argparse.Namespace) -> int:
     sample = read_claims(args.input)
-    z = sample.z_sorted
-    n = sample.n
-    factors = 1.0 - sample.delta_concomitant / (n - np.arange(n, dtype=np.float64))
-    survival = np.cumprod(factors)
-    distinct = np.unique(z)
-    rows = []
-    for x in distinct:
-        if x >= z[-1]:
-            break
-        last = int(np.searchsorted(z, x, side="right")) - 1
-        rows.append([_fmt(x), _fmt(survival[last])])
+    x = np.unique(sample.z_sorted)[:-1]
+    survival = kaplan_meier_survival(sample, x)
+    rows = [[_fmt(a), _fmt(b)] for a, b in zip(x.tolist(), survival.tolist())]
     _write_csv(args.out, ["x", "survival"], rows)
     return EXIT_OK
 

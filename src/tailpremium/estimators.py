@@ -11,7 +11,7 @@ of an excess-of-loss layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -21,11 +21,6 @@ from .samples import (
     SortedCensoredSample,
     validate_settings,
 )
-
-# Above this sample size Kaplan-Meier products are accumulated in log space
-# to dodge gradual underflow; below it the plain product is cheaper.  Both
-# routes agree to ~1e-15 relative, see the regression tests.
-_LOG_PRODUCT_CUTOFF = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,57 +55,54 @@ def _check_k(k: int, n: int) -> None:
         raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
 
 
-def _km_product(deltas: np.ndarray, n: int, use_log: Optional[bool] = None) -> float:
-    """Kaplan-Meier product over the first ``len(deltas)`` order statistics.
+def _km_curve(sample: SortedCensoredSample) -> np.ndarray:
+    """Product-limit survival after each prefix of the order statistics.
 
-    Computes ``prod_{i=1}^{m} (1 - delta_i / (n - i + 1))`` where ``m`` is
-    ``len(deltas)``.  The factors are strictly positive whenever ``m < n``,
-    which every public caller guarantees.
+    ``curve[m] = prod_{i=1}^{m} (1 - delta_[i] / (n - i + 1))``, so
+    ``curve[0] = 1``.  Because ties list uncensored records first, the
+    value at the end of a run of ties equals the grouped factor
+    ``1 - d_t / r_t`` of Kaplan and Meier.  Every prefix with ``m < n`` is
+    at least ``(n - m) / n``, so no underflow guard is needed.
     """
-    m = deltas.size
-    if m == 0:
-        return 1.0
-    denom = n - np.arange(m, dtype=np.float64)
-    factors = 1.0 - deltas / denom
-    if use_log is None:
-        use_log = n > _LOG_PRODUCT_CUTOFF
-    if use_log:
-        return float(np.exp(np.sum(np.log(factors))))
-    return float(np.prod(factors))
+    n = sample.n
+    factors = 1.0 - sample.delta_concomitant / (n - np.arange(n, dtype=np.float64))
+    return np.concatenate(([1.0], np.cumprod(factors)))
 
 
-def kaplan_meier_survival(sample: SortedCensoredSample, x: float) -> float:
+def kaplan_meier_survival(
+    sample: SortedCensoredSample, x: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Product-limit estimate of the survival function at ``x``.
 
     Parameters
     ----------
     sample : SortedCensoredSample
         The censored sample.
-    x : float
-        Evaluation point.  Must lie strictly below the largest observation;
-        the product-limit curve is undefined from there on.
+    x : float or array
+        Evaluation points.  Each must lie strictly below the largest
+        observation; the product-limit curve is undefined from there on.
 
     Returns
     -------
-    float
+    float or array
         ``prod_{i: z_(i) <= x} (1 - delta_[i] / (n - i + 1))``, a
         right-continuous step function equal to 1 below the smallest
-        observation.
+        observation; a float for scalar ``x``, an array otherwise.
 
     Raises
     ------
     DomainError
-        If ``x >= max(z)``.
+        If any ``x >= max(z)``.
     """
     z = sample.z_sorted
-    x = float(x)
-    if x >= z[-1]:
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs >= z[-1]):
         raise DomainError(
             "product-limit survival is undefined at or above the largest "
-            f"observation ({z[-1]:g}), got x={x:g}"
+            f"observation ({z[-1]:g}), got x={float(np.max(xs)):g}"
         )
-    m = int(np.searchsorted(z, x, side="right"))
-    return _km_product(sample.delta_concomitant[:m], sample.n)
+    out = _km_curve(sample)[np.searchsorted(z, xs, side="right")]
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def km_survival_at_threshold(sample: SortedCensoredSample, k: int) -> float:
@@ -120,7 +112,7 @@ def km_survival_at_threshold(sample: SortedCensoredSample, k: int) -> float:
     statistics, the anchor value used by the tail extrapolation.
     """
     _check_k(k, sample.n)
-    return _km_product(sample.delta_concomitant[: sample.n - k], sample.n)
+    return float(_km_curve(sample)[sample.n - k])
 
 
 def hill_estimator(sample: SortedCensoredSample, k: int) -> float:

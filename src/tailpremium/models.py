@@ -12,13 +12,12 @@ intermediate threshold matching a top fraction ``k/n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Tuple, Union, runtime_checkable
+from typing import Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 from scipy import integrate, optimize
 
 from .errors import DomainError, ValidationError
-from .samples import CensoredObservation
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -161,15 +160,6 @@ def _survival_from_support(model: HeavyTailModel, x: ArrayLike) -> ArrayLike:
     return model.survival(np.maximum(xs, model.support_lower))
 
 
-def second_order_A1(model: HeavyTailModel, t: ArrayLike) -> ArrayLike:
-    """Second-order rate function of a model's tail expansion at ``t``.
-
-    For the Burr model this is ``gamma * t**(-eta/gamma)``; for the exact
-    Pareto it is identically zero.
-    """
-    return model.second_order_rate(t)
-
-
 def gamma2_from_p(gamma1: float, p: float) -> float:
     """Censoring tail index giving an asymptotic uncensored share ``p``.
 
@@ -253,20 +243,6 @@ def burr_scheme(gamma1: float, p: float, eta: float) -> CensoringScheme:
         loss_model=BurrModel(gamma=gamma1, eta=eta),
         censor_model=BurrModel(gamma=gamma2_from_p(gamma1, p), eta=eta),
     )
-
-
-def draw_censored_sample(
-    scheme: CensoringScheme, n: int, rng: np.random.Generator
-) -> List[CensoredObservation]:
-    """Draw ``n`` censored claim records from a scheme.
-
-    Thin wrapper over :meth:`CensoringScheme.sample_arrays` returning
-    validated :class:`CensoredObservation` objects.
-    """
-    z, delta = scheme.sample_arrays(n, rng)
-    return [
-        CensoredObservation(float(zi), int(di)) for zi, di in zip(z, delta)
-    ]
 
 
 def _check_premium_params(model: HeavyTailModel, rho: float, retention: float) -> None:

@@ -5,7 +5,10 @@ amount and ``delta`` says whether the true loss was fully observed
 (``delta = 1``) or cut off by an external limit (``delta = 0``), in which
 case ``z`` is the limit that was hit.  All estimators in this package work
 on a :class:`SortedCensoredSample`, which stores the order statistics of
-``z`` together with the censoring flags carried along in the sort.
+``z`` together with the censoring flags carried along in the sort.  Tied
+values list their uncensored records first, the product-limit convention
+of Kaplan and Meier (1958), so a sample depends only on the multiset of
+records and never on their input order.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ class SortedCensoredSample:
     """Order statistics of the observed values with concomitant flags.
 
     ``z_sorted`` is non-decreasing and ``delta_concomitant[i]`` is the
-    censoring indicator that arrived with ``z_sorted[i]``.  Both arrays are
-    read-only; build instances through :func:`build_sorted_sample` or
-    :meth:`from_unsorted`.
+    censoring indicator that arrived with ``z_sorted[i]``.  Within a run of
+    equal values the flags are non-increasing: uncensored records come
+    before censored ones.  Both arrays are read-only; build instances
+    through :func:`build_sorted_sample` or :meth:`from_unsorted`.
     """
 
     z_sorted: np.ndarray
@@ -80,8 +84,12 @@ class SortedCensoredSample:
             raise ValidationError("observed values must be finite and >= 0")
         if np.any(z[1:] < z[:-1]):
             raise ValidationError("observed values must be sorted ascending")
-        if not np.isin(d, (0, 1)).all():
+        if not ((d == 0) | (d == 1)).all():
             raise ValidationError("censoring indicators must be 0 or 1")
+        if np.any((z[1:] == z[:-1]) & (d[1:] > d[:-1])):
+            raise ValidationError(
+                "tied observed values must list uncensored records first"
+            )
         z = z.copy()
         d = d.copy()
         z.flags.writeable = False
@@ -100,8 +108,9 @@ class SortedCensoredSample:
     ) -> "SortedCensoredSample":
         """Sort raw arrays into a sample, keeping flags attached.
 
-        The sort is stable, so records with equal ``z`` keep their input
-        order; this pins down the concomitant flags under ties.
+        Records are ordered by ``z`` ascending and, within a tie, by
+        ``delta`` descending, so any permutation of the input rows gives
+        the same sample.
         """
         z = np.asarray(z, dtype=np.float64)
         delta = np.asarray(delta, dtype=np.int64)
@@ -109,7 +118,7 @@ class SortedCensoredSample:
             raise ValidationError(
                 "z and delta must be one-dimensional arrays of equal length"
             )
-        order = np.argsort(z, kind="stable")
+        order = np.lexsort((-delta, z))
         return cls(z[order], delta[order])
 
 
@@ -127,8 +136,8 @@ def build_sorted_sample(observations: Iterable[ObservationLike]) -> SortedCensor
     Returns
     -------
     SortedCensoredSample
-        Records sorted ascending by ``z`` with a stable sort, so ties keep
-        their input order and the flag pairing is reproducible.
+        Records sorted ascending by ``z`` with uncensored records first
+        within a tie, as :meth:`SortedCensoredSample.from_unsorted` does.
     """
     records = []
     for item in observations:

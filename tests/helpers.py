@@ -14,9 +14,32 @@ MIN_SAMPLE = 10
 
 
 def naive_sorted(z, delta):
-    """Stable ascending sort of (z, delta) pairs."""
-    pairs = sorted(zip(z, delta), key=lambda pair: pair[0])
+    """Sort (z, delta) pairs by z ascending, uncensored first within a tie."""
+    pairs = sorted(zip(z, delta), key=lambda pair: (pair[0], -pair[1]))
     return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def naive_km_grouped(z, delta, x):
+    """Kaplan-Meier survival at ``x`` from raw, unsorted (z, delta) pairs.
+
+    The textbook grouped form: the product over distinct values t <= x of
+    ``1 - d_t / r_t``, with d_t the uncensored records at t and r_t the
+    records at or above t.  No sorting of records is involved, so the
+    result cannot depend on their order.
+    """
+    counts = {}
+    deaths = {}
+    for value, d in zip(z, delta):
+        counts[value] = counts.get(value, 0) + 1
+        deaths[value] = deaths.get(value, 0) + d
+    at_risk = len(z)
+    product = 1.0
+    for t in sorted(counts):
+        if t > x:
+            break
+        product *= 1.0 - deaths[t] / at_risk
+        at_risk -= counts[t]
+    return product
 
 
 def naive_km_at_threshold(z_sorted, delta_sorted, k):

@@ -38,7 +38,6 @@ from tailpremium import (
     reiss_thomas_k,
     replicate_stream,
     run_study,
-    second_order_A1,
     theoretical_premium,
 )
 from tailpremium.cli import main
@@ -283,7 +282,7 @@ def test_7_normalized_error_distribution():
     cell = StudyCell(gamma1=gamma1, p=p, rho=rho, n=n, eta=eta)
     h = h_threshold(scheme, k, n)
     loss_survival_at_h = float(scheme.loss_model.survival(h))
-    lambda1 = math.sqrt(k) * float(second_order_A1(scheme.loss_model, h))
+    lambda1 = math.sqrt(k) * float(scheme.loss_model.second_order_rate(h))
     mu = asym_mean(
         AsymptoticParams(gamma1=gamma1, p=p, rho=rho, tau1=-eta, lambda1=lambda1)
     )

@@ -23,7 +23,7 @@ from tailpremium import (
 )
 from tailpremium.cli import main, read_claims, read_study_config
 
-from helpers import naive_km_at
+from helpers import naive_km_grouped
 
 
 def write_claims(path, rows):
@@ -105,6 +105,29 @@ class TestReadClaims:
         path.write_text("z,delta\n1,2\n")
         with pytest.raises(FileFormatError, match=r"c\.csv:2"):
             read_claims(str(path))
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("3,1,9", "expected 2 fields, got 3"),
+            ("3", "expected 2 fields, got 1"),
+            ("x3,1", "could not convert string to float"),
+            ("3,one", "invalid literal for int"),
+            ("-3,1", "finite and >= 0"),
+            ("nan,1", "finite and >= 0"),
+            ("inf,0", "finite and >= 0"),
+            ("3,2", "0 or 1, got 2"),
+            ("3,99999999999999999999", "0 or 1, got 99999999999999999999"),
+        ],
+    )
+    def test_first_bad_row_names_its_line(self, tmp_path, capsys, bad_row, message):
+        # a later row is bad too; only the first one may be reported
+        path = tmp_path / "c.csv"
+        path.write_text(f"z,delta\n1,1\n2,0\n{bad_row}\n5,1\n6,7\n")
+        with pytest.raises(FileFormatError, match=rf"c\.csv:4: .*{message}"):
+            read_claims(str(path))
+        assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 2
+        assert "c.csv:4:" in capsys.readouterr().err
 
     def test_no_data_rows(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -274,20 +297,16 @@ class TestKmCommand:
 
     def test_matches_naive_curve(self, tmp_path):
         rng = np.random.default_rng(13)
-        z = np.round((1.0 - rng.random(40)) ** -0.4, 3)
-        delta = rng.integers(0, 2, size=40)
-        path = write_claims(
-            tmp_path / "c.csv", list(zip(z.tolist(), delta.tolist()))
-        )
+        z = np.round((1.0 - rng.random(40)) ** -0.4, 1).tolist()
+        delta = rng.integers(0, 2, size=40).tolist()
+        assert len(set(z)) < 30  # the draw has ties
+        path = write_claims(tmp_path / "c.csv", list(zip(z, delta)))
         out = tmp_path / "km.csv"
         main(["km", path, "--out", str(out)])
-        sample = read_claims(path)
-        z_sorted = sample.z_sorted.tolist()
-        delta_sorted = sample.delta_concomitant.tolist()
         rows = read_rows(out)[1:]
-        assert len(rows) == len(set(z_sorted)) - 1
+        assert [float(x) for x, _ in rows] == sorted(set(z))[:-1]
         for x_text, survival_text in rows:
-            want = naive_km_at(z_sorted, delta_sorted, float(x_text))
+            want = naive_km_grouped(z, delta, float(x_text))
             assert float(survival_text) == pytest.approx(want, rel=1e-11)
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_km_at, naive_km_at_threshold
+from helpers import (
+    naive_km_at,
+    naive_km_at_threshold,
+    naive_km_grouped,
+    naive_sorted,
+)
 from tailpremium import (
     THRESHOLD,
     DomainError,
@@ -20,7 +25,6 @@ from tailpremium import (
     uncensored_proportion,
     weissman_tail,
 )
-from tailpremium.estimators import _km_product
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 
 
@@ -73,6 +77,46 @@ class TestKaplanMeier:
                 naive_km_at(z, d, x), rel=1e-12
             )
 
+    def test_tied_hand_value_in_both_row_orders(self):
+        # KM(2.5) = (1 - 1/5) * (1 - 1/4): one death among four at risk at 2
+        for rows in (
+            [(1, 1), (2, 1), (2, 0), (3, 1), (4, 1)],
+            [(1, 1), (2, 0), (2, 1), (3, 1), (4, 1)],
+        ):
+            sample = build_sorted_sample(rows)
+            assert kaplan_meier_survival(sample, 2.5) == pytest.approx(0.6, rel=1e-15)
+            assert naive_km_grouped(*zip(*rows), 2.5) == pytest.approx(0.6, rel=1e-15)
+
+    def test_matches_grouped_oracle_with_ties(self):
+        rng = np.random.default_rng(47)
+        z = np.round((1.0 - rng.random(5000)) ** -0.3, 1)
+        delta = rng.integers(0, 2, size=5000)
+        sample = SortedCensoredSample.from_unsorted(z, delta)
+        grid = np.unique(z)[:-1]
+        assert grid.size < 4000  # the draw really has ties
+        got = kaplan_meier_survival(sample, grid)
+        z_raw, delta_raw = z.tolist(), delta.tolist()
+        z_sorted, delta_sorted = naive_sorted(z_raw, delta_raw)
+        for x, value in zip(grid.tolist(), got.tolist()):
+            assert value == pytest.approx(
+                naive_km_grouped(z_raw, delta_raw, x), rel=1e-12
+            )
+            assert value == pytest.approx(
+                naive_km_at(z_sorted, delta_sorted, x), rel=1e-12
+            )
+
+    def test_array_form_matches_scalar_calls(self):
+        sample = random_sample(11)
+        grid = np.concatenate(([0.5], sample.z_sorted[:-1]))
+        values = kaplan_meier_survival(sample, grid)
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [kaplan_meier_survival(sample, x) for x in grid]
+        assert isinstance(kaplan_meier_survival(sample, grid[3]), float)
+
+    def test_array_form_rejects_any_point_at_maximum(self, censored_triple):
+        with pytest.raises(DomainError, match="largest"):
+            kaplan_meier_survival(censored_triple, np.array([1.5, 3.0]))
+
     def test_uncensored_equals_empirical_everywhere(self):
         rng = np.random.default_rng(3)
         z = np.sort(rng.pareto(2.0, 50) + 1.0)
@@ -120,12 +164,20 @@ class TestKmAtThreshold:
                 naive_km_at_threshold(z, d, k), rel=1e-12
             )
 
-    def test_log_and_direct_products_agree(self):
+    def test_large_sample_matches_compensated_log_sum(self):
+        n = 200_000
         rng = np.random.default_rng(5)
-        deltas = rng.integers(0, 2, size=3000).astype(np.float64)
-        direct = _km_product(deltas, 5000, use_log=False)
-        logged = _km_product(deltas, 5000, use_log=True)
-        assert logged == pytest.approx(direct, rel=1e-12)
+        sample = SortedCensoredSample.from_unsorted(
+            rng.random(n), rng.integers(0, 2, size=n)
+        )
+        d = sample.delta_concomitant.tolist()
+        for k in (10, 1000, 100_000):
+            want = math.exp(
+                math.fsum(math.log1p(-d[i] / (n - i)) for i in range(n - k))
+            )
+            assert km_survival_at_threshold(sample, k) == pytest.approx(
+                want, rel=1e-10
+            )
 
 
 class TestHill:

@@ -14,11 +14,9 @@ from tailpremium import (
     ParetoModel,
     ValidationError,
     burr_scheme,
-    draw_censored_sample,
     gamma2_from_p,
     h_threshold,
     karamata_premium,
-    second_order_A1,
     theoretical_premium,
 )
 
@@ -97,7 +95,7 @@ class TestParetoModel:
 
     def test_second_order_rate_is_zero(self):
         assert ParetoModel(0.2).second_order_rate(5.0) == 0.0
-        assert np.all(second_order_A1(ParetoModel(0.2), np.array([1.0, 1e6])) == 0.0)
+        assert np.all(ParetoModel(0.2).second_order_rate(np.array([1.0, 1e6])) == 0.0)
 
 
 class TestGamma2FromP:
@@ -154,13 +152,6 @@ class TestCensoringScheme:
         scheme = burr_scheme(0.1, 0.6, 0.25)
         with pytest.raises(ValidationError, match="n must"):
             scheme.sample_arrays(0, np.random.default_rng(1))
-
-    def test_draw_censored_sample_wraps_arrays(self):
-        scheme = burr_scheme(0.1, 0.6, 0.25)
-        records = draw_censored_sample(scheme, 50, np.random.default_rng(5))
-        z, delta = scheme.sample_arrays(50, np.random.default_rng(5))
-        assert [r.z for r in records] == z.tolist()
-        assert [r.delta for r in records] == delta.tolist()
 
     def test_uncensored_share_against_quadrature(self):
         # Empirical mean of delta vs P(X <= Y) computed by quadrature.
@@ -265,20 +256,20 @@ class TestHThreshold:
 
 class TestSecondOrderRate:
     def test_burr_hand_value(self):
-        assert second_order_A1(BurrModel(0.1, 0.25), 1.0) == pytest.approx(
+        assert BurrModel(0.1, 0.25).second_order_rate(1.0) == pytest.approx(
             0.1, rel=1e-12
         )
 
     def test_decreases_to_zero(self):
         model = BurrModel(0.1, 0.25)
         grid = np.geomspace(1.0, 1e8, 30)
-        values = second_order_A1(model, grid)
+        values = model.second_order_rate(grid)
         assert np.all(np.diff(values) < 0.0)
         assert values[-1] < 1e-20
 
     def test_rejects_non_positive_t(self):
         with pytest.raises(DomainError, match="t > 0"):
-            second_order_A1(BurrModel(0.1, 0.25), 0.0)
+            BurrModel(0.1, 0.25).second_order_rate(0.0)
 
     def test_second_order_expansion_oracle(self):
         # (F(tx)/F(t) - x**(-1/g)) / A1(t) approaches
@@ -303,6 +294,6 @@ class TestSecondOrderRate:
             expected = x ** (-1 / gamma) * (x ** (tau / gamma) - 1) / (gamma * tau)
             assert abs(ratio - expected) <= 1e-3 * abs(expected)
             # the library's A1 agrees with the exact rate used above
-            assert second_order_A1(BurrModel(0.1, 0.25), 1e6) == pytest.approx(
+            assert BurrModel(0.1, 0.25).second_order_rate(1e6) == pytest.approx(
                 float(a1), rel=1e-12
             )

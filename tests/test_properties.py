@@ -4,6 +4,11 @@ Kept fast and fully derandomized so the whole file runs standalone in
 seconds; each property is exercised on a couple dozen generated cases.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,6 +26,7 @@ from tailpremium import (
     php_estimate,
     reiss_thomas_k,
 )
+from tailpremium.cli import main
 
 settings.register_profile(
     "quick",
@@ -115,17 +121,46 @@ def test_pareto_round_trip(s, gamma, x_min):
     )
 
 
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except DomainError as exc:
+        return repr(exc)
+
+
+def _cli_outputs(directory, name, z, delta):
+    claims = os.path.join(directory, name + ".csv")
+    curve = os.path.join(directory, name + "_km.csv")
+    with open(claims, "w") as handle:
+        handle.write("z,delta\n")
+        handle.writelines(f"{a!r},{b}\n" for a, b in zip(z.tolist(), delta.tolist()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", claims, "--rho", "1", "--auto-k"])
+        assert main(["km", claims, "--out", curve]) == 0
+    with open(curve, "rb") as handle:
+        return code, out.getvalue(), err.getvalue().replace(name, ""), handle.read()
+
+
 @given(seed=seeds, shuffle_seed=seeds)
 def test_input_order_is_irrelevant(seed, shuffle_seed):
+    # A coarse grid makes blocks of tied values with mixed flags.
     rng = np.random.default_rng(seed)
-    z = (1.0 - rng.random(60)) ** -0.2
-    delta = rng.integers(0, 2, size=60)
-    order = np.random.default_rng(shuffle_seed).permutation(60)
+    z = np.round((1.0 - rng.random(80)) ** -0.25, 1)
+    delta = rng.integers(0, 2, size=80)
+    order = np.random.default_rng(shuffle_seed).permutation(80)
     original = SortedCensoredSample.from_unsorted(z, delta)
     shuffled = SortedCensoredSample.from_unsorted(z[order], delta[order])
+    grid = np.unique(z)[:-1]
+    assert np.array_equal(
+        kaplan_meier_survival(shuffled, grid), kaplan_meier_survival(original, grid)
+    )
+    assert _outcome(reiss_thomas_k, shuffled) == _outcome(reiss_thomas_k, original)
     settings_ = EstimationSettings(k=10, rho=1.0)
-    try:
-        base = php_estimate(original, settings_)
-    except DomainError:
-        assume(False)
-    assert php_estimate(shuffled, settings_) == base
+    assert _outcome(php_estimate, shuffled, settings_) == _outcome(
+        php_estimate, original, settings_
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        assert _cli_outputs(directory, "shuffled", z[order], delta[order]) == (
+            _cli_outputs(directory, "original", z, delta)
+        )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import naive_sorted
 from tailpremium import (
     THRESHOLD,
     CensoredObservation,
@@ -43,10 +44,11 @@ class TestBuildSortedSample:
         assert sample.delta_concomitant.tolist() == [1]
         assert sample.n == 1
 
-    def test_ties_keep_input_order(self):
-        sample = build_sorted_sample([(2, 0), (2, 1)])
-        assert sample.z_sorted.tolist() == [2.0, 2.0]
-        assert sample.delta_concomitant.tolist() == [0, 1]
+    def test_ties_put_uncensored_first(self):
+        for records in ([(2, 0), (2, 1)], [(2, 1), (2, 0)]):
+            sample = build_sorted_sample(records)
+            assert sample.z_sorted.tolist() == [2.0, 2.0]
+            assert sample.delta_concomitant.tolist() == [1, 0]
 
     def test_accepts_observation_instances(self):
         sample = build_sorted_sample(
@@ -104,12 +106,31 @@ class TestSortedCensoredSample:
         with pytest.raises(ValueError):
             sample.delta_concomitant[0] = 0
 
-    def test_from_unsorted_is_stable(self):
+    def test_rejects_censored_before_uncensored_tie(self):
+        with pytest.raises(ValidationError, match="uncensored records first"):
+            SortedCensoredSample(np.array([2.0, 2.0]), np.array([0, 1]))
+
+    def test_accepts_uncensored_before_censored_tie(self):
+        sample = SortedCensoredSample(np.array([2.0, 2.0]), np.array([1, 0]))
+        assert sample.delta_concomitant.tolist() == [1, 0]
+
+    def test_from_unsorted_uses_canonical_tie_order(self):
         sample = SortedCensoredSample.from_unsorted(
-            np.array([2.0, 1.0, 2.0]), np.array([0, 1, 1])
+            np.array([2.0, 1.0, 2.0, 2.0]), np.array([0, 1, 1, 0])
         )
-        assert sample.z_sorted.tolist() == [1.0, 2.0, 2.0]
-        assert sample.delta_concomitant.tolist() == [1, 0, 1]
+        assert sample.z_sorted.tolist() == [1.0, 2.0, 2.0, 2.0]
+        assert sample.delta_concomitant.tolist() == [1, 1, 0, 0]
+
+    def test_from_unsorted_matches_naive_sort_under_shuffles(self):
+        rng = np.random.default_rng(43)
+        z = rng.integers(0, 8, size=200).astype(np.float64)
+        delta = rng.integers(0, 2, size=200)
+        want_z, want_delta = naive_sorted(z.tolist(), delta.tolist())
+        for _ in range(5):
+            order = rng.permutation(200)
+            sample = SortedCensoredSample.from_unsorted(z[order], delta[order])
+            assert sample.z_sorted.tolist() == want_z
+            assert sample.delta_concomitant.tolist() == want_delta
 
 
 class TestSettings:
