@@ -3,6 +3,7 @@
 Two power-law families are provided: the Burr distribution, whose survival
 ``(1 + x**(eta/gamma))**(-1/eta)`` has tail index ``gamma`` and second-order
 parameter ``-eta``, and the exact Pareto, used as a closed-form oracle.
+Both know their proportional-hazard layer premium in closed form.
 A :class:`CensoringScheme` couples a loss model with an independent
 censoring model and knows the population quantities of the observed
 minimum: the uncensored share, the combined tail index, and the
@@ -15,15 +16,11 @@ from dataclasses import dataclass
 from typing import Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy.special import beta, betainc
 
 from .errors import DomainError, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
-
-# Quadrature accuracy demanded from theoretical_premium; the estimate
-# reported by the adaptive routine must come in under this relative error.
-_QUAD_RELTOL = 1e-9
 
 
 @runtime_checkable
@@ -41,6 +38,8 @@ class HeavyTailModel(Protocol):
     def quantile_of_survival(self, s: ArrayLike) -> ArrayLike: ...
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike: ...
+
+    def premium(self, rho: float, retention: ArrayLike) -> ArrayLike: ...
 
 
 def _match(x, out: np.ndarray):
@@ -103,6 +102,21 @@ class BurrModel:
         out = self.gamma * ts ** (-self.eta / self.gamma)
         return _match(t, out)
 
+    def premium(self, rho: float, retention: ArrayLike) -> ArrayLike:
+        """Layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
+
+        Substituting ``t = 1/(1 + x**(eta/gamma))`` turns the integral into
+        the incomplete beta function ``(gamma/eta) * B(a-b, b) * I_t(a-b, b)``
+        with ``a = 1/(eta*rho)``, ``b = gamma/eta`` and ``t`` taken at ``R``;
+        ``a > b`` is exactly ``rho * gamma < 1``.
+        """
+        _check_premium_params(self, rho, retention)
+        a = 1.0 / (self.eta * rho)
+        b = self.gamma / self.eta
+        rs = np.asarray(retention, dtype=np.float64)
+        t = 1.0 / (1.0 + rs ** (self.eta / self.gamma))
+        return _match(retention, b * beta(a - b, b) * betainc(a - b, b, t))
+
 
 @dataclass(frozen=True)
 class ParetoModel:
@@ -152,6 +166,20 @@ class ParetoModel:
         if np.any(ts <= 0.0):
             raise DomainError("second-order rate requires t > 0")
         return _match(t, np.zeros_like(ts))
+
+    def premium(self, rho: float, retention: ArrayLike) -> ArrayLike:
+        """Layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
+
+        The survival is 1 below ``x_min``, which contributes
+        ``max(x_min - R, 0)``; above it the Karamata form
+        ``rho/(1/gamma - rho) * x * survival(x)**(1/rho)`` at
+        ``x = max(R, x_min)`` is exact.
+        """
+        _check_premium_params(self, rho, retention)
+        rs = np.asarray(retention, dtype=np.float64)
+        top = np.maximum(rs, self.x_min)
+        tail = top * self.survival(top) ** (1.0 / rho)
+        return _match(retention, top - rs + rho / (1.0 / self.gamma - rho) * tail)
 
 
 def _survival_from_support(model: HeavyTailModel, x: ArrayLike) -> ArrayLike:
@@ -245,10 +273,13 @@ def burr_scheme(gamma1: float, p: float, eta: float) -> CensoringScheme:
     )
 
 
-def _check_premium_params(model: HeavyTailModel, rho: float, retention: float) -> None:
+def _check_premium_params(
+    model: HeavyTailModel, rho: float, retention: ArrayLike
+) -> None:
     if not (np.isfinite(rho) and rho > 0.0):
         raise ValidationError(f"rho must be > 0, got {rho!r}")
-    if not (np.isfinite(retention) and retention > 0.0):
+    rs = np.asarray(retention, dtype=np.float64)
+    if not np.all(np.isfinite(rs) & (rs > 0.0)):
         raise ValidationError(f"retention must be > 0, got {retention!r}")
     product = rho * model.tail_index
     if product >= 1.0:
@@ -261,37 +292,15 @@ def _check_premium_params(model: HeavyTailModel, rho: float, retention: float) -
 def theoretical_premium(model: HeavyTailModel, rho: float, retention: float) -> float:
     """Distorted layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
 
-    Substituting ``x = R/u`` maps the improper integral onto ``(0, 1]``,
-    where adaptive quadrature resolves the slowly decaying tail with
-    uniform accuracy.  The result is required to carry a relative error
-    below 1e-9.
+    Evaluated by the model's own closed form, :meth:`HeavyTailModel.premium`.
 
     Raises
     ------
     DomainError
-        If ``rho * tail_index >= 1`` (divergent integral) or the
-        quadrature cannot certify the demanded accuracy.
+        If ``rho * tail_index >= 1`` (divergent integral).
     """
     _check_premium_params(model, rho, retention)
-    inv_rho = 1.0 / rho
-
-    def integrand(u: float) -> float:
-        x = retention / u
-        return _survival_from_support(model, x) ** inv_rho * retention / u**2
-
-    # quad appends a message to the output tuple when it could not meet
-    # the tolerance; the certification below handles that case.
-    quad_output = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200, full_output=1
-    )
-    value, abserr = quad_output[0], quad_output[1]
-    if not np.isfinite(value) or abserr > _QUAD_RELTOL * abs(value):
-        raise DomainError(
-            "quadrature failed to reach relative error "
-            f"{_QUAD_RELTOL:g} for the premium integral "
-            f"(estimate {value:g}, error bound {abserr:g})"
-        )
-    return float(value)
+    return float(model.premium(rho, retention))
 
 
 def karamata_premium(model: HeavyTailModel, rho: float, retention: float) -> float:
@@ -319,6 +328,10 @@ def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
         raise ValidationError("k and n must be integers")
     if not 1 <= k < n:
         raise ValidationError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
+    # Imported here, its only user: scipy.optimize costs every import of
+    # the package a few hundred milliseconds.
+    from scipy import optimize
+
     target = k / n
     lower = max(
         scheme.loss_model.support_lower, scheme.censor_model.support_lower

@@ -4,9 +4,9 @@ For every cell of a parameter grid (uncensored share, distortion
 parameter, sample size) the engine draws censored Burr samples, picks the
 number of top order statistics per replicate, estimates the premium of the
 layer above the selected order statistic, and compares it with the exact
-premium at the same retention computed by quadrature.  Cell aggregates are
-the empirical means, the absolute difference of those means, and the root
-mean squared per-replicate error.
+premium at the same retention, which the Burr model gives in closed form.
+Cell aggregates are the empirical means, the absolute difference of those
+means, and the root mean squared per-replicate error.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the cell parameters, and the
@@ -183,8 +183,8 @@ def run_replicate(
     """Draw one censored sample and estimate the premium on it.
 
     The retention is the order statistic selected by the threshold rule;
-    the exact premium is computed at that same (random) retention by
-    quadrature.  Estimation failures (for example a tail estimate too
+    the exact premium is evaluated in closed form at that same (random)
+    retention.  Estimation failures (for example a tail estimate too
     heavy for a finite premium) are recorded in the result, never raised.
     """
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
@@ -255,10 +255,9 @@ def study_cells(config: StudyConfig) -> List[StudyCell]:
 
 
 def _run_block(
-    config: StudyConfig, task: Tuple[int, int, int]
+    config: StudyConfig, task: Tuple[StudyCell, int, int]
 ) -> List[ReplicateResult]:
-    cell_index, start, stop = task
-    cell = study_cells(config)[cell_index]
+    cell, start, stop = task
     return [
         run_replicate(cell, i, config.master_seed, config.beta)
         for i in range(start, stop)
@@ -276,10 +275,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     cells = study_cells(config)
+    starts = range(0, config.replicates, _BLOCK)
     tasks = [
-        (cell_index, start, min(start + _BLOCK, config.replicates))
-        for cell_index in range(len(cells))
-        for start in range(0, config.replicates, _BLOCK)
+        (cell, start, min(start + _BLOCK, config.replicates))
+        for cell in cells
+        for start in starts
     ]
     if workers == 1:
         blocks = [_run_block(config, task) for task in tasks]
@@ -287,8 +287,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(partial(_run_block, config), tasks))
     per_cell: List[List[ReplicateResult]] = [[] for _ in cells]
-    for task, block in zip(tasks, blocks):
-        per_cell[task[0]].extend(block)
+    for task_index, block in enumerate(blocks):
+        per_cell[task_index // len(starts)].extend(block)
 
     rows: List[StudyRow] = []
     drop_reasons: List[str] = []

@@ -140,40 +140,25 @@ def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> Threshold
             "threshold selection needs at least 3 strictly positive "
             f"order statistics, got {positive}"
         )
-    gamma1, p_hat = tail_index_path(sample, k_limit)
-    with np.errstate(invalid="ignore"):
-        admissible = (p_hat > 0.0) & np.isfinite(gamma1) & (gamma1 < _INDEX_CAP)
+    gamma1, _ = tail_index_path(sample, k_limit)
+    # blocked[j] counts the undefined (NaN) or out-of-cap entries among the
+    # first j of the path; a window is open when it holds none of them.
+    blocked = np.concatenate(([0], np.cumsum(~(gamma1 < _INDEX_CAP))))
+    ks = np.arange(2, k_limit + 1)
+    ks = ks[blocked[ks] == blocked[(ks + 1) // 2 - 1]]
+    if ks.size == 0:
+        raise DomainError(
+            "no admissible k: every candidate window up to "
+            f"{k_limit} contains an undefined or out-of-range "
+            "corrected tail index"
+        )
     weights = np.arange(1, k_limit + 1, dtype=np.float64) ** beta
     ceiling = min(k_limit, round(_CANDIDATE_SCALE * n ** (1.0 / 3.0)))
-
-    ks = []
-    scores = []
-    for k in range(2, ceiling + 1):
-        lo = (k + 1) // 2
-        if not admissible[lo - 1 : k].all():
-            continue
-        ks.append(k)
-        scores.append(_window_score(gamma1, weights, k))
-    if ks:
-        best = int(np.argmin(scores))
-        k_star = ks[best]
-    else:
-        k_star = None
-        for k in range(ceiling + 1, k_limit + 1):
-            lo = (k + 1) // 2
-            if admissible[lo - 1 : k].all():
-                k_star = k
-                ks = [k]
-                scores = [_window_score(gamma1, weights, k)]
-                break
-        if k_star is None:
-            raise DomainError(
-                "no admissible k: every candidate window up to "
-                f"{k_limit} contains an undefined or out-of-range "
-                "corrected tail index"
-            )
+    candidates = ks[ks <= ceiling].tolist() or [int(ks[0])]
+    scores = [_window_score(gamma1, weights, k) for k in candidates]
+    k_star = candidates[int(np.argmin(scores))]
     return ThresholdChoice(
         k_star=k_star,
         retention=float(sample.z_sorted[n - k_star - 1]),
-        objective_curve=tuple(zip(ks, scores)),
+        objective_curve=tuple(zip(candidates, scores)),
     )

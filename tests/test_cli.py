@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +445,21 @@ class TestSimulateCommand:
             ["simulate", path, "--out", str(tmp_path / "missing" / "rows.csv")]
         )
         assert code == 4
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # Both cost every CLI start a few hundred milliseconds; only
+    # h_threshold needs scipy.optimize, and imports it when called.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, tailpremium.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "[]"

@@ -20,6 +20,8 @@ from tailpremium import (
     theoretical_premium,
 )
 
+from helpers import mp_burr_survival, mp_pareto_survival, mp_premium
+
 
 class TestBurrModel:
     def test_survival_at_zero(self):
@@ -210,14 +212,61 @@ class TestTheoreticalPremium:
         values_rho = [theoretical_premium(model, rho, 5.0) for rho in (1.0, 1.2, 1.5)]
         assert all(a < b for a, b in zip(values_rho, values_rho[1:]))
 
+    def test_burr_matches_quadrature_oracle(self):
+        worst = 0.0
+        for gamma in (0.05, 0.1, 0.25, 0.4):
+            for eta in (0.1, 0.25, 0.5, 1.0):
+                survival = mp_burr_survival(gamma, eta)
+                for rho in (1.0, 1.1, 1.5):
+                    for retention in (0.5, 3.0, 50.0, 1e3, 1e4):
+                        want = mp_premium(
+                            survival, gamma, rho, retention, knots=(1.0,)
+                        )
+                        got = theoretical_premium(
+                            BurrModel(gamma, eta), rho, retention
+                        )
+                        worst = max(worst, abs(got / want - 1.0))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("retention", [0.5, 2.0, 100.0])
+    @pytest.mark.parametrize("gamma, rho", [(0.2, 1.0), (0.4, 1.1)])
+    def test_pareto_matches_quadrature_oracle(self, gamma, rho, retention):
+        # x_min = 2 puts R = 0.5 below the support, where survival is 1.
+        want = mp_premium(
+            mp_pareto_survival(gamma, 2.0), gamma, rho, retention, knots=(2.0,)
+        )
+        got = theoretical_premium(ParetoModel(gamma, x_min=2.0), rho, retention)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [BurrModel(0.1, 0.25), BurrModel(0.4, 1.0), ParetoModel(0.2, 2.0)]
+    )
+    def test_array_premium_equals_scalar_calls(self, model):
+        retentions = np.array([0.5, 1.0, 2.0, 7.5, 1e3])
+        for rho in (1.0, 1.1):
+            out = model.premium(rho, retentions)
+            assert out.shape == retentions.shape
+            scalars = [model.premium(rho, float(r)) for r in retentions]
+            assert all(isinstance(v, float) for v in scalars)
+            assert np.array_equal(out, scalars)
+            assert scalars == [theoretical_premium(model, rho, r) for r in retentions]
+
+    @pytest.mark.parametrize("model", [BurrModel(0.6, 0.25), ParetoModel(0.6)])
+    def test_premium_method_guards(self, model):
+        with pytest.raises(DomainError, match="diverges"):
+            model.premium(2.0, np.array([1.0, 2.0]))
+        with pytest.raises(ValidationError, match="retention"):
+            model.premium(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="rho"):
+            model.premium(float("nan"), 1.0)
+
 
 class TestKaramataPremium:
     def test_exact_on_pareto(self):
         for gamma, rho, retention in [(0.2, 1.0, 10.0), (0.4, 1.1, 3.0)]:
-            model = ParetoModel(gamma)
-            assert karamata_premium(model, rho, retention) == pytest.approx(
-                theoretical_premium(model, rho, retention), rel=1e-9
-            )
+            want = mp_premium(mp_pareto_survival(gamma, 1.0), gamma, rho, retention)
+            got = karamata_premium(ParetoModel(gamma), rho, retention)
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_burr_hand_value(self):
         assert karamata_premium(BurrModel(0.1, 0.25), 1.0, 1.0) == pytest.approx(

@@ -182,7 +182,7 @@ class TestReissThomasK:
 class TestAgainstNaiveRule:
     """Brute-force battery: library vs the scalar-loop reimplementation."""
 
-    @pytest.mark.parametrize("n", [12, 25, 40])
+    @pytest.mark.parametrize("n", [12, 25, 40, 200])
     def test_random_samples_agree(self, n):
         rng = np.random.default_rng(900 + n)
         checked_errors = 0
