@@ -59,6 +59,7 @@ from .study import (
     StudyRow,
     aggregate,
     replicate_stream,
+    run_matched_replicates,
     run_replicate,
     run_study,
     study_cells,
@@ -106,6 +107,7 @@ __all__ = [
     "php_estimate",
     "reiss_thomas_k",
     "replicate_stream",
+    "run_matched_replicates",
     "run_replicate",
     "run_study",
     "study_cells",

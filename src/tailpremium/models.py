@@ -39,7 +39,13 @@ class HeavyTailModel(Protocol):
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike: ...
 
-    def premium(self, rho: float, retention: ArrayLike) -> ArrayLike: ...
+    def premium(self, rho: float, retention: ArrayLike) -> ArrayLike:
+        """Layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
+
+        Implementations raise ``ValidationError`` unless ``rho`` and every
+        retention are finite and > 0, and ``DomainError`` when
+        ``rho * tail_index >= 1`` (divergent integral).
+        """
 
 
 def _match(x, out: np.ndarray):
@@ -292,14 +298,16 @@ def _check_premium_params(
 def theoretical_premium(model: HeavyTailModel, rho: float, retention: float) -> float:
     """Distorted layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
 
-    Evaluated by the model's own closed form, :meth:`HeavyTailModel.premium`.
+    Evaluated by the model's own closed form, :meth:`HeavyTailModel.premium`,
+    which also guards the parameters.
 
     Raises
     ------
+    ValidationError
+        If ``rho`` or ``retention`` is not finite and > 0.
     DomainError
         If ``rho * tail_index >= 1`` (divergent integral).
     """
-    _check_premium_params(model, rho, retention)
     return float(model.premium(rho, retention))
 
 

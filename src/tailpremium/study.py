@@ -5,8 +5,10 @@ parameter, sample size) the engine draws censored Burr samples, picks the
 number of top order statistics per replicate, estimates the premium of the
 layer above the selected order statistic, and compares it with the exact
 premium at the same retention, which the Burr model gives in closed form.
-Cell aggregates are the empirical means, the absolute difference of those
-means, and the root mean squared per-replicate error.
+Each (uncensored share, sample size, replicate) sample is drawn, sorted
+and threshold-selected once and evaluated at every distortion parameter
+of the grid.  Cell aggregates are the empirical means, the absolute
+difference of those means, and the root mean squared per-replicate error.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the cell parameters, and the
@@ -177,15 +179,24 @@ def replicate_stream(
     )
 
 
-def run_replicate(
-    cell: StudyCell, replicate_index: int, master_seed: int, beta: float = 0.3
-) -> ReplicateResult:
-    """Draw one censored sample and estimate the premium on it.
+def run_matched_replicates(
+    cell: StudyCell,
+    rho_values: Sequence[float],
+    replicate_index: int,
+    master_seed: int,
+    beta: float = 0.3,
+) -> Tuple[ReplicateResult, ...]:
+    """Draw one censored sample and estimate the premium on it at every rho.
 
-    The retention is the order statistic selected by the threshold rule;
-    the exact premium is evaluated in closed form at that same (random)
-    retention.  Estimation failures (for example a tail estimate too
-    heavy for a finite premium) are recorded in the result, never raised.
+    The sample, its sort and the threshold choice depend only on the
+    stream, which leaves out ``cell.rho`` (see the module docstring), so
+    they are computed once; ``cell.rho`` is not read.  The retention is
+    the order statistic selected by the threshold rule; the exact premium
+    is evaluated in closed form at that same (random) retention.  Returns
+    one result per entry of ``rho_values``, in order.  Estimation failures
+    are recorded in the results, never raised: a failed threshold choice
+    fails every rho alike, while an estimate failure (for example a tail
+    estimate too heavy for a finite premium at that rho) fails its rho only.
     """
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
     rng = np.random.default_rng(
@@ -195,21 +206,39 @@ def run_replicate(
     sample = SortedCensoredSample.from_unsorted(z, delta)
     try:
         choice = reiss_thomas_k(sample, beta)
-        settings = EstimationSettings(
-            k=choice.k_star, rho=cell.rho, retention=THRESHOLD
-        )
-        estimate = php_estimate(sample, settings)
-        pi_true = theoretical_premium(
-            scheme.loss_model, cell.rho, estimate.retention
-        )
     except (DomainError, ValidationError) as exc:
-        return ReplicateResult(failed=str(exc))
-    return ReplicateResult(
-        pi_true=float(pi_true),
-        pi_hat=float(estimate.value),
-        k_star=int(choice.k_star),
-        retention=float(estimate.retention),
-    )
+        return (ReplicateResult(failed=str(exc)),) * len(rho_values)
+    results = []
+    for rho in rho_values:
+        try:
+            settings = EstimationSettings(
+                k=choice.k_star, rho=rho, retention=THRESHOLD
+            )
+            estimate = php_estimate(sample, settings)
+            pi_true = theoretical_premium(
+                scheme.loss_model, rho, estimate.retention
+            )
+        except (DomainError, ValidationError) as exc:
+            results.append(ReplicateResult(failed=str(exc)))
+        else:
+            results.append(
+                ReplicateResult(
+                    pi_true=float(pi_true),
+                    pi_hat=float(estimate.value),
+                    k_star=int(choice.k_star),
+                    retention=float(estimate.retention),
+                )
+            )
+    return tuple(results)
+
+
+def run_replicate(
+    cell: StudyCell, replicate_index: int, master_seed: int, beta: float = 0.3
+) -> ReplicateResult:
+    """One replicate of one cell: :func:`run_matched_replicates` at ``cell.rho``."""
+    return run_matched_replicates(
+        cell, (cell.rho,), replicate_index, master_seed, beta
+    )[0]
 
 
 def aggregate(
@@ -256,10 +285,12 @@ def study_cells(config: StudyConfig) -> List[StudyCell]:
 
 def _run_block(
     config: StudyConfig, task: Tuple[StudyCell, int, int]
-) -> List[ReplicateResult]:
-    cell, start, stop = task
+) -> List[Tuple[ReplicateResult, ...]]:
+    group, start, stop = task
     return [
-        run_replicate(cell, i, config.master_seed, config.beta)
+        run_matched_replicates(
+            group, config.rho_values, i, config.master_seed, config.beta
+        )
         for i in range(start, stop)
     ]
 
@@ -267,18 +298,30 @@ def _run_block(
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the full grid and aggregate each cell.
 
-    ``workers`` only controls process-level parallelism; outputs are
-    bitwise identical for any worker count.  A cell whose replicates all
-    failed is logged and dropped; the run only errors out when every cell
-    is in that state.
+    The unit of work is a (p, n) group: each of its replicates is drawn
+    and threshold-selected once and evaluated at every rho, and the
+    results go back to the cells of :func:`study_cells` by position, so
+    repeated grid values still give repeated rows.  ``workers`` only
+    controls process-level parallelism; outputs are bitwise identical for
+    any worker count.  A cell whose replicates all failed is logged and
+    dropped; the run only errors out when every cell is in that state.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     cells = study_cells(config)
+    n_rho, n_n = len(config.rho_values), len(config.n_values)
+    # Cell (i_p, i_rho, i_n) sits at (i_p * n_rho + i_rho) * n_n + i_n; a
+    # (p, n) group runs as its cell at the first rho, and its results at
+    # rho number i_rho belong to the cell i_rho * n_n places further on.
+    firsts = [
+        i_p * n_rho * n_n + i_n
+        for i_p in range(len(config.p_values))
+        for i_n in range(n_n)
+    ]
     starts = range(0, config.replicates, _BLOCK)
     tasks = [
-        (cell, start, min(start + _BLOCK, config.replicates))
-        for cell in cells
+        (cells[first], start, min(start + _BLOCK, config.replicates))
+        for first in firsts
         for start in starts
     ]
     if workers == 1:
@@ -288,7 +331,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
             blocks = list(pool.map(partial(_run_block, config), tasks))
     per_cell: List[List[ReplicateResult]] = [[] for _ in cells]
     for task_index, block in enumerate(blocks):
-        per_cell[task_index // len(starts)].extend(block)
+        first = firsts[task_index // len(starts)]
+        for matched in block:
+            for i_rho, result in enumerate(matched):
+                per_cell[first + i_rho * n_n].append(result)
 
     rows: List[StudyRow] = []
     drop_reasons: List[str] = []

@@ -46,13 +46,6 @@ class ThresholdChoice:
     objective_curve: Tuple[Tuple[int, float], ...]
 
 
-def _lower_median(values: np.ndarray) -> float:
-    """Median that never averages: the order statistic at ceil(m/2)."""
-    m = values.size
-    position = (m - 1) // 2
-    return float(np.partition(values, position)[position])
-
-
 def tail_index_path(
     sample: SortedCensoredSample, k_max: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,14 +77,24 @@ def tail_index_path(
     return gamma1, p_hat
 
 
-def _window_score(
-    gamma1: np.ndarray, weights: np.ndarray, k: int
-) -> float:
-    """Weighted dispersion of the path over the half-window ending at k."""
-    lo = (k + 1) // 2
-    values = gamma1[lo - 1 : k]
-    med = _lower_median(values)
-    return float(np.dot(weights[lo - 1 : k], np.abs(values - med))) / k
+def _window_scores(gamma1: np.ndarray, ks: np.ndarray, beta: float) -> np.ndarray:
+    """Weighted dispersion of the path over the half-window ending at each k.
+
+    Window ``j`` covers path entries ``ceil(k_j/2)..k_j``.  All windows are
+    scored in one pass, one row per candidate, padded with +inf so that the
+    padding sorts past every entry and the lower median of a window of
+    width ``w`` sits at column ``(w - 1) // 2``.
+    """
+    lo = (ks + 1) // 2
+    width = ks - lo + 1
+    columns = np.arange(width.max())
+    inside = columns < width[:, None]
+    index = np.where(inside, lo[:, None] - 1 + columns, 0)
+    values = np.where(inside, gamma1[index], np.inf)
+    med = np.sort(values, axis=1)[np.arange(ks.size), (width - 1) // 2]
+    weights = (index + 1.0) ** beta
+    deviations = np.where(inside, weights * np.abs(values - med[:, None]), 0.0)
+    return deviations.sum(axis=1) / ks
 
 
 def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> ThresholdChoice:
@@ -152,13 +155,12 @@ def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> Threshold
             f"{k_limit} contains an undefined or out-of-range "
             "corrected tail index"
         )
-    weights = np.arange(1, k_limit + 1, dtype=np.float64) ** beta
     ceiling = min(k_limit, round(_CANDIDATE_SCALE * n ** (1.0 / 3.0)))
-    candidates = ks[ks <= ceiling].tolist() or [int(ks[0])]
-    scores = [_window_score(gamma1, weights, k) for k in candidates]
-    k_star = candidates[int(np.argmin(scores))]
+    candidates = ks[ks <= ceiling] if ks[0] <= ceiling else ks[:1]
+    scores = _window_scores(gamma1, candidates, beta)
+    k_star = int(candidates[np.argmin(scores)])
     return ThresholdChoice(
         k_star=k_star,
         retention=float(sample.z_sorted[n - k_star - 1]),
-        objective_curve=tuple(zip(candidates, scores)),
+        objective_curve=tuple(zip(candidates.tolist(), scores.tolist())),
     )

@@ -1,6 +1,7 @@
 """Monte Carlo engine: seeding, replicates, aggregation, scheduling."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +19,22 @@ from tailpremium import (
     ValidationError,
     aggregate,
     replicate_stream,
+    run_matched_replicates,
     run_replicate,
     run_study,
     study_cells,
 )
+from tailpremium import cli
 from tailpremium import study as study_module
 
 from helpers import naive_aggregate, naive_threshold_choice, naive_uncensored_premium
 
 CELL = StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=150, eta=0.25)
+
+REFERENCE_CSV = (
+    Path(__file__).resolve().parents[1] / "bench" / "reference"
+    / "table1_seed1_r100.csv"
+)
 
 
 def success(pi_true, pi_hat):
@@ -280,12 +288,18 @@ class TestRunStudy:
             run_study(small_config(), workers=0)
 
     def test_all_failed_cell_is_dropped_with_warning(self, monkeypatch, caplog):
-        def failing_on_low_p(cell, index, seed, beta=0.3):
-            if cell.p == 0.4:
-                return ReplicateResult(failed="synthetic failure")
-            return run_replicate(cell, index, seed, beta)
+        real = study_module.run_matched_replicates
 
-        monkeypatch.setattr(study_module, "run_replicate", failing_on_low_p)
+        def failing_on_low_p(cell, rho_values, index, seed, beta=0.3):
+            if cell.p == 0.4:
+                return (ReplicateResult(failed="synthetic failure"),) * len(
+                    rho_values
+                )
+            return real(cell, rho_values, index, seed, beta)
+
+        monkeypatch.setattr(
+            study_module, "run_matched_replicates", failing_on_low_p
+        )
         config = small_config(p_values=(0.4, 0.6), replicates=2)
         with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
             rows = run_study(config)
@@ -293,12 +307,18 @@ class TestRunStudy:
         assert any("dropping cell" in r.message for r in caplog.records)
 
     def test_partial_failures_warn_but_keep_cell(self, monkeypatch, caplog):
-        def failing_first_replicate(cell, index, seed, beta=0.3):
-            if index == 0:
-                return ReplicateResult(failed="synthetic failure")
-            return run_replicate(cell, index, seed, beta)
+        real = study_module.run_matched_replicates
 
-        monkeypatch.setattr(study_module, "run_replicate", failing_first_replicate)
+        def failing_first_replicate(cell, rho_values, index, seed, beta=0.3):
+            if index == 0:
+                return (ReplicateResult(failed="synthetic failure"),) * len(
+                    rho_values
+                )
+            return real(cell, rho_values, index, seed, beta)
+
+        monkeypatch.setattr(
+            study_module, "run_matched_replicates", failing_first_replicate
+        )
         config = small_config(replicates=3)
         with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
             (row,) = run_study(config)
@@ -308,8 +328,105 @@ class TestRunStudy:
     def test_every_cell_failing_is_an_error(self, monkeypatch):
         monkeypatch.setattr(
             study_module,
-            "run_replicate",
-            lambda cell, index, seed, beta=0.3: ReplicateResult(failed="x"),
+            "run_matched_replicates",
+            lambda cell, rho_values, index, seed, beta=0.3: (
+                (ReplicateResult(failed="x"),) * len(rho_values)
+            ),
         )
         with pytest.raises(DomainError, match="every cell of the study failed"):
             run_study(small_config(replicates=2))
+
+    def test_duplicated_grid_values_give_duplicated_rows(self):
+        config = small_config(
+            p_values=(0.6, 0.6), rho_values=(1.0, 1.0), n_values=(150, 200),
+            replicates=3,
+        )
+        rows = run_study(config)
+        assert [(r.p, r.rho, r.n) for r in rows] == [
+            (0.6, 1.0, 150),
+            (0.6, 1.0, 200),
+        ] * 4
+        assert rows[0::2] == [rows[0]] * 4
+        assert rows[1::2] == [rows[1]] * 4
+        assert rows[0] != rows[1]
+
+
+# gamma1 = 0.3 at rho = 2.5: the threshold fails on many samples, and on
+# others only the larger rho fails (estimated rho * gamma1 >= 1).
+MATCHED = small_config(
+    gamma1=0.3,
+    p_values=(0.7, 0.9),
+    rho_values=(1.0, 2.5),
+    n_values=(150, 200),
+    replicates=12,
+    beta=0.2,
+)
+
+
+class TestMatchedReplicates:
+    def test_each_rho_equals_its_own_replicate(self):
+        config = MATCHED
+        rho_specific = 0
+        for cell in study_cells(config):
+            for i in range(config.replicates):
+                matched = run_matched_replicates(
+                    cell, config.rho_values, i, config.master_seed, config.beta
+                )
+                for rho, result in zip(config.rho_values, matched):
+                    single = StudyCell(
+                        gamma1=cell.gamma1, p=cell.p, rho=rho, n=cell.n,
+                        eta=cell.eta,
+                    )
+                    assert result == run_replicate(
+                        single, i, config.master_seed, config.beta
+                    )
+                low, high = matched
+                rho_specific += low.failed is None and high.failed is not None
+        assert rho_specific > 0, "some replicate must fail at the larger rho only"
+
+    def test_study_rows_equal_per_cell_replicates(self):
+        config = MATCHED
+        expected = [
+            aggregate(
+                [
+                    run_replicate(cell, i, config.master_seed, config.beta)
+                    for i in range(config.replicates)
+                ],
+                p=cell.p,
+                rho=cell.rho,
+                n=cell.n,
+            )
+            for cell in study_cells(config)
+        ]
+        assert run_study(config) == expected
+        assert run_study(config, workers=2) == expected
+
+    def test_threshold_failure_fails_every_rho_alike(self):
+        rho_values = (1.0, 1.1, 2.5)
+        cell = study_cells(MATCHED)[0]
+        threshold_failures = 0
+        for i in range(MATCHED.replicates):
+            results = run_matched_replicates(cell, rho_values, i, 777, 0.2)
+            assert len(results) == len(rho_values)
+            if results[0].failed and "admissible" in results[0].failed:
+                threshold_failures += 1
+                assert results == (results[0],) * len(rho_values)
+        assert threshold_failures > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table1_matches_reference_csv(tmp_path, workers):
+    config = tmp_path / "table1.cfg"
+    config.write_text(
+        "gamma1 = 0.1\n"
+        "eta = 0.25\n"
+        "p_values = 0.4, 0.6, 0.8\n"
+        "rho_values = 1.0, 1.1\n"
+        "n_values = 500, 1000, 1500\n"
+        "replicates = 100\n"
+        "master_seed = 7340927056714835338\n"
+    )
+    out = tmp_path / "table1.csv"
+    argv = ["simulate", str(config), "--out", str(out), "--workers", str(workers)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == REFERENCE_CSV.read_bytes()

@@ -17,7 +17,7 @@ from tailpremium import (
     replicate_stream,
     tail_index_path,
 )
-from tailpremium.threshold import _lower_median
+from tailpremium.threshold import _window_scores
 
 from helpers import naive_gamma1_path, naive_threshold_choice
 
@@ -31,15 +31,48 @@ def sample_from_arrays(z, delta):
 
 
 class TestLowerMedian:
+    """The window median never averages: it is the value at ceil(m/2)."""
+
+    BETA = 0.5
+
+    def score(self, window):
+        # The single candidate k whose half-window ceil(k/2)..k is `window`.
+        k = 2 * len(window) - 2
+        lo = (k + 1) // 2
+        gamma1 = np.concatenate([np.full(lo - 1, np.nan), window])
+        return float(_window_scores(gamma1, np.array([k]), self.BETA)[0])
+
+    def hand_score(self, window, med):
+        k = 2 * len(window) - 2
+        lo = (k + 1) // 2
+        return sum(
+            (lo + j) ** self.BETA * abs(v - med) for j, v in enumerate(window)
+        ) / k
+
     def test_odd_is_middle(self):
-        assert _lower_median(np.array([5.0, 1.0, 3.0])) == 3.0
+        window = [5.0, 1.0, 3.0]
+        assert self.score(window) == pytest.approx(
+            self.hand_score(window, 3.0), rel=1e-15
+        )
 
     def test_even_takes_lower_central_value(self):
-        assert _lower_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.0
+        window = [4.0, 1.0, 3.0, 2.0]
+        assert self.score(window) == pytest.approx(
+            self.hand_score(window, 2.0), rel=1e-15
+        )
+        assert self.score(window) != pytest.approx(
+            self.hand_score(window, 3.0), rel=1e-6
+        )
 
     def test_never_averages(self):
-        # an averaging median would return 0.55 here
-        assert _lower_median(np.array([0.1, 1.0])) == 0.1
+        # an averaging median would use 0.55 here
+        window = [0.1, 1.0]
+        assert self.score(window) == pytest.approx(
+            self.hand_score(window, 0.1), rel=1e-15
+        )
+        assert self.score(window) != pytest.approx(
+            self.hand_score(window, 0.55), rel=1e-6
+        )
 
 
 class TestTailIndexPath:
