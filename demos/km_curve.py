@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from tailpremium import build_sorted_sample, kaplan_meier_survival
+from tailpremium import SortedCensoredSample, kaplan_meier_survival
 from tailpremium.cli import main
 
 
 def run() -> None:
-    triple = build_sorted_sample([(1.0, 1), (2.0, 0), (3.0, 1)])
+    triple = SortedCensoredSample.from_unsorted([1.0, 2.0, 3.0], [1, 0, 1])
     print("three-point sample (1 observed, 2 censored, 3 observed):")
     for x in (0.5, 1.0, 1.5, 2.0, 2.5):
         print(f"  survival({x}) = {kaplan_meier_survival(triple, x):.6f}")

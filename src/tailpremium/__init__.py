@@ -46,10 +46,8 @@ from .models import (
 )
 from .samples import (
     THRESHOLD,
-    CensoredObservation,
     EstimationSettings,
     SortedCensoredSample,
-    build_sorted_sample,
     validate_settings,
 )
 from .study import (
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticParams",
     "BurrModel",
-    "CensoredObservation",
     "CensoringScheme",
     "DomainError",
     "EstimationSettings",
@@ -92,7 +89,6 @@ __all__ = [
     "aggregate",
     "asym_mean",
     "asym_variance",
-    "build_sorted_sample",
     "burr_scheme",
     "censored_hill",
     "confidence_interval",

@@ -45,7 +45,7 @@ class AsymptoticParams:
             raise ValidationError(f"gamma1 must be > 0, got {self.gamma1!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValidationError(f"p must lie in (0, 1], got {self.p!r}")
-        if self.rho < 1.0:
+        if not 1.0 <= self.rho < np.inf:
             raise ValidationError(f"rho must be >= 1, got {self.rho!r}")
         if self.rho * self.gamma1 >= 1.0:
             raise ValidationError(
@@ -53,6 +53,8 @@ class AsymptoticParams:
             )
         if not self.tau1 <= 0.0:
             raise ValidationError(f"tau1 must be <= 0, got {self.tau1!r}")
+        if not np.isfinite(self.lambda1):
+            raise ValidationError(f"lambda1 must be finite, got {self.lambda1!r}")
 
 
 @dataclass(frozen=True)

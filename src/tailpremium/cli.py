@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -32,12 +33,7 @@ from .asymptotics import (
 )
 from .errors import DomainError, FileFormatError, ValidationError
 from .estimators import censored_hill, kaplan_meier_survival, php_estimate
-from .samples import (
-    THRESHOLD,
-    CensoredObservation,
-    EstimationSettings,
-    SortedCensoredSample,
-)
+from .samples import THRESHOLD, EstimationSettings, SortedCensoredSample
 from .study import StudyConfig, StudyRow, run_study
 from .threshold import reiss_thomas_k
 
@@ -96,14 +92,19 @@ def read_claims(path: str) -> SortedCensoredSample:
         raise FileFormatError(f"{path}: no data rows")
     try:
         return SortedCensoredSample.from_unsorted(z, delta)
-    except (ValidationError, OverflowError):
-        # Only the failure path walks the rows, to name the first bad one;
-        # a flag too large for int64 lands here as an OverflowError.
-        for lineno, record in enumerate(zip(z, delta), start=2):
-            try:
-                CensoredObservation(*record)
-            except ValidationError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+    except ValidationError:
+        # Only the failure path walks the rows, to name the first bad one.
+        for lineno, (value, flag) in enumerate(zip(z, delta), start=2):
+            if not 0.0 <= value < math.inf:
+                raise FileFormatError(
+                    f"{path}:{lineno}: observed value must be finite and >= 0, "
+                    f"got {value!r}"
+                )
+            if flag not in (0, 1):
+                raise FileFormatError(
+                    f"{path}:{lineno}: censoring indicator must be 0 or 1, "
+                    f"got {flag!r}"
+                )
         raise
 
 

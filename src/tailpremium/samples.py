@@ -13,8 +13,8 @@ records and never on their input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -25,34 +25,15 @@ from .errors import ValidationError
 THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class CensoredObservation:
-    """A single claim record: observed amount and censoring indicator.
+def _int_flags(delta: np.ndarray) -> np.ndarray:
+    """Censoring flags as a new int64 array.
 
-    Parameters
-    ----------
-    z : float
-        Observed value, the minimum of the true loss and the censoring
-        level.  Must be finite and non-negative.
-    delta : int
-        1 if the loss itself was observed, 0 if the record is censored.
+    The raw values are checked before the cast, so fractional and NaN
+    flags are rejected instead of truncated to 0 or 1.
     """
-
-    z: float
-    delta: int
-
-    def __post_init__(self) -> None:
-        z = float(self.z)
-        if not np.isfinite(z) or z < 0.0:
-            raise ValidationError(
-                f"observed value must be finite and >= 0, got {self.z!r}"
-            )
-        if self.delta not in (0, 1):
-            raise ValidationError(
-                f"censoring indicator must be 0 or 1, got {self.delta!r}"
-            )
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "delta", int(self.delta))
+    if not ((delta == 0) | (delta == 1)).all():
+        raise ValidationError("censoring indicators must be 0 or 1")
+    return delta.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -63,7 +44,7 @@ class SortedCensoredSample:
     censoring indicator that arrived with ``z_sorted[i]``.  Within a run of
     equal values the flags are non-increasing: uncensored records come
     before censored ones.  Both arrays are read-only; build instances
-    through :func:`build_sorted_sample` or :meth:`from_unsorted`.
+    from raw columns through :meth:`from_unsorted`.
     """
 
     z_sorted: np.ndarray
@@ -71,7 +52,7 @@ class SortedCensoredSample:
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z_sorted, dtype=np.float64)
-        d = np.asarray(self.delta_concomitant, dtype=np.int64)
+        d = np.asarray(self.delta_concomitant)
         if z.ndim != 1 or d.ndim != 1:
             raise ValidationError("sample arrays must be one-dimensional")
         if z.size != d.size:
@@ -84,14 +65,12 @@ class SortedCensoredSample:
             raise ValidationError("observed values must be finite and >= 0")
         if np.any(z[1:] < z[:-1]):
             raise ValidationError("observed values must be sorted ascending")
-        if not ((d == 0) | (d == 1)).all():
-            raise ValidationError("censoring indicators must be 0 or 1")
+        d = _int_flags(d)
         if np.any((z[1:] == z[:-1]) & (d[1:] > d[:-1])):
             raise ValidationError(
                 "tied observed values must list uncensored records first"
             )
         z = z.copy()
-        d = d.copy()
         z.flags.writeable = False
         d.flags.writeable = False
         object.__setattr__(self, "z_sorted", z)
@@ -113,49 +92,14 @@ class SortedCensoredSample:
         the same sample.
         """
         z = np.asarray(z, dtype=np.float64)
-        delta = np.asarray(delta, dtype=np.int64)
+        delta = np.asarray(delta)
         if z.shape != delta.shape or z.ndim != 1:
             raise ValidationError(
                 "z and delta must be one-dimensional arrays of equal length"
             )
+        delta = _int_flags(delta)
         order = np.lexsort((-delta, z))
         return cls(z[order], delta[order])
-
-
-ObservationLike = Union[CensoredObservation, Sequence]
-
-
-def build_sorted_sample(observations: Iterable[ObservationLike]) -> SortedCensoredSample:
-    """Validate and sort claim records into a :class:`SortedCensoredSample`.
-
-    Parameters
-    ----------
-    observations : iterable
-        :class:`CensoredObservation` instances or ``(z, delta)`` pairs.
-
-    Returns
-    -------
-    SortedCensoredSample
-        Records sorted ascending by ``z`` with uncensored records first
-        within a tie, as :meth:`SortedCensoredSample.from_unsorted` does.
-    """
-    records = []
-    for item in observations:
-        if isinstance(item, CensoredObservation):
-            records.append(item)
-        else:
-            try:
-                z, delta = item
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"cannot interpret {item!r} as a (z, delta) pair"
-                ) from exc
-            records.append(CensoredObservation(z, delta))
-    if not records:
-        raise ValidationError("at least one observation is required")
-    z = np.array([r.z for r in records], dtype=np.float64)
-    d = np.array([r.delta for r in records], dtype=np.int64)
-    return SortedCensoredSample.from_unsorted(z, d)
 
 
 @dataclass(frozen=True)
@@ -203,9 +147,9 @@ def validate_settings(settings: EstimationSettings, n: int) -> EstimationSetting
         raise ValidationError(
             f"k must satisfy 1 <= k < n, got k={settings.k} with n={n}"
         )
-    if settings.rho < 1.0:
+    if not 1.0 <= settings.rho < np.inf:
         raise ValidationError(f"rho must be >= 1, got rho={settings.rho}")
-    if not settings.retention_is_threshold and settings.retention <= 0.0:
+    if not (settings.retention_is_threshold or 0.0 < settings.retention < np.inf):
         raise ValidationError(
             f"retention must be > 0, got retention={settings.retention}"
         )

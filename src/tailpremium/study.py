@@ -25,7 +25,7 @@ import logging
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .threshold import reiss_thomas_k
 
 logger = logging.getLogger(__name__)
 
-# Replicates are dispatched to workers in blocks of this many; the block
+# Replicates are dispatched to workers in chunks of this many; the chunk
 # size only affects scheduling granularity, never results.
 _BLOCK = 50
 
@@ -86,7 +86,9 @@ class StudyConfig:
             raise ValidationError(
                 f"every p must lie strictly in (0, 1), got {self.p_values!r}"
             )
-        if not self.rho_values or any(r < 1.0 for r in self.rho_values):
+        if not self.rho_values or any(
+            not 1.0 <= r < np.inf for r in self.rho_values
+        ):
             raise ValidationError(
                 f"every rho must be >= 1, got {self.rho_values!r}"
             )
@@ -283,62 +285,50 @@ def study_cells(config: StudyConfig) -> List[StudyCell]:
     ]
 
 
-def _run_block(
-    config: StudyConfig, task: Tuple[StudyCell, int, int]
-) -> List[Tuple[ReplicateResult, ...]]:
-    group, start, stop = task
-    return [
-        run_matched_replicates(
-            group, config.rho_values, i, config.master_seed, config.beta
-        )
-        for i in range(start, stop)
-    ]
-
-
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the full grid and aggregate each cell.
 
-    The unit of work is a (p, n) group: each of its replicates is drawn
-    and threshold-selected once and evaluated at every rho, and the
-    results go back to the cells of :func:`study_cells` by position, so
-    repeated grid values still give repeated rows.  ``workers`` only
-    controls process-level parallelism; outputs are bitwise identical for
-    any worker count.  A cell whose replicates all failed is logged and
-    dropped; the run only errors out when every cell is in that state.
+    The unit of work is a replicate of a distinct (p, n) group: it is drawn
+    and threshold-selected once and evaluated at every distinct rho, and
+    each cell of :func:`study_cells` reads its results by value, so
+    repeated grid values give repeated rows computed once.  ``workers``
+    only controls process-level parallelism; outputs are bitwise identical
+    for any worker count.  A cell whose replicates all failed is logged
+    and dropped; the run only errors out when every cell is in that state.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
-    cells = study_cells(config)
-    n_rho, n_n = len(config.rho_values), len(config.n_values)
-    # Cell (i_p, i_rho, i_n) sits at (i_p * n_rho + i_rho) * n_n + i_n; a
-    # (p, n) group runs as its cell at the first rho, and its results at
-    # rho number i_rho belong to the cell i_rho * n_n places further on.
-    firsts = [
-        i_p * n_rho * n_n + i_n
-        for i_p in range(len(config.p_values))
-        for i_n in range(n_n)
-    ]
-    starts = range(0, config.replicates, _BLOCK)
-    tasks = [
-        (cells[first], start, min(start + _BLOCK, config.replicates))
-        for first in firsts
-        for start in starts
-    ]
+    rhos = tuple(dict.fromkeys(config.rho_values))
+    groups = {
+        (p, n): StudyCell(config.gamma1, p, rhos[0], n, config.eta)
+        for p in config.p_values
+        for n in config.n_values
+    }
+    count = config.replicates
+    args = (
+        [cell for cell in groups.values() for _ in range(count)],
+        repeat(rhos),
+        [i for _ in groups for i in range(count)],
+        repeat(config.master_seed),
+        repeat(config.beta),
+    )
     if workers == 1:
-        blocks = [_run_block(config, task) for task in tasks]
+        outcomes = list(map(run_matched_replicates, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(partial(_run_block, config), tasks))
-    per_cell: List[List[ReplicateResult]] = [[] for _ in cells]
-    for task_index, block in enumerate(blocks):
-        first = firsts[task_index // len(starts)]
-        for matched in block:
-            for i_rho, result in enumerate(matched):
-                per_cell[first + i_rho * n_n].append(result)
+            outcomes = list(
+                pool.map(run_matched_replicates, *args, chunksize=_BLOCK)
+            )
+    matched = {
+        group: outcomes[g * count : (g + 1) * count]
+        for g, group in enumerate(groups)
+    }
 
     rows: List[StudyRow] = []
     drop_reasons: List[str] = []
-    for cell, results in zip(cells, per_cell):
+    for cell in study_cells(config):
+        rho_index = rhos.index(cell.rho)
+        results = [m[rho_index] for m in matched[cell.p, cell.n]]
         try:
             row = aggregate(results, p=cell.p, rho=cell.rho, n=cell.n)
         except DomainError as exc:

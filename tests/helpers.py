@@ -3,16 +3,26 @@
 Everything here is deliberately written with scalar loops, ``math``
 functions, ``mpmath`` quadrature and explicit sorting -- no numpy, no
 imports from the package under test -- so that agreement between these
-routines and the library is evidence, not tautology.
+routines and the library is evidence, not tautology.  The one exception is
+:func:`sample_from_pairs`, a shorthand for writing small test samples as
+records, which is not an oracle.
 """
 
 import math
 
 import mpmath
 
+from tailpremium import SortedCensoredSample
+
 INDEX_CAP = 0.5
 CANDIDATE_SCALE = 2.0
 MIN_SAMPLE = 10
+
+
+def sample_from_pairs(records):
+    """``SortedCensoredSample`` of a non-empty list of ``(z, delta)`` pairs."""
+    z, delta = zip(*records)
+    return SortedCensoredSample.from_unsorted(list(z), list(delta))
 
 
 def naive_sorted(z, delta):

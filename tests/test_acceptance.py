@@ -25,7 +25,6 @@ from tailpremium import (
     StudyConfig,
     asym_mean,
     asym_variance,
-    build_sorted_sample,
     burr_scheme,
     censored_hill,
     confidence_interval,
@@ -47,6 +46,7 @@ from helpers import (
     naive_km_at_threshold,
     naive_threshold_choice,
     naive_uncensored_premium,
+    sample_from_pairs,
 )
 
 TABLE1 = StudyConfig(
@@ -210,13 +210,13 @@ def test_6_hand_value_suite():
     start = time.perf_counter()
     checks = []
 
-    sample = build_sorted_sample(
+    sample = sample_from_pairs(
         [(1.0, 1), (math.e, 1), (math.e**2, 1)]
     )
     hill = hill_estimator(sample, 2)
     checks.append(("gamma_hill=1.5", abs(hill - 1.5) < 1e-12))
 
-    triple = build_sorted_sample([(1.0, 1), (2.0, 0), (3.0, 1)])
+    triple = sample_from_pairs([(1.0, 1), (2.0, 0), (3.0, 1)])
     km = kaplan_meier_survival(triple, 2.5)
     checks.append(("KM(2.5)=2/3", abs(km - 2.0 / 3.0) < 1e-12))
 
@@ -230,7 +230,7 @@ def test_6_hand_value_suite():
         ("sigma2(0.1,0.8,1)=-0.0023228", abs(sigma2_neg + 0.0023228) <= 1e-6)
     )
     estimate = php_estimate(
-        build_sorted_sample([(float(v), 1) for v in range(1, 41)]),
+        sample_from_pairs([(float(v), 1) for v in range(1, 41)]),
         EstimationSettings(k=10, rho=1.0),
     )
     limit = NormalLimit(mu=0.0, sigma2=sigma2_neg, normalization=1.0)

@@ -39,6 +39,9 @@ class TestAsymptoticParams:
             (dict(gamma1=0.1, p=0.4, rho=0.9), "rho must"),
             (dict(gamma1=0.5, p=0.4, rho=2.0), "rho \\* gamma1"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=0.1), "tau1"),
+            (dict(gamma1=0.1, p=0.4, rho=float("nan")), "rho must"),
+            (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("nan")), "lambda1"),
+            (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("inf")), "lambda1"),
         ],
     )
     def test_validation(self, kwargs, message):

@@ -248,6 +248,24 @@ class TestEstimateCommand:
         assert code == 3
         assert "k must satisfy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rho", "nan"], "rho must be >= 1"),
+            (["--rho", "1", "--retention", "nan"], "retention must"),
+            (["--rho", "1", "--retention", "inf"], "retention must"),
+        ],
+    )
+    def test_non_finite_parameters_are_domain_errors(
+        self, tmp_path, capsys, flags, message
+    ):
+        path = write_claims(tmp_path / "c.csv", QUAD)
+        code = main(["estimate", path, "--k", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_k_and_auto_k_are_mutually_exclusive(self, tmp_path):
         path = write_claims(tmp_path / "c.csv", QUAD)
         with pytest.raises(SystemExit) as excinfo:
@@ -355,6 +373,20 @@ class TestAsymptoticsCommand:
         code = main(["asymptotics", "--gamma1", "0.1", "--p", "0", "--rho", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rho", "nan"], "rho must be >= 1"),
+            (["--rho", "1", "--lambda1", "nan"], "lambda1 must be finite"),
+        ],
+    )
+    def test_non_finite_parameters_are_domain_errors(self, capsys, flags, message):
+        code = main(["asymptotics", "--gamma1", "0.1", "--p", "0.4", *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestReadStudyConfig:
     def test_parses_comments_blanks_and_lists(self, tmp_path):
@@ -438,6 +470,15 @@ class TestSimulateCommand:
         code = main(["simulate", path, "--out", str(tmp_path / "rows.csv")])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_finite_rho_is_input_error(self, tmp_path, capsys):
+        text = CONFIG_TEXT.replace("rho_values = 1.0", "rho_values = 1.0, nan")
+        path = write_config(tmp_path / "study.cfg", text)
+        out = tmp_path / "rows.csv"
+        code = main(["simulate", path, "--out", str(out)])
+        assert code == 2
+        assert "every rho must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "study.cfg")

@@ -10,13 +10,13 @@ from helpers import (
     naive_km_at_threshold,
     naive_km_grouped,
     naive_sorted,
+    sample_from_pairs,
 )
 from tailpremium import (
     THRESHOLD,
     DomainError,
     EstimationSettings,
     SortedCensoredSample,
-    build_sorted_sample,
     censored_hill,
     hill_estimator,
     kaplan_meier_survival,
@@ -30,12 +30,12 @@ from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 
 @pytest.fixture
 def censored_triple():
-    return build_sorted_sample([(1, 1), (2, 0), (3, 1)])
+    return sample_from_pairs([(1, 1), (2, 0), (3, 1)])
 
 
 @pytest.fixture
 def uncensored_quad():
-    return build_sorted_sample([(1, 1), (2, 1), (3, 1), (4, 1)])
+    return sample_from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)])
 
 
 def random_sample(seed, n=120, censored_share=0.4):
@@ -47,7 +47,7 @@ def random_sample(seed, n=120, censored_share=0.4):
 
 class TestKaplanMeier:
     def test_uncensored_triple_is_empirical_survival(self):
-        sample = build_sorted_sample([(1, 1), (2, 1), (3, 1)])
+        sample = sample_from_pairs([(1, 1), (2, 1), (3, 1)])
         assert kaplan_meier_survival(sample, 2.0) == pytest.approx(1 / 3)
 
     def test_censored_triple_hand_value(self, censored_triple):
@@ -83,7 +83,7 @@ class TestKaplanMeier:
             [(1, 1), (2, 1), (2, 0), (3, 1), (4, 1)],
             [(1, 1), (2, 0), (2, 1), (3, 1), (4, 1)],
         ):
-            sample = build_sorted_sample(rows)
+            sample = sample_from_pairs(rows)
             assert kaplan_meier_survival(sample, 2.5) == pytest.approx(0.6, rel=1e-15)
             assert naive_km_grouped(*zip(*rows), 2.5) == pytest.approx(0.6, rel=1e-15)
 
@@ -133,11 +133,11 @@ class TestKmAtThreshold:
         assert km_survival_at_threshold(censored_triple, 1) == pytest.approx(2 / 3)
 
     def test_uncensored_telescopes_to_k_over_n(self):
-        sample = build_sorted_sample([(float(i), 1) for i in range(1, 11)])
+        sample = sample_from_pairs([(float(i), 1) for i in range(1, 11)])
         assert km_survival_at_threshold(sample, 4) == pytest.approx(0.4, rel=1e-12)
 
     def test_all_censored_gives_one(self):
-        sample = build_sorted_sample([(float(i), 0) for i in range(1, 11)])
+        sample = sample_from_pairs([(float(i), 0) for i in range(1, 11)])
         assert km_survival_at_threshold(sample, 4) == 1.0
 
     def test_k_out_of_range(self, censored_triple):
@@ -182,19 +182,19 @@ class TestKmAtThreshold:
 
 class TestHill:
     def test_three_point_hand_value(self):
-        sample = build_sorted_sample([(1, 1), (math.e, 1), (math.e**2, 1)])
+        sample = sample_from_pairs([(1, 1), (math.e, 1), (math.e**2, 1)])
         assert hill_estimator(sample, 2) == pytest.approx(1.5, rel=1e-12)
 
     def test_equal_values_give_zero(self):
-        sample = build_sorted_sample([(2.0, 1)] * 6)
+        sample = sample_from_pairs([(2.0, 1)] * 6)
         assert hill_estimator(sample, 3) == 0.0
 
     def test_single_term(self):
-        sample = build_sorted_sample([(1, 1), (2, 1)])
+        sample = sample_from_pairs([(1, 1), (2, 1)])
         assert hill_estimator(sample, 1) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_rejects_non_positive_threshold(self):
-        sample = build_sorted_sample([(0, 1), (1, 1), (2, 1)])
+        sample = sample_from_pairs([(0, 1), (1, 1), (2, 1)])
         with pytest.raises(DomainError, match="> 0"):
             hill_estimator(sample, 2)
 
@@ -214,17 +214,17 @@ class TestUncensoredProportion:
         assert uncensored_proportion(uncensored_quad, 3) == 1.0
 
     def test_half(self):
-        sample = build_sorted_sample([(1, 1), (2, 0), (3, 1)])
+        sample = sample_from_pairs([(1, 1), (2, 0), (3, 1)])
         assert uncensored_proportion(sample, 2) == 0.5
 
     def test_two_thirds(self):
-        sample = build_sorted_sample([(1, 1), (2, 0), (3, 1), (4, 1)])
+        sample = sample_from_pairs([(1, 1), (2, 0), (3, 1), (4, 1)])
         assert uncensored_proportion(sample, 3) == pytest.approx(2 / 3)
 
 
 class TestCensoredHill:
     def test_ratio_hand_value(self):
-        sample = build_sorted_sample([(1, 1), (math.e, 0), (math.e**2, 1)])
+        sample = sample_from_pairs([(1, 1), (math.e, 0), (math.e**2, 1)])
         estimates = censored_hill(sample, 2)
         assert estimates.gamma_hill == pytest.approx(1.5, rel=1e-12)
         assert estimates.p_hat == 0.5
@@ -236,7 +236,7 @@ class TestCensoredHill:
         assert estimates.gamma1_hat == estimates.gamma_hill
 
     def test_all_censored_top_rejected(self):
-        sample = build_sorted_sample([(1, 1), (2, 0), (3, 0)])
+        sample = sample_from_pairs([(1, 1), (2, 0), (3, 0)])
         with pytest.raises(DomainError, match="censored"):
             censored_hill(sample, 2)
 
@@ -318,7 +318,7 @@ class TestPhpEstimate:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_heavy_tail_guard(self):
-        sample = build_sorted_sample([(1.0, 1), (math.exp(0.95), 1)])
+        sample = sample_from_pairs([(1.0, 1), (math.exp(0.95), 1)])
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             php_estimate(sample, EstimationSettings(k=1, rho=1.1))
 

@@ -3,76 +3,80 @@
 import numpy as np
 import pytest
 
-from helpers import naive_sorted
+from helpers import naive_sorted, sample_from_pairs
 from tailpremium import (
     THRESHOLD,
-    CensoredObservation,
     EstimationSettings,
     SortedCensoredSample,
     ValidationError,
-    build_sorted_sample,
     validate_settings,
 )
 
+NAN = float("nan")
+
 
 class TestCensoredObservation:
-    def test_accepts_valid_record(self):
-        obs = CensoredObservation(2.5, 0)
-        assert obs.z == 2.5
-        assert obs.delta == 0
+    """The rules for one (z, delta) record, as ``from_unsorted`` applies them."""
 
-    @pytest.mark.parametrize("z", [-1.0, float("nan"), float("inf")])
+    def test_accepts_valid_record(self):
+        sample = SortedCensoredSample.from_unsorted([2.5], [0])
+        assert sample.z_sorted.tolist() == [2.5]
+        assert sample.delta_concomitant.tolist() == [0]
+
+    @pytest.mark.parametrize("z", [-1.0, NAN, float("inf")])
     def test_rejects_bad_value(self, z):
         with pytest.raises(ValidationError, match="finite"):
-            CensoredObservation(z, 1)
+            SortedCensoredSample.from_unsorted([z], [1])
 
     @pytest.mark.parametrize("delta", [2, -1, 0.5])
     def test_rejects_bad_flag(self, delta):
         with pytest.raises(ValidationError, match="0 or 1"):
-            CensoredObservation(1.0, delta)
+            SortedCensoredSample.from_unsorted([1.0], [delta])
 
 
 class TestBuildSortedSample:
+    """Building a sample from unsorted columns with ``from_unsorted``."""
+
     def test_sorts_with_concomitants(self):
-        sample = build_sorted_sample([(3, 1), (1, 0), (2, 1)])
+        sample = SortedCensoredSample.from_unsorted([3, 1, 2], [1, 0, 1])
         assert sample.z_sorted.tolist() == [1.0, 2.0, 3.0]
         assert sample.delta_concomitant.tolist() == [0, 1, 1]
 
     def test_singleton(self):
-        sample = build_sorted_sample([(5, 1)])
+        sample = SortedCensoredSample.from_unsorted([5], [1])
         assert sample.z_sorted.tolist() == [5.0]
         assert sample.delta_concomitant.tolist() == [1]
         assert sample.n == 1
 
     def test_ties_put_uncensored_first(self):
-        for records in ([(2, 0), (2, 1)], [(2, 1), (2, 0)]):
-            sample = build_sorted_sample(records)
+        for delta in ([0, 1], [1, 0]):
+            sample = SortedCensoredSample.from_unsorted([2, 2], delta)
             assert sample.z_sorted.tolist() == [2.0, 2.0]
             assert sample.delta_concomitant.tolist() == [1, 0]
 
-    def test_accepts_observation_instances(self):
-        sample = build_sorted_sample(
-            [CensoredObservation(4, 0), CensoredObservation(1, 1)]
+    def test_accepts_numpy_arrays(self):
+        sample = SortedCensoredSample.from_unsorted(
+            np.array([4.0, 1.0]), np.array([0, 1])
         )
         assert sample.z_sorted.tolist() == [1.0, 4.0]
         assert sample.delta_concomitant.tolist() == [1, 0]
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="at least one"):
-            build_sorted_sample([])
+            SortedCensoredSample.from_unsorted([], [])
 
-    def test_rejects_malformed_pair(self):
-        with pytest.raises(ValidationError, match="pair"):
-            build_sorted_sample([(1, 2, 3)])
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            SortedCensoredSample.from_unsorted([1.0, 2.0], [1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(41)
         z = rng.pareto(3.0, size=40) + 1.0
         delta = rng.integers(0, 2, size=40)
-        base = build_sorted_sample(list(zip(z, delta)))
+        base = SortedCensoredSample.from_unsorted(z, delta)
         for _ in range(5):
             order = rng.permutation(40)
-            shuffled = build_sorted_sample(list(zip(z[order], delta[order])))
+            shuffled = SortedCensoredSample.from_unsorted(z[order], delta[order])
             assert np.array_equal(shuffled.z_sorted, base.z_sorted)
             assert sorted(
                 zip(shuffled.z_sorted, shuffled.delta_concomitant)
@@ -80,7 +84,7 @@ class TestBuildSortedSample:
 
     def test_round_trip_multiset(self):
         records = [(3.5, 1), (0.5, 0), (3.5, 0), (1.0, 1)]
-        sample = build_sorted_sample(records)
+        sample = sample_from_pairs(records)
         assert sorted(zip(sample.z_sorted, sample.delta_concomitant)) == sorted(
             records
         )
@@ -95,12 +99,23 @@ class TestSortedCensoredSample:
         with pytest.raises(ValidationError, match="mismatch"):
             SortedCensoredSample(np.array([1.0, 2.0]), np.array([1]))
 
-    def test_rejects_bad_flags(self):
+    @pytest.mark.parametrize(
+        "build", [SortedCensoredSample, SortedCensoredSample.from_unsorted],
+        ids=["constructor", "from_unsorted"],
+    )
+    @pytest.mark.parametrize("flag", [3, 0.5, 1.9, NAN])
+    def test_rejects_bad_flags(self, build, flag):
+        # A fractional flag must be rejected, not truncated to 0 or 1.
         with pytest.raises(ValidationError, match="0 or 1"):
-            SortedCensoredSample(np.array([1.0, 2.0]), np.array([1, 3]))
+            build(np.array([1.0, 2.0]), np.array([1, flag]))
+
+    def test_integral_float_flags_are_accepted(self):
+        sample = SortedCensoredSample.from_unsorted([2.0, 1.0], [1.0, 0.0])
+        assert sample.delta_concomitant.dtype == np.int64
+        assert sample.delta_concomitant.tolist() == [0, 1]
 
     def test_arrays_are_read_only(self):
-        sample = build_sorted_sample([(1, 1), (2, 0)])
+        sample = SortedCensoredSample.from_unsorted([1, 2], [1, 0])
         with pytest.raises(ValueError):
             sample.z_sorted[0] = 7.0
         with pytest.raises(ValueError):
@@ -163,6 +178,20 @@ class TestSettings:
     def test_validate_rejects_small_rho(self):
         with pytest.raises(ValidationError, match="rho must be >= 1"):
             validate_settings(EstimationSettings(k=5, rho=0.9), 500)
+
+    @pytest.mark.parametrize(
+        "rho, retention, message",
+        [
+            (NAN, THRESHOLD, "rho must be >= 1"),
+            (float("inf"), THRESHOLD, "rho must be >= 1"),
+            (1.0, NAN, "retention must"),
+            (1.0, float("inf"), "retention must"),
+        ],
+    )
+    def test_validate_rejects_non_finite(self, rho, retention, message):
+        settings = EstimationSettings(k=5, rho=rho, retention=retention)
+        with pytest.raises(ValidationError, match=message):
+            validate_settings(settings, 500)
 
     def test_validate_rejects_non_positive_retention(self):
         with pytest.raises(ValidationError, match="retention"):

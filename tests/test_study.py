@@ -242,6 +242,8 @@ class TestStudyConfig:
             (dict(master_seed=-1), "master_seed"),
             (dict(master_seed=1 << 64), "master_seed"),
             (dict(beta=0.6), "beta"),
+            (dict(rho_values=(float("nan"),)), "rho must"),
+            (dict(rho_values=(1.0, float("inf"))), "rho must"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -335,6 +337,23 @@ class TestRunStudy:
         )
         with pytest.raises(DomainError, match="every cell of the study failed"):
             run_study(small_config(replicates=2))
+
+    def test_duplicated_grid_values_are_computed_once(self, monkeypatch):
+        real = study_module.run_matched_replicates
+        calls = []
+
+        def counting(cell, rho_values, index, seed, beta=0.3):
+            calls.append(tuple(rho_values))
+            return real(cell, rho_values, index, seed, beta)
+
+        monkeypatch.setattr(study_module, "run_matched_replicates", counting)
+        run_study(
+            small_config(
+                p_values=(0.6, 0.6), rho_values=(1.0, 1.0), n_values=(150, 200),
+                replicates=3,
+            )
+        )
+        assert calls == [(1.0,)] * 6
 
     def test_duplicated_grid_values_give_duplicated_rows(self):
         config = small_config(

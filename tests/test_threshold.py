@@ -10,7 +10,6 @@ from tailpremium import (
     SortedCensoredSample,
     StudyCell,
     ValidationError,
-    build_sorted_sample,
     burr_scheme,
     censored_hill,
     reiss_thomas_k,
@@ -19,7 +18,7 @@ from tailpremium import (
 )
 from tailpremium.threshold import _window_scores
 
-from helpers import naive_gamma1_path, naive_threshold_choice
+from helpers import naive_gamma1_path, naive_threshold_choice, sample_from_pairs
 
 LOG2 = math.log(2.0)
 
@@ -77,7 +76,7 @@ class TestLowerMedian:
 
 class TestTailIndexPath:
     def test_hand_path_powers_of_two(self):
-        sample = build_sorted_sample(
+        sample = sample_from_pairs(
             [(1.0, 1), (2.0, 0), (4.0, 1), (8.0, 1), (16.0, 0), (32.0, 1)]
         )
         gamma1, p_hat = tail_index_path(sample, 5)
@@ -86,7 +85,7 @@ class TestTailIndexPath:
         assert gamma1 == pytest.approx(expected, rel=1e-12)
 
     def test_nan_where_top_is_fully_censored(self):
-        sample = build_sorted_sample([(1.0, 1), (2.0, 0), (3.0, 0)])
+        sample = sample_from_pairs([(1.0, 1), (2.0, 0), (3.0, 0)])
         gamma1, p_hat = tail_index_path(sample, 2)
         assert np.all(p_hat == 0.0)
         assert np.all(np.isnan(gamma1))
@@ -107,13 +106,13 @@ class TestTailIndexPath:
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_k_max(self):
-        sample = build_sorted_sample([(1.0, 1), (2.0, 1), (3.0, 1)])
+        sample = sample_from_pairs([(1.0, 1), (2.0, 1), (3.0, 1)])
         for k_max in (0, 3, 7):
             with pytest.raises(ValidationError, match="k_max must"):
                 tail_index_path(sample, k_max)
 
     def test_rejects_non_positive_threshold(self):
-        sample = build_sorted_sample([(0.0, 1), (1.0, 1), (2.0, 1)])
+        sample = sample_from_pairs([(0.0, 1), (1.0, 1), (2.0, 1)])
         with pytest.raises(DomainError, match="strictly positive"):
             tail_index_path(sample, 2)
 
