@@ -14,7 +14,6 @@ from .asymptotics import (
     asym_mean,
     asym_variance,
     confidence_interval,
-    gaussian_quantile,
     normalization_factor,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .models import (
     burr_scheme,
     gamma2_from_p,
     h_threshold,
-    karamata_premium,
     theoretical_premium,
 )
 from .samples import (
@@ -58,7 +56,6 @@ from .study import (
     aggregate,
     replicate_stream,
     run_matched_replicates,
-    run_replicate,
     run_study,
     study_cells,
 )
@@ -93,18 +90,15 @@ __all__ = [
     "censored_hill",
     "confidence_interval",
     "gamma2_from_p",
-    "gaussian_quantile",
     "h_threshold",
     "hill_estimator",
     "kaplan_meier_survival",
-    "karamata_premium",
     "km_survival_at_threshold",
     "normalization_factor",
     "php_estimate",
     "reiss_thomas_k",
     "replicate_stream",
     "run_matched_replicates",
-    "run_replicate",
     "run_study",
     "study_cells",
     "tail_index_path",

@@ -160,13 +160,6 @@ def normalization_factor(
     )
 
 
-def gaussian_quantile(q: float) -> float:
-    """Quantile of the standard normal distribution."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1), got {q!r}")
-    return float(ndtri(q))
-
-
 def confidence_interval(
     estimate: PremiumEstimate, limit: NormalLimit, k: int, level: float
 ) -> tuple:
@@ -194,7 +187,7 @@ def confidence_interval(
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k!r}")
-    z = 0.0 if level == 0.0 else gaussian_quantile((1.0 + level) / 2.0)
+    z = 0.0 if level == 0.0 else float(ndtri((1.0 + level) / 2.0))
     scale = limit.normalization / math.sqrt(k)
     sigma = math.sqrt(limit.sigma2)
     lo = estimate.value - scale * (limit.mu + z * sigma)

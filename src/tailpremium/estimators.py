@@ -11,7 +11,7 @@ of an excess-of-loss layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -115,21 +115,44 @@ def km_survival_at_threshold(sample: SortedCensoredSample, k: int) -> float:
     return float(_km_curve(sample)[sample.n - k])
 
 
+def _tail_path(
+    sample: SortedCensoredSample, k_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hill estimate and uncensored share for every k in 1..k_max.
+
+    The one kernel behind every read of the corrected index: ``(hill,
+    p_hat)`` indexed by ``k - 1``, from running sums over the top order
+    statistics, so the entry for ``k`` is bitwise the same for any
+    ``k_max``.  The caller checks ``1 <= k_max < n`` and ``z_(n-k_max) > 0``.
+    """
+    n = sample.n
+    log_top = np.log(sample.z_sorted[n - k_max - 1 :][::-1])
+    counts = np.arange(1, k_max + 1, dtype=np.float64)
+    # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
+    hill = np.cumsum(log_top[:k_max]) / counts - log_top[1:]
+    p_hat = np.cumsum(sample.delta_concomitant[n - k_max :][::-1]) / counts
+    return hill, p_hat
+
+
+def _path_at(sample: SortedCensoredSample, k: int) -> Tuple[float, float]:
+    """Guarded read of :func:`_tail_path` at one ``k``: ``(hill, p_hat)``."""
+    _check_k(k, sample.n)
+    threshold = sample.z_sorted[sample.n - k - 1]
+    if threshold <= 0.0:
+        raise DomainError(
+            f"the k-th upper order statistic must be > 0, got {threshold:g}"
+        )
+    hill, p_hat = _tail_path(sample, k)
+    return float(hill[-1]), float(p_hat[-1])
+
+
 def hill_estimator(sample: SortedCensoredSample, k: int) -> float:
     """Hill estimate of the observed sample's tail index from the top ``k``.
 
     Mean of ``log(z_(n-i+1) / z_(n-k))`` over ``i = 1..k``.  Requires the
     k-th upper order statistic to be strictly positive.
     """
-    _check_k(k, sample.n)
-    z = sample.z_sorted
-    threshold = z[sample.n - k - 1]
-    if threshold <= 0.0:
-        raise DomainError(
-            f"the k-th upper order statistic must be > 0, got {threshold:g}"
-        )
-    top = z[sample.n - k :]
-    return float(np.mean(np.log(top) - np.log(threshold)))
+    return _path_at(sample, k)[0]
 
 
 def uncensored_proportion(sample: SortedCensoredSample, k: int) -> float:
@@ -144,6 +167,7 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     Divides the Hill estimate of the observed values by the uncensored
     share among the top ``k``; under random right censoring both tails are
     power laws and the ratio undoes the thinning of the observed tail.
+    Both values are bitwise those of the threshold rule's path at ``k``.
 
     Raises
     ------
@@ -151,8 +175,7 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
         If every one of the top ``k`` records is censored, in which case
         the correction is undefined.
     """
-    gamma_hill = hill_estimator(sample, k)
-    p_hat = uncensored_proportion(sample, k)
+    gamma_hill, p_hat = _path_at(sample, k)
     if p_hat == 0.0:
         raise DomainError(
             f"all of the top k={k} observations are censored; the "
@@ -164,6 +187,18 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
         p_hat=p_hat,
         gamma1_hat=gamma_hill / p_hat,
     )
+
+
+def _anchored_fit(sample: SortedCensoredSample, k: int) -> Tuple[float, float, float]:
+    """Corrected index (> 0), threshold ``z_(n-k)`` and its product-limit anchor."""
+    gamma1 = censored_hill(sample, k).gamma1_hat
+    if gamma1 <= 0.0:
+        raise DomainError(
+            "tail index estimate is not positive; the top k observations "
+            "are degenerate"
+        )
+    z_threshold = sample.z_sorted[sample.n - k - 1]
+    return gamma1, z_threshold, km_survival_at_threshold(sample, k)
 
 
 def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
@@ -181,23 +216,14 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     x : float
         Evaluation point, at or above the k-th upper order statistic.
     """
-    estimates = censored_hill(sample, k)
-    z_threshold = sample.z_sorted[sample.n - k - 1]
+    gamma1, z_threshold, anchor = _anchored_fit(sample, k)
     x = float(x)
     if x < z_threshold:
         raise DomainError(
             "tail extrapolation is only valid at or above the k-th upper "
             f"order statistic ({z_threshold:g}), got x={x:g}"
         )
-    if estimates.gamma1_hat <= 0.0:
-        raise DomainError(
-            "tail index estimate is not positive; the top k observations "
-            "are degenerate"
-        )
-    anchor = km_survival_at_threshold(sample, k)
-    return float(
-        (x / z_threshold) ** (-1.0 / estimates.gamma1_hat) * anchor
-    )
+    return float((x / z_threshold) ** (-1.0 / gamma1) * anchor)
 
 
 def php_estimate(
@@ -226,25 +252,17 @@ def php_estimate(
     settings = validate_settings(settings, sample.n)
     k = settings.k
     rho = settings.rho
-    estimates = censored_hill(sample, k)
-    gamma1 = estimates.gamma1_hat
-    if gamma1 <= 0.0:
-        raise DomainError(
-            "tail index estimate is not positive; the top k observations "
-            "are degenerate"
-        )
+    gamma1, z_threshold, anchor = _anchored_fit(sample, k)
     if rho * gamma1 >= 1.0:
         raise DomainError(
             "estimated tail is too heavy for a finite premium: "
             f"rho * gamma1 = {rho * gamma1:g} >= 1 "
             f"(gamma1={gamma1:g}, rho={rho:g})"
         )
-    z_threshold = sample.z_sorted[sample.n - k - 1]
     if settings.retention_is_threshold:
         retention = float(z_threshold)
     else:
         retention = float(settings.retention)
-    anchor = km_survival_at_threshold(sample, k)
     value = (
         rho * gamma1 / (1.0 - rho * gamma1)
         * retention

@@ -90,8 +90,20 @@ class BurrModel:
         xs = np.asarray(x, dtype=np.float64)
         if np.any(xs < 0.0):
             raise DomainError("Burr survival requires x >= 0")
-        out = (1.0 + xs ** (self.eta / self.gamma)) ** (-1.0 / self.eta)
+        big, log_t = self._log_t(xs)
+        power = np.where(big, 0.0, xs) ** (self.eta / self.gamma)
+        out = np.where(
+            big, np.exp(log_t / self.eta), (1.0 + power) ** (-1.0 / self.eta)
+        )
         return _match(x, out)
+
+    def _log_t(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(big, log t)`` for ``t = 1/(1 + x**(eta/gamma))``, free of overflow.
+
+        ``big`` marks ``x**(eta/gamma) > e**700``, near the largest double."""
+        with np.errstate(divide="ignore"):
+            log_power = self.eta / self.gamma * np.log(xs)
+        return log_power > 700.0, -np.logaddexp(0.0, log_power)
 
     def quantile_of_survival(self, s: ArrayLike) -> ArrayLike:
         ss = np.asarray(s, dtype=np.float64)
@@ -114,14 +126,22 @@ class BurrModel:
         Substituting ``t = 1/(1 + x**(eta/gamma))`` turns the integral into
         the incomplete beta function ``(gamma/eta) * B(a-b, b) * I_t(a-b, b)``
         with ``a = 1/(eta*rho)``, ``b = gamma/eta`` and ``t`` taken at ``R``;
-        ``a > b`` is exactly ``rho * gamma < 1``.
+        ``a > b`` is exactly ``rho * gamma < 1``.  Where ``t < 1e-300`` the
+        leading term ``b/(a-b) * t**(a-b)``, taken in log space, is exact to
+        double precision.
         """
         _check_premium_params(self, rho, retention)
         a = 1.0 / (self.eta * rho)
         b = self.gamma / self.eta
         rs = np.asarray(retention, dtype=np.float64)
-        t = 1.0 / (1.0 + rs ** (self.eta / self.gamma))
-        return _match(retention, b * beta(a - b, b) * betainc(a - b, b, t))
+        big, log_t = self._log_t(rs)
+        t = 1.0 / (1.0 + np.where(big, 1.0, rs) ** (self.eta / self.gamma))
+        out = np.where(
+            big,
+            b / (a - b) * np.exp((a - b) * log_t),
+            b * beta(a - b, b) * betainc(a - b, b, t),
+        )
+        return _match(retention, out)
 
 
 @dataclass(frozen=True)
@@ -309,20 +329,6 @@ def theoretical_premium(model: HeavyTailModel, rho: float, retention: float) -> 
         If ``rho * tail_index >= 1`` (divergent integral).
     """
     return float(model.premium(rho, retention))
-
-
-def karamata_premium(model: HeavyTailModel, rho: float, retention: float) -> float:
-    """Large-retention closed form ``rho/(1/gamma - rho) * R * survival(R)**(1/rho)``.
-
-    Exact for the pure Pareto; for other models it is the leading term of
-    the premium as the retention grows.
-    """
-    _check_premium_params(model, rho, retention)
-    gamma = model.tail_index
-    survival_at_r = model.survival(retention)
-    return float(
-        rho / (1.0 / gamma - rho) * retention * survival_at_r ** (1.0 / rho)
-    )
 
 
 def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:

@@ -234,15 +234,6 @@ def run_matched_replicates(
     return tuple(results)
 
 
-def run_replicate(
-    cell: StudyCell, replicate_index: int, master_seed: int, beta: float = 0.3
-) -> ReplicateResult:
-    """One replicate of one cell: :func:`run_matched_replicates` at ``cell.rho``."""
-    return run_matched_replicates(
-        cell, (cell.rho,), replicate_index, master_seed, beta
-    )[0]
-
-
 def aggregate(
     results: Sequence[ReplicateResult], *, p: float, rho: float, n: int
 ) -> StudyRow:

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .estimators import _tail_path
 from .samples import SortedCensoredSample
 
 _MIN_SAMPLE = 10
@@ -60,21 +61,13 @@ def tail_index_path(
         raise ValidationError(
             f"k_max must satisfy 1 <= k_max < n, got k_max={k_max} with n={n}"
         )
-    z_top = sample.z_sorted[n - k_max - 1 :][::-1]
-    if z_top[-1] <= 0.0:
+    if sample.z_sorted[n - k_max - 1] <= 0.0:
         raise DomainError(
             "threshold selection needs strictly positive order statistics "
             "over the whole candidate range"
         )
-    log_top = np.log(z_top)
-    counts = np.arange(1, k_max + 1, dtype=np.float64)
-    # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
-    hill = np.cumsum(log_top[:k_max]) / counts - log_top[1:]
-    delta_top = sample.delta_concomitant[n - k_max :][::-1].astype(np.float64)
-    p_hat = np.cumsum(delta_top) / counts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma1 = np.where(p_hat > 0.0, hill / np.where(p_hat > 0.0, p_hat, 1.0), np.nan)
-    return gamma1, p_hat
+    hill, p_hat = _tail_path(sample, k_max)
+    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
 
 
 def _window_scores(gamma1: np.ndarray, ks: np.ndarray, beta: float) -> np.ndarray:

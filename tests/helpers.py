@@ -191,6 +191,16 @@ def mp_pareto_survival(gamma, x_min):
     return lambda x: 1 if x <= x_min else (x / x_min) ** (-1 / gamma)
 
 
+def karamata_premium(survival, tail_index, rho, retention):
+    """Large-retention form ``rho/(1/gamma - rho) * R * survival(R)**(1/rho)``.
+
+    Exact for the pure Pareto above ``x_min``; for other power tails the
+    leading term of the layer premium as the retention grows.
+    """
+    tail = mpmath.mpf(survival(mpmath.mpf(retention))) ** (1 / mpmath.mpf(rho))
+    return float(rho / (1.0 / tail_index - rho) * retention * tail)
+
+
 def mp_premium(survival, tail_index, rho, retention, knots=(), dps=30):
     """Layer premium ``integral_R^inf survival(x)**(1/rho) dx`` by quadrature.
 

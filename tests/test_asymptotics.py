@@ -1,8 +1,10 @@
 """Normal-limit mean/variance, normalization, confidence intervals."""
 
 import math
+from statistics import NormalDist
 
 import pytest
+from scipy.special import ndtri
 
 from tailpremium import (
     AsymptoticParams,
@@ -13,7 +15,6 @@ from tailpremium import (
     asym_mean,
     asym_variance,
     confidence_interval,
-    gaussian_quantile,
     normalization_factor,
 )
 
@@ -132,21 +133,34 @@ class TestNormalizationFactor:
 
 
 class TestGaussianQuantile:
+    """The interval's half-width is the normal quantile of ``(1 + level)/2``."""
+
+    @staticmethod
+    def quantile(level):
+        # normalization * sigma / sqrt(k) = 3 * 0.2 / 10 scales the quantile
+        limit = NormalLimit(mu=0.2, sigma2=0.04, normalization=3.0)
+        lo, hi = confidence_interval(make_estimate(5.0), limit, 100, level)
+        return (hi - lo) / 2.0 / (3.0 * 0.2 / 10.0)
+
     def test_reference_values(self):
-        assert gaussian_quantile(0.975) == pytest.approx(
-            1.959963984540054, abs=1e-9
-        )
-        assert gaussian_quantile(0.5) == 0.0
+        assert self.quantile(0.95) == pytest.approx(ndtri(0.975), rel=1e-12)
+        assert self.quantile(0.95) == pytest.approx(1.959963984540054, abs=1e-9)
+        for level in (0.5, 0.9, 0.99):
+            assert self.quantile(level) == pytest.approx(
+                NormalDist().inv_cdf((1.0 + level) / 2.0), rel=1e-12
+            )
+        assert self.quantile(0.0) == 0.0
 
     def test_symmetry(self):
-        assert gaussian_quantile(0.3) == pytest.approx(
-            -gaussian_quantile(0.7), rel=1e-12
+        assert self.quantile(0.4) == pytest.approx(
+            -NormalDist().inv_cdf(0.3), rel=1e-12
         )
 
     def test_rejects_out_of_range(self):
-        for q in (0.0, 1.0, -0.5):
-            with pytest.raises(ValidationError, match="quantile"):
-                gaussian_quantile(q)
+        limit = NormalLimit(mu=0.0, sigma2=0.01, normalization=1.0)
+        for level in (-1.0, -0.5, 1.0, 1.5):
+            with pytest.raises(ValidationError, match="level"):
+                confidence_interval(make_estimate(5.0), limit, 100, level)
 
 
 class TestConfidenceInterval:

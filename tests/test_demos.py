@@ -1,4 +1,7 @@
-"""Every demo script runs to completion and prints its report."""
+"""Every demo script runs to completion, warning-free, and prints its report.
+
+Demos run with RuntimeWarnings as errors, the same gate as the suite.
+"""
 
 import os
 import subprocess
@@ -22,7 +25,7 @@ def test_demo_runs(script):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     process = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         capture_output=True,
         text=True,
         env=env,

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    naive_hill,
     naive_km_at,
     naive_km_at_threshold,
     naive_km_grouped,
+    naive_p_hat,
     naive_sorted,
     sample_from_pairs,
 )
@@ -26,6 +28,7 @@ from tailpremium import (
     weissman_tail,
 )
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
+from tailpremium.threshold import tail_index_path
 
 
 @pytest.fixture
@@ -239,6 +242,43 @@ class TestCensoredHill:
         sample = sample_from_pairs([(1, 1), (2, 0), (3, 0)])
         with pytest.raises(DomainError, match="censored"):
             censored_hill(sample, 2)
+
+
+class TestOneTailPath:
+    """Point reads at k are bitwise the entries of the threshold rule's path."""
+
+    @pytest.mark.parametrize("n", [20, 200, 5000])
+    def test_point_reads_equal_path_entries(self, n):
+        rng = np.random.default_rng(n)
+        # z on a 0.1 grid, so the top order statistics hold ties
+        z = np.round((1.0 - rng.random(n)) ** -0.3, 1)
+        delta = (rng.random(n) < 0.6).astype(np.int64)
+        sample = SortedCensoredSample.from_unsorted(z, delta)
+        k_max = min(n - 1, 400)
+        gamma1, p_hat = tail_index_path(sample, k_max)
+        z_list = sample.z_sorted.tolist()
+        d_list = sample.delta_concomitant.tolist()
+        assert len(set(z_list[n - k_max - 1 :])) < k_max + 1
+        censored_tops = 0
+        for k in range(1, k_max + 1):
+            hill = hill_estimator(sample, k)
+            assert uncensored_proportion(sample, k) == p_hat[k - 1]
+            assert hill == pytest.approx(naive_hill(z_list, k), abs=1e-12)
+            assert p_hat[k - 1] == pytest.approx(naive_p_hat(d_list, k), abs=1e-12)
+            if p_hat[k - 1] == 0.0:
+                censored_tops += 1
+                assert np.isnan(gamma1[k - 1])
+                with pytest.raises(DomainError, match="censored"):
+                    censored_hill(sample, k)
+                continue
+            estimates = censored_hill(sample, k)
+            assert estimates.gamma_hill == hill
+            assert estimates.p_hat == p_hat[k - 1]
+            assert estimates.gamma1_hat == gamma1[k - 1]
+            assert estimates.gamma1_hat == pytest.approx(
+                naive_hill(z_list, k) / naive_p_hat(d_list, k), abs=1e-12
+            )
+        assert censored_tops < k_max
 
 
 class TestWeissmanTail:

@@ -16,11 +16,15 @@ from tailpremium import (
     burr_scheme,
     gamma2_from_p,
     h_threshold,
-    karamata_premium,
     theoretical_premium,
 )
 
-from helpers import mp_burr_survival, mp_pareto_survival, mp_premium
+from helpers import (
+    karamata_premium,
+    mp_burr_survival,
+    mp_pareto_survival,
+    mp_premium,
+)
 
 
 class TestBurrModel:
@@ -31,6 +35,16 @@ class TestBurrModel:
         assert BurrModel(0.1, 0.25).survival(1.0) == pytest.approx(
             0.0625, rel=1e-12
         )
+
+    @pytest.mark.parametrize("gamma, eta", [(0.05, 1.0), (0.1, 2.5)])
+    def test_survival_far_out_matches_oracle(self, gamma, eta):
+        # (eta/gamma) * log(1e16) > 709: the power x**(eta/gamma) overflows
+        model = BurrModel(gamma, eta)
+        want = float(mp_burr_survival(gamma, eta)(mpmath.mpf(1e16)))
+        # (0.05, 1.0) gives the subnormal 1e-320, held to about 11 bits
+        assert model.survival(1e16) == pytest.approx(want, rel=1e-12, abs=1e-323)
+        out = model.survival(np.array([0.0, 1e16, 1e300]))
+        assert out.tolist() == [1.0, model.survival(1e16), 0.0]
 
     def test_survival_rejects_negative(self):
         with pytest.raises(DomainError, match="x >= 0"):
@@ -197,7 +211,9 @@ class TestTheoreticalPremium:
         for level, bound in [(1e-6, 0.03), (1e-9, 0.006)]:
             retention = model.quantile_of_survival(level)
             exact = theoretical_premium(model, 1.0, retention)
-            approx = karamata_premium(model, 1.0, retention)
+            approx = karamata_premium(
+                mp_burr_survival(0.1, 0.25), 0.1, 1.0, retention
+            )
             gap = abs(exact / approx - 1.0)
             assert gap <= bound
             gaps.append(gap)
@@ -218,14 +234,18 @@ class TestTheoreticalPremium:
             for eta in (0.1, 0.25, 0.5, 1.0):
                 survival = mp_burr_survival(gamma, eta)
                 for rho in (1.0, 1.1, 1.5):
-                    for retention in (0.5, 3.0, 50.0, 1e3, 1e4):
+                    for retention in (0.5, 3.0, 50.0, 1e3, 1e4, 1e16, 1e50, 1e300):
                         want = mp_premium(
                             survival, gamma, rho, retention, knots=(1.0,)
                         )
                         got = theoretical_premium(
                             BurrModel(gamma, eta), rho, retention
                         )
-                        worst = max(worst, abs(got / want - 1.0))
+                        if want == 0.0:
+                            # below the smallest double: the oracle underflowed
+                            assert got == 0.0
+                        else:
+                            worst = max(worst, abs(got / want - 1.0))
         assert worst <= 1e-10
 
     @pytest.mark.parametrize("retention", [0.5, 2.0, 100.0])
@@ -259,23 +279,6 @@ class TestTheoreticalPremium:
             model.premium(1.0, np.array([1.0, 0.0]))
         with pytest.raises(ValidationError, match="rho"):
             model.premium(float("nan"), 1.0)
-
-
-class TestKaramataPremium:
-    def test_exact_on_pareto(self):
-        for gamma, rho, retention in [(0.2, 1.0, 10.0), (0.4, 1.1, 3.0)]:
-            want = mp_premium(mp_pareto_survival(gamma, 1.0), gamma, rho, retention)
-            got = karamata_premium(ParetoModel(gamma), rho, retention)
-            assert got == pytest.approx(want, rel=1e-9)
-
-    def test_burr_hand_value(self):
-        assert karamata_premium(BurrModel(0.1, 0.25), 1.0, 1.0) == pytest.approx(
-            0.00694444444444, rel=1e-9
-        )
-
-    def test_heavy_tail_guard(self):
-        with pytest.raises(DomainError, match="diverges"):
-            karamata_premium(BurrModel(0.95, 0.25), 1.1, 2.0)
 
 
 class TestHThreshold:

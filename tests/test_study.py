@@ -20,7 +20,6 @@ from tailpremium import (
     aggregate,
     replicate_stream,
     run_matched_replicates,
-    run_replicate,
     run_study,
     study_cells,
 )
@@ -35,6 +34,13 @@ REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "bench" / "reference"
     / "table1_seed1_r100.csv"
 )
+
+
+def own_rho_replicate(cell, replicate_index, master_seed, beta=0.3):
+    """The replicate of ``cell`` evaluated at the cell's own rho only."""
+    return run_matched_replicates(
+        cell, (cell.rho,), replicate_index, master_seed, beta
+    )[0]
 
 
 def success(pi_true, pi_hat):
@@ -86,13 +92,13 @@ class TestReplicateStream:
 
 class TestRunReplicate:
     def test_deterministic(self):
-        first = run_replicate(CELL, 3, 777)
-        second = run_replicate(CELL, 3, 777)
+        first = own_rho_replicate(CELL, 3, 777)
+        second = own_rho_replicate(CELL, 3, 777)
         assert first == second
 
     def test_matched_pairs_share_sample(self):
-        low = run_replicate(CELL, 2, 777)
-        high = run_replicate(
+        low = own_rho_replicate(CELL, 2, 777)
+        high = own_rho_replicate(
             StudyCell(gamma1=0.1, p=0.6, rho=1.1, n=150, eta=0.25), 2, 777
         )
         assert low.failed is None and high.failed is None
@@ -111,7 +117,7 @@ class TestRunReplicate:
 
         monkeypatch.setattr(study_module, "burr_scheme", degenerate_scheme)
         cell = StudyCell(gamma1=0.1, p=0.6, rho=1.1, n=400, eta=0.25)
-        result = run_replicate(cell, 5, 202)
+        result = own_rho_replicate(cell, 5, 202)
         assert result.failed is None
 
         scheme = degenerate_scheme(cell.gamma1, cell.p, cell.eta)
@@ -128,7 +134,7 @@ class TestRunReplicate:
 
     def test_failure_is_recorded_not_raised(self):
         heavy = StudyCell(gamma1=0.95, p=0.9, rho=1.0, n=150, eta=0.25)
-        results = [run_replicate(heavy, i, 777) for i in range(10)]
+        results = [own_rho_replicate(heavy, i, 777) for i in range(10)]
         failures = [r for r in results if r.failed is not None]
         assert failures, "a tail index near 1 must trip the admissibility cap"
         assert all(r.pi_hat is None for r in failures)
@@ -274,7 +280,7 @@ class TestRunStudy:
     def test_single_replicate_reduces_to_run_replicate(self):
         config = small_config(replicates=1)
         (row,) = run_study(config)
-        result = run_replicate(study_cells(config)[0], 0, 777)
+        result = own_rho_replicate(study_cells(config)[0], 0, 777)
         assert row.mean_pi_hat == result.pi_hat
         assert row.mean_pi_true == result.pi_true
         assert row.failure_count == 0
@@ -396,7 +402,7 @@ class TestMatchedReplicates:
                         gamma1=cell.gamma1, p=cell.p, rho=rho, n=cell.n,
                         eta=cell.eta,
                     )
-                    assert result == run_replicate(
+                    assert result == own_rho_replicate(
                         single, i, config.master_seed, config.beta
                     )
                 low, high = matched
@@ -408,7 +414,7 @@ class TestMatchedReplicates:
         expected = [
             aggregate(
                 [
-                    run_replicate(cell, i, config.master_seed, config.beta)
+                    own_rho_replicate(cell, i, config.master_seed, config.beta)
                     for i in range(config.replicates)
                 ],
                 p=cell.p,
