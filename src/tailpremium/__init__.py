@@ -57,7 +57,6 @@ from .study import (
     replicate_stream,
     run_matched_replicates,
     run_study,
-    study_cells,
 )
 from .threshold import ThresholdChoice, reiss_thomas_k, tail_index_path
 
@@ -100,7 +99,6 @@ __all__ = [
     "replicate_stream",
     "run_matched_replicates",
     "run_study",
-    "study_cells",
     "tail_index_path",
     "theoretical_premium",
     "uncensored_proportion",

@@ -44,16 +44,18 @@ EXIT_IO = 4
 
 _CLAIMS_HEADER = ["z", "delta"]
 _STUDY_HEADER = ["p", "rho", "n", "pi_true", "pi_hat", "abs_bias", "rmse", "failures"]
-_CONFIG_REQUIRED = (
-    "gamma1",
-    "eta",
-    "p_values",
-    "rho_values",
-    "n_values",
-    "replicates",
-    "master_seed",
-)
-_CONFIG_OPTIONAL = ("beta",)
+# Study config keys in parse order: key -> (caster, is_list).  Every key
+# but ``beta`` is required.
+_CONFIG_KEYS = {
+    "gamma1": (float, False),
+    "eta": (float, False),
+    "p_values": (float, True),
+    "rho_values": (float, True),
+    "n_values": (int, True),
+    "replicates": (int, False),
+    "master_seed": (int, False),
+    "beta": (float, False),
+}
 
 
 def _fmt(value: float) -> str:
@@ -64,9 +66,8 @@ def _fmt(value: float) -> str:
 def read_claims(path: str) -> SortedCensoredSample:
     """Parse a claims CSV with exact header ``z,delta``.
 
-    The two columns are streamed into lists and validated in bulk by
-    :class:`SortedCensoredSample`; every parse failure carries the line
-    number of the first offending row.
+    Each row is parsed and checked as it is read, so every failure
+    carries the line number of the first offending row.
     """
     z: List[float] = []
     delta: List[int] = []
@@ -84,17 +85,10 @@ def read_claims(path: str) -> SortedCensoredSample:
                     f"{path}:{lineno}: expected 2 fields, got {len(row)}"
                 )
             try:
-                z.append(float(row[0]))
-                delta.append(int(row[1]))
+                value = float(row[0])
+                flag = int(row[1])
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not z:
-        raise FileFormatError(f"{path}: no data rows")
-    try:
-        return SortedCensoredSample.from_unsorted(z, delta)
-    except ValidationError:
-        # Only the failure path walks the rows, to name the first bad one.
-        for lineno, (value, flag) in enumerate(zip(z, delta), start=2):
             if not 0.0 <= value < math.inf:
                 raise FileFormatError(
                     f"{path}:{lineno}: observed value must be finite and >= 0, "
@@ -105,7 +99,11 @@ def read_claims(path: str) -> SortedCensoredSample:
                     f"{path}:{lineno}: censoring indicator must be 0 or 1, "
                     f"got {flag!r}"
                 )
-        raise
+            z.append(value)
+            delta.append(flag)
+    if not z:
+        raise FileFormatError(f"{path}: no data rows")
+    return SortedCensoredSample.from_unsorted(z, delta)
 
 
 def _parse_scalar(caster, path: str, lineno: int, key: str, raw: str):
@@ -117,13 +115,13 @@ def _parse_scalar(caster, path: str, lineno: int, key: str, raw: str):
         ) from exc
 
 
-def _parse_list(caster, path: str, lineno: int, key: str, raw: str) -> list:
+def _parse_list(caster, path: str, lineno: int, key: str, raw: str) -> tuple:
     items = [part.strip() for part in raw.split(",")]
     if any(not part for part in items):
         raise FileFormatError(
             f"{path}:{lineno}: key '{key}': empty list element in {raw!r}"
         )
-    return [_parse_scalar(caster, path, lineno, key, part) for part in items]
+    return tuple(_parse_scalar(caster, path, lineno, key, part) for part in items)
 
 
 def read_study_config(path: str) -> StudyConfig:
@@ -132,7 +130,6 @@ def read_study_config(path: str) -> StudyConfig:
     Lists are comma-separated.  Unknown and duplicate keys are rejected;
     ``beta`` is optional and defaults to the package default of 0.3.
     """
-    known = set(_CONFIG_REQUIRED) | set(_CONFIG_OPTIONAL)
     raw: dict = {}
     lines: dict = {}
     with open(path) as handle:
@@ -147,7 +144,7 @@ def read_study_config(path: str) -> StudyConfig:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in known:
+            if key not in _CONFIG_KEYS:
                 raise FileFormatError(f"{path}:{lineno}: unknown key '{key}'")
             if key in raw:
                 raise FileFormatError(
@@ -156,32 +153,18 @@ def read_study_config(path: str) -> StudyConfig:
                 )
             raw[key] = value
             lines[key] = lineno
-    missing = [key for key in _CONFIG_REQUIRED if key not in raw]
+    missing = [key for key in _CONFIG_KEYS if key != "beta" and key not in raw]
     if missing:
         raise FileFormatError(
             f"{path}: missing required keys: {', '.join(missing)}"
         )
     kwargs = {
-        "gamma1": _parse_scalar(float, path, lines["gamma1"], "gamma1", raw["gamma1"]),
-        "eta": _parse_scalar(float, path, lines["eta"], "eta", raw["eta"]),
-        "p_values": tuple(
-            _parse_list(float, path, lines["p_values"], "p_values", raw["p_values"])
-        ),
-        "rho_values": tuple(
-            _parse_list(float, path, lines["rho_values"], "rho_values", raw["rho_values"])
-        ),
-        "n_values": tuple(
-            _parse_list(int, path, lines["n_values"], "n_values", raw["n_values"])
-        ),
-        "replicates": _parse_scalar(
-            int, path, lines["replicates"], "replicates", raw["replicates"]
-        ),
-        "master_seed": _parse_scalar(
-            int, path, lines["master_seed"], "master_seed", raw["master_seed"]
-        ),
+        key: (_parse_list if is_list else _parse_scalar)(
+            caster, path, lines[key], key, raw[key]
+        )
+        for key, (caster, is_list) in _CONFIG_KEYS.items()
+        if key in raw
     }
-    if "beta" in raw:
-        kwargs["beta"] = _parse_scalar(float, path, lines["beta"], "beta", raw["beta"])
     try:
         return StudyConfig(**kwargs)
     except ValidationError as exc:

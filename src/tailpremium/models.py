@@ -334,9 +334,15 @@ def theoretical_premium(model: HeavyTailModel, rho: float, retention: float) -> 
 def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
     """Level whose observed-minimum survival equals ``k/n``.
 
-    Solves ``observed_survival(h) = k/n`` by bracketed root finding after
-    doubling the upper bracket until the survival falls below the target.
-    The returned root satisfies the defining equation to 1e-10 relative.
+    Solves ``observed_survival(h) = k/n`` by bracketed root finding.  With
+    ``t = k/n`` and ``q`` each model's ``quantile_of_survival``, the root
+    lies in ``[min q(sqrt(t)), min q(t)]``: the observed survival is the
+    product of both survivals, each at least ``sqrt(t)`` at the lower end,
+    while one of them equals ``t`` at the upper end.  An end is taken as
+    the root when rounding puts it on the root's side: the lower one when
+    both quantiles agree, the upper one when the other survival is 1
+    there.  The returned root satisfies the defining equation to 1e-10
+    relative.
     """
     if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
         raise ValidationError("k and n must be integers")
@@ -347,34 +353,30 @@ def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
     from scipy import optimize
 
     target = k / n
-    lower = max(
-        scheme.loss_model.support_lower, scheme.censor_model.support_lower
-    )
-    lo = max(lower, 1e-12)
-    if scheme.observed_survival(lo) <= target:
-        # The root sits below any positive level we can bracket.
-        return lo
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(2000):
-        if scheme.observed_survival(hi) < target:
-            break
-        hi *= 2.0
+    models = (scheme.loss_model, scheme.censor_model)
+    lo = min(model.quantile_of_survival(np.sqrt(target)) for model in models)
+    hi = min(model.quantile_of_survival(target) for model in models)
+
+    def gap(x: float) -> float:
+        return scheme.observed_survival(x) - target
+
+    if gap(lo) <= 0.0:
+        root, converged = lo, True
+    elif gap(hi) >= 0.0:
+        root, converged = hi, True
     else:
-        raise DomainError(
-            f"could not bracket the threshold root above {lo:g} "
-            f"(survival never fell below {target:g} up to {hi:g})"
+        root, info = optimize.brentq(
+            gap,
+            lo,
+            hi,
+            xtol=1e-300,
+            rtol=4.0 * np.finfo(float).eps,
+            maxiter=200,
+            full_output=True,
         )
-    root, info = optimize.brentq(
-        lambda x: scheme.observed_survival(x) - target,
-        lo,
-        hi,
-        xtol=1e-300,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=200,
-        full_output=True,
-    )
+        converged = info.converged
     achieved = scheme.observed_survival(root)
-    if not info.converged or abs(achieved - target) > 1e-10 * target:
+    if not converged or abs(achieved - target) > 1e-10 * target:
         raise DomainError(
             f"threshold root finding did not converge on [{lo:g}, {hi:g}]: "
             f"survival at {root:g} is {achieved:g}, target {target:g}"

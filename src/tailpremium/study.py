@@ -11,12 +11,9 @@ of the grid.  Cell aggregates are the empirical means, the absolute
 difference of those means, and the root mean squared per-replicate error.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
-seed is a pure function of the master seed, the cell parameters, and the
-replicate index, so results are bitwise identical no matter how replicates
-are scheduled across processes.  The distortion parameter is deliberately
-left out of the stream key: premium variants with different distortions
-are evaluated on the same simulated samples, which makes their comparison
-a matched-pairs one.
+seed is a pure function of the master seed, the sample group (gamma1, p,
+n, eta), and the replicate index, so results are bitwise identical no
+matter how replicates are scheduled across processes.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import logging
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,11 +44,10 @@ _UINT64_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class StudyCell:
-    """One point of the study grid."""
+    """One sample group of the study: every rho is priced on its draws."""
 
     gamma1: float
     p: float
-    rho: float
     n: int
     eta: float
 
@@ -162,8 +158,7 @@ def replicate_stream(
     """Seed sequence owned by one replicate.
 
     The entropy is the exact bit patterns of (master seed, gamma1, p, n,
-    eta, replicate index).  The distortion parameter is intentionally
-    absent, see the module docstring.
+    eta, replicate index).
     """
     if replicate_index < 0:
         raise ValidationError(
@@ -190,15 +185,14 @@ def run_matched_replicates(
 ) -> Tuple[ReplicateResult, ...]:
     """Draw one censored sample and estimate the premium on it at every rho.
 
-    The sample, its sort and the threshold choice depend only on the
-    stream, which leaves out ``cell.rho`` (see the module docstring), so
-    they are computed once; ``cell.rho`` is not read.  The retention is
-    the order statistic selected by the threshold rule; the exact premium
-    is evaluated in closed form at that same (random) retention.  Returns
-    one result per entry of ``rho_values``, in order.  Estimation failures
-    are recorded in the results, never raised: a failed threshold choice
-    fails every rho alike, while an estimate failure (for example a tail
-    estimate too heavy for a finite premium at that rho) fails its rho only.
+    The sample, its sort and the threshold choice are computed once.  The
+    retention is the order statistic selected by the threshold rule; the
+    exact premium is evaluated in closed form at that same (random)
+    retention.  Returns one result per entry of ``rho_values``, in order.
+    Estimation failures are recorded in the results, never raised: a failed
+    threshold choice fails every rho alike, while an estimate failure (for
+    example a tail estimate too heavy for a finite premium at that rho)
+    fails its rho only.
     """
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
     rng = np.random.default_rng(
@@ -266,22 +260,12 @@ def aggregate(
     )
 
 
-def study_cells(config: StudyConfig) -> List[StudyCell]:
-    """Grid cells in output order: p-major, then rho, then n."""
-    return [
-        StudyCell(gamma1=config.gamma1, p=p, rho=rho, n=n, eta=config.eta)
-        for p in config.p_values
-        for rho in config.rho_values
-        for n in config.n_values
-    ]
-
-
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the full grid and aggregate each cell.
 
     The unit of work is a replicate of a distinct (p, n) group: it is drawn
-    and threshold-selected once and evaluated at every distinct rho, and
-    each cell of :func:`study_cells` reads its results by value, so
+    and threshold-selected once and evaluated at every distinct rho.  Rows
+    come p-major, then rho, then n, and read their results by value, so
     repeated grid values give repeated rows computed once.  ``workers``
     only controls process-level parallelism; outputs are bitwise identical
     for any worker count.  A cell whose replicates all failed is logged
@@ -291,7 +275,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     rhos = tuple(dict.fromkeys(config.rho_values))
     groups = {
-        (p, n): StudyCell(config.gamma1, p, rhos[0], n, config.eta)
+        (p, n): StudyCell(config.gamma1, p, n, config.eta)
         for p in config.p_values
         for n in config.n_values
     }
@@ -317,11 +301,12 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
 
     rows: List[StudyRow] = []
     drop_reasons: List[str] = []
-    for cell in study_cells(config):
-        rho_index = rhos.index(cell.rho)
-        results = [m[rho_index] for m in matched[cell.p, cell.n]]
+    for p, rho, n in product(
+        config.p_values, config.rho_values, config.n_values
+    ):
+        results = [m[rhos.index(rho)] for m in matched[p, n]]
         try:
-            row = aggregate(results, p=cell.p, rho=cell.rho, n=cell.n)
+            row = aggregate(results, p=p, rho=rho, n=n)
         except DomainError as exc:
             logger.warning("dropping cell: %s", exc)
             drop_reasons.append(str(exc))
@@ -329,9 +314,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         if row.failure_count > 0:
             logger.warning(
                 "cell (p=%g, rho=%g, n=%d): %d of %d replicates failed",
-                cell.p,
-                cell.rho,
-                cell.n,
+                p,
+                rho,
+                n,
                 row.failure_count,
                 config.replicates,
             )
@@ -347,9 +332,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
             logger.debug(
                 "cell (p=%g, rho=%g, n=%d) error quantiles "
                 "(1/25/50/75/99%%): %s",
-                cell.p,
-                cell.rho,
-                cell.n,
+                p,
+                rho,
+                n,
                 np.array2string(quantiles, precision=4),
             )
         rows.append(row)

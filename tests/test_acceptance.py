@@ -279,7 +279,7 @@ def test_7_normalized_error_distribution():
     k = int(n**0.45)
     gamma1, p, eta, rho = 0.1, 0.4, 0.25, 1.0
     scheme = burr_scheme(gamma1, p, eta)
-    cell = StudyCell(gamma1=gamma1, p=p, rho=rho, n=n, eta=eta)
+    cell = StudyCell(gamma1=gamma1, p=p, n=n, eta=eta)
     h = h_threshold(scheme, k, n)
     loss_survival_at_h = float(scheme.loss_model.survival(h))
     lambda1 = math.sqrt(k) * float(scheme.loss_model.second_order_rate(h))

@@ -122,6 +122,9 @@ class TestReadClaims:
             ("inf,0", "finite and >= 0"),
             ("3,2", "0 or 1, got 2"),
             ("3,99999999999999999999", "0 or 1, got 99999999999999999999"),
+            # a rule-breaking row before a malformed one
+            pytest.param("-2,1\nabc,1", "finite and >= 0", id="negative-then-unparsable"),
+            pytest.param("2,5\n3", "0 or 1, got 5", id="bad-flag-then-short-row"),
         ],
     )
     def test_first_bad_row_names_its_line(self, tmp_path, capsys, bad_row, message):
@@ -416,6 +419,18 @@ class TestReadStudyConfig:
         path = write_config(tmp_path / "study.cfg", mutation(CONFIG_TEXT))
         with pytest.raises(FileFormatError, match=message):
             read_study_config(path)
+
+
+def test_config_reports_the_first_bad_key_in_key_order(tmp_path):
+    # master_seed comes first in the file; gamma1 comes first in key order.
+    text = "master_seed = x\n" + (
+        CONFIG_TEXT.replace("master_seed = 777\n", "")
+        .replace("gamma1 = 0.1", "gamma1 = y")
+        .replace("eta = 0.25", "eta = z")
+    )
+    path = write_config(tmp_path / "study.cfg", text)
+    with pytest.raises(FileFormatError, match="key 'gamma1': cannot parse 'y'"):
+        read_study_config(path)
 
 
 class TestSimulateCommand:

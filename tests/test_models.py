@@ -298,6 +298,38 @@ class TestHThreshold:
                 k / n, rel=1e-10
             )
 
+    @pytest.mark.parametrize(
+        "scheme, k, n",
+        [
+            # roots far below 1e-12
+            (burr_scheme(0.5, 0.9, 0.1), 99, 100),
+            (burr_scheme(0.25, 0.9, 0.1), 500, 1000),
+            # a root below the censor's support bound
+            (CensoringScheme(BurrModel(0.2, 0.5), ParetoModel(0.3, 2.0)), 100, 1000),
+            # the censor survival is 1 at the upper bracket end
+            (burr_scheme(0.1, 0.9, 0.25), 99, 100),
+        ],
+    )
+    def test_defining_equation_on_extreme_designs(self, scheme, k, n):
+        h = h_threshold(scheme, k, n)
+        assert scheme.observed_survival(h) == pytest.approx(k / n, rel=1e-10)
+
+    def test_root_below_the_loss_support(self):
+        # Below x_min = 3 the loss survival is 1, so the censor alone sets h.
+        scheme = CensoringScheme(ParetoModel(0.2, 3.0), ParetoModel(0.3, 1.5))
+        assert h_threshold(scheme, 100, 1000) == pytest.approx(
+            1.5 * 0.1**-0.3, rel=1e-12
+        )
+
+    def test_identical_models_closed_form(self):
+        # S_obs = S**2, so h is the loss quantile at sqrt(k/n).
+        scheme = burr_scheme(0.25, 0.5, 0.25)
+        for k, n in [(46, 5000), (500, 1000)]:
+            assert h_threshold(scheme, k, n) == pytest.approx(
+                BurrModel(0.25, 0.25).quantile_of_survival((k / n) ** 0.5),
+                rel=1e-12,
+            )
+
     def test_rejects_bad_k(self):
         scheme = burr_scheme(0.1, 0.4, 0.25)
         with pytest.raises(ValidationError, match="k must"):

@@ -1,6 +1,8 @@
 """Monte Carlo engine: seeding, replicates, aggregation, scheduling."""
 
+import dataclasses
 import logging
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,13 @@ from tailpremium import (
     replicate_stream,
     run_matched_replicates,
     run_study,
-    study_cells,
 )
 from tailpremium import cli
 from tailpremium import study as study_module
 
 from helpers import naive_aggregate, naive_threshold_choice, naive_uncensored_premium
 
-CELL = StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=150, eta=0.25)
+CELL = StudyCell(gamma1=0.1, p=0.6, n=150, eta=0.25)
 
 REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -36,11 +37,20 @@ REFERENCE_CSV = (
 )
 
 
-def own_rho_replicate(cell, replicate_index, master_seed, beta=0.3):
-    """The replicate of ``cell`` evaluated at the cell's own rho only."""
+def own_rho_replicate(cell, rho, replicate_index, master_seed, beta=0.3):
+    """The replicate of ``cell`` evaluated at ``rho`` only."""
     return run_matched_replicates(
-        cell, (cell.rho,), replicate_index, master_seed, beta
+        cell, (rho,), replicate_index, master_seed, beta
     )[0]
+
+
+def study_groups(config):
+    """The (p, n) sample groups of ``config``, p-major."""
+    return [
+        StudyCell(gamma1=config.gamma1, p=p, n=n, eta=config.eta)
+        for p in config.p_values
+        for n in config.n_values
+    ]
 
 
 def success(pi_true, pi_hat):
@@ -49,24 +59,34 @@ def success(pi_true, pi_hat):
     )
 
 
+def float_bits(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+class TestStudyCell:
+    def test_fields_are_the_sample_group(self):
+        names = [f.name for f in dataclasses.fields(StudyCell)]
+        assert names == ["gamma1", "p", "n", "eta"]
+        with pytest.raises(TypeError):
+            StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=150, eta=0.25)
+        with pytest.raises(TypeError):
+            StudyCell(0.1, 0.6, 1.0, 150, 0.25)
+
+
 class TestReplicateStream:
     def test_distortion_parameter_is_excluded(self):
-        low = StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=150, eta=0.25)
-        high = StudyCell(gamma1=0.1, p=0.6, rho=1.1, n=150, eta=0.25)
-        seq_low = replicate_stream(42, low, 7)
-        seq_high = replicate_stream(42, high, 7)
-        assert seq_low.entropy == seq_high.entropy
-        draws_low = np.random.default_rng(seq_low).random(16)
-        draws_high = np.random.default_rng(seq_high).random(16)
-        assert np.array_equal(draws_low, draws_high)
+        # The key is the sample group alone: every rho prices the same draws.
+        assert replicate_stream(42, CELL, 7).entropy == [
+            42, float_bits(0.1), float_bits(0.6), 150, float_bits(0.25), 7
+        ]
 
     @pytest.mark.parametrize(
         "other",
         [
-            StudyCell(gamma1=0.2, p=0.6, rho=1.0, n=150, eta=0.25),
-            StudyCell(gamma1=0.1, p=0.4, rho=1.0, n=150, eta=0.25),
-            StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=151, eta=0.25),
-            StudyCell(gamma1=0.1, p=0.6, rho=1.0, n=150, eta=0.5),
+            StudyCell(gamma1=0.2, p=0.6, n=150, eta=0.25),
+            StudyCell(gamma1=0.1, p=0.4, n=150, eta=0.25),
+            StudyCell(gamma1=0.1, p=0.6, n=151, eta=0.25),
+            StudyCell(gamma1=0.1, p=0.6, n=150, eta=0.5),
         ],
     )
     def test_every_other_coordinate_matters(self, other):
@@ -92,15 +112,12 @@ class TestReplicateStream:
 
 class TestRunReplicate:
     def test_deterministic(self):
-        first = own_rho_replicate(CELL, 3, 777)
-        second = own_rho_replicate(CELL, 3, 777)
+        first = own_rho_replicate(CELL, 1.0, 3, 777)
+        second = own_rho_replicate(CELL, 1.0, 3, 777)
         assert first == second
 
     def test_matched_pairs_share_sample(self):
-        low = own_rho_replicate(CELL, 2, 777)
-        high = own_rho_replicate(
-            StudyCell(gamma1=0.1, p=0.6, rho=1.1, n=150, eta=0.25), 2, 777
-        )
+        low, high = run_matched_replicates(CELL, (1.0, 1.1), 2, 777)
         assert low.failed is None and high.failed is None
         assert low.k_star == high.k_star
         assert low.retention == high.retention
@@ -116,8 +133,8 @@ class TestRunReplicate:
             )
 
         monkeypatch.setattr(study_module, "burr_scheme", degenerate_scheme)
-        cell = StudyCell(gamma1=0.1, p=0.6, rho=1.1, n=400, eta=0.25)
-        result = own_rho_replicate(cell, 5, 202)
+        cell = StudyCell(gamma1=0.1, p=0.6, n=400, eta=0.25)
+        result = own_rho_replicate(cell, 1.1, 5, 202)
         assert result.failed is None
 
         scheme = degenerate_scheme(cell.gamma1, cell.p, cell.eta)
@@ -129,12 +146,12 @@ class TestRunReplicate:
         assert result.k_star == k_star
         assert result.retention == z_sorted[cell.n - k_star - 1]
         assert result.pi_hat == pytest.approx(
-            naive_uncensored_premium(z_sorted, k_star, cell.rho), rel=1e-10
+            naive_uncensored_premium(z_sorted, k_star, 1.1), rel=1e-10
         )
 
     def test_failure_is_recorded_not_raised(self):
-        heavy = StudyCell(gamma1=0.95, p=0.9, rho=1.0, n=150, eta=0.25)
-        results = [own_rho_replicate(heavy, i, 777) for i in range(10)]
+        heavy = StudyCell(gamma1=0.95, p=0.9, n=150, eta=0.25)
+        results = [own_rho_replicate(heavy, 1.0, i, 777) for i in range(10)]
         failures = [r for r in results if r.failed is not None]
         assert failures, "a tail index near 1 must trip the admissibility cap"
         assert all(r.pi_hat is None for r in failures)
@@ -257,13 +274,13 @@ class TestStudyConfig:
             small_config(**overrides)
 
 
-class TestStudyCells:
+class TestRunStudy:
     def test_output_order_p_major(self):
         config = small_config(
             p_values=(0.4, 0.6), rho_values=(1.0, 1.1), n_values=(150, 200)
         )
-        cells = study_cells(config)
-        assert [(c.p, c.rho, c.n) for c in cells] == [
+        rows = run_study(config)
+        assert [(r.p, r.rho, r.n) for r in rows] == [
             (0.4, 1.0, 150),
             (0.4, 1.0, 200),
             (0.4, 1.1, 150),
@@ -273,14 +290,11 @@ class TestStudyCells:
             (0.6, 1.1, 150),
             (0.6, 1.1, 200),
         ]
-        assert all(c.gamma1 == 0.1 and c.eta == 0.25 for c in cells)
 
-
-class TestRunStudy:
     def test_single_replicate_reduces_to_run_replicate(self):
         config = small_config(replicates=1)
         (row,) = run_study(config)
-        result = own_rho_replicate(study_cells(config)[0], 0, 777)
+        result = own_rho_replicate(CELL, 1.0, 0, 777)
         assert row.mean_pi_hat == result.pi_hat
         assert row.mean_pi_true == result.pi_true
         assert row.failure_count == 0
@@ -392,18 +406,14 @@ class TestMatchedReplicates:
     def test_each_rho_equals_its_own_replicate(self):
         config = MATCHED
         rho_specific = 0
-        for cell in study_cells(config):
+        for cell in study_groups(config):
             for i in range(config.replicates):
                 matched = run_matched_replicates(
                     cell, config.rho_values, i, config.master_seed, config.beta
                 )
                 for rho, result in zip(config.rho_values, matched):
-                    single = StudyCell(
-                        gamma1=cell.gamma1, p=cell.p, rho=rho, n=cell.n,
-                        eta=cell.eta,
-                    )
                     assert result == own_rho_replicate(
-                        single, i, config.master_seed, config.beta
+                        cell, rho, i, config.master_seed, config.beta
                     )
                 low, high = matched
                 rho_specific += low.failed is None and high.failed is not None
@@ -414,21 +424,29 @@ class TestMatchedReplicates:
         expected = [
             aggregate(
                 [
-                    own_rho_replicate(cell, i, config.master_seed, config.beta)
+                    own_rho_replicate(
+                        StudyCell(config.gamma1, p, n, config.eta),
+                        rho,
+                        i,
+                        config.master_seed,
+                        config.beta,
+                    )
                     for i in range(config.replicates)
                 ],
-                p=cell.p,
-                rho=cell.rho,
-                n=cell.n,
+                p=p,
+                rho=rho,
+                n=n,
             )
-            for cell in study_cells(config)
+            for p in config.p_values
+            for rho in config.rho_values
+            for n in config.n_values
         ]
         assert run_study(config) == expected
         assert run_study(config, workers=2) == expected
 
     def test_threshold_failure_fails_every_rho_alike(self):
         rho_values = (1.0, 1.1, 2.5)
-        cell = study_cells(MATCHED)[0]
+        cell = study_groups(MATCHED)[0]
         threshold_failures = 0
         for i in range(MATCHED.replicates):
             results = run_matched_replicates(cell, rho_values, i, 777, 0.2)

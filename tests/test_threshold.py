@@ -258,7 +258,7 @@ class TestAgainstNaiveRule:
 @pytest.mark.slow
 def test_monte_carlo_sanity_median_index():
     """Median selected index over 200 censored Burr draws near the truth."""
-    cell = StudyCell(gamma1=0.25, p=0.6, rho=1.0, n=1500, eta=0.25)
+    cell = StudyCell(gamma1=0.25, p=0.6, n=1500, eta=0.25)
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
     estimates = []
     for i in range(200):
