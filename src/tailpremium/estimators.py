@@ -55,18 +55,31 @@ def _check_k(k: int, n: int) -> None:
         raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
 
 
-def _km_curve(sample: SortedCensoredSample) -> np.ndarray:
+def _km_curve(delta: np.ndarray) -> np.ndarray:
     """Product-limit survival after each prefix of the order statistics.
 
-    ``curve[m] = prod_{i=1}^{m} (1 - delta_[i] / (n - i + 1))``, so
-    ``curve[0] = 1``.  Because ties list uncensored records first, the
-    value at the end of a run of ties equals the grouped factor
-    ``1 - d_t / r_t`` of Kaplan and Meier.  Every prefix with ``m < n`` is
-    at least ``(n - m) / n``, so no underflow guard is needed.
+    ``delta`` holds the sorted flags of one sample, or of one sample per
+    row ``(..., n)``.  ``curve[..., m] = prod_{i=1}^{m} (1 - delta_[i] /
+    (n - i + 1))``, so ``curve[..., 0] = 1``.  Because ties list uncensored
+    records first, the value at the end of a run of ties equals the
+    grouped factor ``1 - d_t / r_t`` of Kaplan and Meier.  Every prefix
+    with ``m < n`` is at least ``(n - m) / n``, so no underflow guard is
+    needed.
     """
-    n = sample.n
-    factors = 1.0 - sample.delta_concomitant / (n - np.arange(n, dtype=np.float64))
-    return np.concatenate(([1.0], np.cumprod(factors)))
+    n = delta.shape[-1]
+    factors = 1.0 - delta / (n - np.arange(n, dtype=np.float64))
+    ones = np.ones(delta.shape[:-1] + (1,))
+    return np.concatenate((ones, np.cumprod(factors, axis=-1)), axis=-1)
+
+
+def _km_anchor(delta: np.ndarray, k: Union[int, np.ndarray]) -> np.ndarray:
+    """Product-limit survival just below the k-th upper order statistic.
+
+    One ``k`` per row of ``delta`` ``(..., n)``; the caller checks
+    ``1 <= k < n``.
+    """
+    at = delta.shape[-1] - np.asarray(k)
+    return np.take_along_axis(_km_curve(delta), at[..., None], -1)[..., 0]
 
 
 def kaplan_meier_survival(
@@ -101,7 +114,7 @@ def kaplan_meier_survival(
             "product-limit survival is undefined at or above the largest "
             f"observation ({z[-1]:g}), got x={float(np.max(xs)):g}"
         )
-    out = _km_curve(sample)[np.searchsorted(z, xs, side="right")]
+    out = _km_curve(sample.delta_concomitant)[np.searchsorted(z, xs, side="right")]
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -112,25 +125,39 @@ def km_survival_at_threshold(sample: SortedCensoredSample, k: int) -> float:
     statistics, the anchor value used by the tail extrapolation.
     """
     _check_k(k, sample.n)
-    return float(_km_curve(sample)[sample.n - k])
+    return float(_km_anchor(sample.delta_concomitant, k))
 
 
 def _tail_path(
-    sample: SortedCensoredSample, k_max: int
+    z_sorted: np.ndarray, delta: np.ndarray, k_max: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hill estimate and uncensored share for every k in 1..k_max.
 
-    The one kernel behind every read of the corrected index: ``(hill,
-    p_hat)`` indexed by ``k - 1``, from running sums over the top order
-    statistics, so the entry for ``k`` is bitwise the same for any
-    ``k_max``.  The caller checks ``1 <= k_max < n`` and ``z_(n-k_max) > 0``.
+    The one kernel behind every read of the corrected index.  Takes the
+    sorted values and flags of one sample, or of one sample per row
+    ``(..., n)``, and returns ``(hill, p_hat)`` indexed by ``k - 1`` along
+    the last axis, from running sums over the top order statistics, so the
+    entry for ``k`` is bitwise the same for any ``k_max`` and any number of
+    rows.  The caller checks ``1 <= k_max < n``.  The Hill entry for ``k``
+    is defined only where ``z_(n-k) > 0``; past that it is NaN or
+    infinite, without a warning.
     """
-    n = sample.n
-    log_top = np.log(sample.z_sorted[n - k_max - 1 :][::-1])
-    counts = np.arange(1, k_max + 1, dtype=np.float64)
-    # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
-    hill = np.cumsum(log_top[:k_max]) / counts - log_top[1:]
-    p_hat = np.cumsum(sample.delta_concomitant[n - k_max :][::-1]) / counts
+    n = z_sorted.shape[-1]
+    top = z_sorted[..., n - k_max - 1 :][..., ::-1]
+    # One log call per row, on its descending 1-D view.  numpy takes the C
+    # library's log for that layout and its vectorised log for others, and
+    # the two can differ in the last bit; a call per row keeps every row
+    # bitwise equal to the one-sample path.
+    log_top = np.empty(top.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, out in zip(
+            top.reshape(-1, k_max + 1), log_top.reshape(-1, k_max + 1)
+        ):
+            np.log(row, out=out)
+        counts = np.arange(1, k_max + 1, dtype=np.float64)
+        # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
+        hill = np.cumsum(log_top[..., :k_max], axis=-1) / counts - log_top[..., 1:]
+    p_hat = np.cumsum(delta[..., n - k_max :][..., ::-1], axis=-1) / counts
     return hill, p_hat
 
 
@@ -142,7 +169,7 @@ def _path_at(sample: SortedCensoredSample, k: int) -> Tuple[float, float]:
         raise DomainError(
             f"the k-th upper order statistic must be > 0, got {threshold:g}"
         )
-    hill, p_hat = _tail_path(sample, k)
+    hill, p_hat = _tail_path(sample.z_sorted, sample.delta_concomitant, k)
     return float(hill[-1]), float(p_hat[-1])
 
 
@@ -156,9 +183,13 @@ def hill_estimator(sample: SortedCensoredSample, k: int) -> float:
 
 
 def uncensored_proportion(sample: SortedCensoredSample, k: int) -> float:
-    """Share of uncensored records among the top ``k`` order statistics."""
+    """Share of uncensored records among the top ``k`` order statistics.
+
+    The path's entry at ``k``; unlike the Hill estimate it needs no
+    positive threshold.
+    """
     _check_k(k, sample.n)
-    return float(np.mean(sample.delta_concomitant[sample.n - k :]))
+    return float(_tail_path(sample.z_sorted, sample.delta_concomitant, k)[1][-1])
 
 
 def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
@@ -189,14 +220,19 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     )
 
 
-def _anchored_fit(sample: SortedCensoredSample, k: int) -> Tuple[float, float, float]:
-    """Corrected index (> 0), threshold ``z_(n-k)`` and its product-limit anchor."""
-    gamma1 = censored_hill(sample, k).gamma1_hat
+def _positive_index(gamma1: float) -> float:
+    """The corrected index, which the tail fit needs strictly positive."""
     if gamma1 <= 0.0:
         raise DomainError(
             "tail index estimate is not positive; the top k observations "
             "are degenerate"
         )
+    return gamma1
+
+
+def _anchored_fit(sample: SortedCensoredSample, k: int) -> Tuple[float, float, float]:
+    """Corrected index (> 0), threshold ``z_(n-k)`` and its product-limit anchor."""
+    gamma1 = _positive_index(censored_hill(sample, k).gamma1_hat)
     z_threshold = sample.z_sorted[sample.n - k - 1]
     return gamma1, z_threshold, km_survival_at_threshold(sample, k)
 
@@ -226,6 +262,29 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     return float((x / z_threshold) ** (-1.0 / gamma1) * anchor)
 
 
+def _php_value(
+    gamma1: float, rho: float, retention: float, z_threshold: float, anchor: float
+) -> float:
+    """The closed form of :func:`php_estimate`, with its divergence guard.
+
+    Evaluated on Python floats: numpy's vectorised ``power`` may differ from
+    the C library's ``pow`` in the last bit, so batched callers loop here
+    to keep every estimate bitwise equal to the one-sample API.
+    """
+    if rho * gamma1 >= 1.0:
+        raise DomainError(
+            "estimated tail is too heavy for a finite premium: "
+            f"rho * gamma1 = {rho * gamma1:g} >= 1 "
+            f"(gamma1={gamma1:g}, rho={rho:g})"
+        )
+    return float(
+        rho * gamma1 / (1.0 - rho * gamma1)
+        * retention
+        * (retention / z_threshold) ** (-1.0 / (rho * gamma1))
+        * anchor ** (1.0 / rho)
+    )
+
+
 def php_estimate(
     sample: SortedCensoredSample, settings: EstimationSettings
 ) -> PremiumEstimate:
@@ -253,24 +312,13 @@ def php_estimate(
     k = settings.k
     rho = settings.rho
     gamma1, z_threshold, anchor = _anchored_fit(sample, k)
-    if rho * gamma1 >= 1.0:
-        raise DomainError(
-            "estimated tail is too heavy for a finite premium: "
-            f"rho * gamma1 = {rho * gamma1:g} >= 1 "
-            f"(gamma1={gamma1:g}, rho={rho:g})"
-        )
     if settings.retention_is_threshold:
         retention = float(z_threshold)
     else:
         retention = float(settings.retention)
-    value = (
-        rho * gamma1 / (1.0 - rho * gamma1)
-        * retention
-        * (retention / z_threshold) ** (-1.0 / (rho * gamma1))
-        * anchor ** (1.0 / rho)
-    )
+    value = _php_value(gamma1, rho, retention, z_threshold, anchor)
     return PremiumEstimate(
-        value=float(value),
+        value=value,
         rho=rho,
         retention=retention,
         k=k,

@@ -270,21 +270,33 @@ class CensoringScheme:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` censored records as raw arrays ``(z, delta)``.
 
-        Inverse-transform sampling: the first ``n`` uniforms drive the
-        losses, the next ``n`` the censoring variables, so a given stream
-        always yields the same records.  Uniforms are mapped through
-        ``1 - u``, placing them in (0, 1] where the survival quantile is
-        defined.
+        Inverse-transform sampling, ``records(draw(n, rng))``: a given
+        stream always yields the same records.
+        """
+        return self.records(self.draw(n, rng))
+
+    @staticmethod
+    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
+        """The uniforms behind ``n`` records, shape ``(2, n)``.
+
+        The first ``n`` uniforms of the stream drive the losses, the next
+        ``n`` the censoring variables.
         """
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-        u_loss = rng.random(int(n))
-        u_censor = rng.random(int(n))
-        x = self.loss_model.quantile_of_survival(1.0 - u_loss)
-        y = self.censor_model.quantile_of_survival(1.0 - u_censor)
-        z = np.minimum(x, y)
-        delta = (x <= y).astype(np.int64)
-        return z, delta
+        return rng.random((2, int(n)))
+
+    def records(self, uniforms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Censored records ``(z, delta)`` driven by uniforms of shape ``(..., 2, n)``.
+
+        ``uniforms[..., 0, :]`` drive the losses and ``uniforms[..., 1, :]``
+        the censoring variables, each mapped through ``1 - u`` into (0, 1]
+        where the survival quantile is defined.  Elementwise, so a stack of
+        draws gives a stack of samples, each equal to its own transform.
+        """
+        x = self.loss_model.quantile_of_survival(1.0 - uniforms[..., 0, :])
+        y = self.censor_model.quantile_of_survival(1.0 - uniforms[..., 1, :])
+        return np.minimum(x, y), (x <= y).astype(np.int64)
 
 
 def burr_scheme(gamma1: float, p: float, eta: float) -> CensoringScheme:

@@ -14,7 +14,7 @@ records and never on their input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,40 @@ def _int_flags(delta: np.ndarray) -> np.ndarray:
     if not ((delta == 0) | (delta == 1)).all():
         raise ValidationError("censoring indicators must be 0 or 1")
     return delta.astype(np.int64)
+
+
+def _sort_rows(z: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort each row of raw records ``(..., n)`` into sample order.
+
+    Rows are ordered by ``z`` ascending and, within a tie, by ``delta``
+    descending; the flags are checked and returned as int64.  One key
+    holds both: for ``z >= 0`` the IEEE bit pattern orders like the value
+    (``-0.0`` is keyed as ``0.0``) and the spare top bit makes room for
+    the flag, so records with equal keys are equal.  Values that are not
+    finite and >= 0 sort anywhere, for the sample's checks to reject.
+    """
+    delta = _int_flags(delta)
+    key = ((z + 0.0).view(np.uint64) << np.uint64(1)) | (delta == 0)
+    order = np.argsort(key, axis=-1)
+    return np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
+
+
+def _check_rows(z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The value checks of a sample, on each row of sorted arrays ``(..., n)``.
+
+    Returns the flags as int64; raises :class:`ValidationError` naming
+    the first violated rule.
+    """
+    if not np.all(np.isfinite(z)) or np.any(z < 0.0):
+        raise ValidationError("observed values must be finite and >= 0")
+    if np.any(z[..., 1:] < z[..., :-1]):
+        raise ValidationError("observed values must be sorted ascending")
+    delta = _int_flags(delta)
+    if np.any((z[..., 1:] == z[..., :-1]) & (delta[..., 1:] > delta[..., :-1])):
+        raise ValidationError(
+            "tied observed values must list uncensored records first"
+        )
+    return delta
 
 
 @dataclass(frozen=True)
@@ -61,15 +95,7 @@ class SortedCensoredSample:
             )
         if z.size == 0:
             raise ValidationError("at least one observation is required")
-        if not np.all(np.isfinite(z)) or np.any(z < 0.0):
-            raise ValidationError("observed values must be finite and >= 0")
-        if np.any(z[1:] < z[:-1]):
-            raise ValidationError("observed values must be sorted ascending")
-        d = _int_flags(d)
-        if np.any((z[1:] == z[:-1]) & (d[1:] > d[:-1])):
-            raise ValidationError(
-                "tied observed values must list uncensored records first"
-            )
+        d = _check_rows(z, d)
         z = z.copy()
         z.flags.writeable = False
         d.flags.writeable = False
@@ -97,9 +123,7 @@ class SortedCensoredSample:
             raise ValidationError(
                 "z and delta must be one-dimensional arrays of equal length"
             )
-        delta = _int_flags(delta)
-        order = np.lexsort((-delta, z))
-        return cls(z[order], delta[order])
+        return cls(*_sort_rows(z, delta))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,22 @@ and threshold-selected once and evaluated at every distortion parameter
 of the grid.  Cell aggregates are the empirical means, the absolute
 difference of those means, and the root mean squared per-replicate error.
 
+The engine works one block of a group's replicates at a time, as
+``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
+one pass of the threshold rule and the Kaplan-Meier anchor over the block,
+and one exact-premium call per distortion parameter.  A block holds at
+most ``_BLOCK_RECORDS`` records (at least one replicate), so its memory
+does not grow with n.  These are the kernels behind the one-sample API
+(``reiss_thomas_k``, ``tail_index_path``, ``km_survival_at_threshold``),
+read there on a single row, and the premium estimate is the scalar closed
+form of ``php_estimate``; :func:`run_matched_replicates` is the block of
+one replicate.
+
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
-n, eta), and the replicate index, so results are bitwise identical no
-matter how replicates are scheduled across processes.
+n, eta), and the replicate index, and every kernel treats the rows of a
+block independently, so results are bitwise identical no matter how
+replicates are grouped into blocks or scheduled across processes.
 """
 
 from __future__ import annotations
@@ -28,16 +40,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import php_estimate
-from .models import burr_scheme, theoretical_premium
-from .samples import THRESHOLD, EstimationSettings, SortedCensoredSample
-from .threshold import reiss_thomas_k
+from .estimators import _km_anchor, _php_value, _positive_index
+from .models import burr_scheme
+from .samples import EstimationSettings, _check_rows, _sort_rows, validate_settings
+from .threshold import _choose_rows
 
 logger = logging.getLogger(__name__)
 
-# Replicates are dispatched to workers in chunks of this many; the chunk
-# size only affects scheduling granularity, never results.
-_BLOCK = 50
+# Records (replicates x sample size) drawn and processed as one block: it
+# bounds a block's arrays whatever n is, and never affects results.  On
+# the Table-1 grid larger budgets run only a few percent faster, and each
+# further 10 000 records costs about 1 MB of peak memory.
+_BLOCK_RECORDS = 20_000
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -192,40 +206,94 @@ def run_matched_replicates(
     Estimation failures are recorded in the results, never raised: a failed
     threshold choice fails every rho alike, while an estimate failure (for
     example a tail estimate too heavy for a finite premium at that rho)
-    fails its rho only.
+    fails its rho only.  The study runs the same computation a block of
+    replicates at a time; this is its one-replicate block.
     """
+    return _replicate_block(
+        cell,
+        rho_values,
+        range(replicate_index, replicate_index + 1),
+        master_seed,
+        beta,
+    )[0]
+
+
+def _replicate_block(
+    cell: StudyCell,
+    rho_values: Sequence[float],
+    indices: range,
+    master_seed: int,
+    beta: float = 0.3,
+) -> List[Tuple[ReplicateResult, ...]]:
+    """:func:`run_matched_replicates` for every replicate index in ``indices``.
+
+    Each replicate draws from its own stream; the samples are then
+    transformed, sorted, checked and threshold-selected as one
+    ``(len(indices), n)`` array pass, and the exact premium is one array
+    call per rho.  Every kernel treats rows independently and each
+    estimate is the scalar closed form of :func:`php_estimate`, so a
+    replicate's results are bitwise the same in any block.
+    """
+    n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
-    rng = np.random.default_rng(
-        replicate_stream(master_seed, cell, replicate_index)
-    )
-    z, delta = scheme.sample_arrays(cell.n, rng)
-    sample = SortedCensoredSample.from_unsorted(z, delta)
+    streams = (replicate_stream(master_seed, cell, i) for i in indices)
+    uniforms = np.stack([scheme.draw(n, np.random.default_rng(s)) for s in streams])
+    z, delta = _sort_rows(*scheme.records(uniforms))
+    _check_rows(z, delta)
     try:
-        choice = reiss_thomas_k(sample, beta)
+        choices = _choose_rows(z, delta, beta)
     except (DomainError, ValidationError) as exc:
-        return (ReplicateResult(failed=str(exc)),) * len(rho_values)
-    results = []
-    for rho in rho_values:
+        failed = (ReplicateResult(failed=str(exc)),) * len(rho_values)
+        return [failed] * len(indices)
+    k = choices.k_star
+    rows = np.arange(len(indices))
+    # Read at every row; rows without a choice (k = 0) read unused values.
+    gamma1 = choices.gamma1[rows, k - 1].tolist()
+    retention = z[rows, n - k - 1].tolist()
+    anchor = _km_anchor(delta, k).tolist()
+    chosen = [r for r, reason in enumerate(choices.failed) if reason is None]
+    results = [
+        [ReplicateResult(failed=reason) if reason else None] * len(rho_values)
+        for reason in choices.failed
+    ]
+    for j, rho in enumerate(rho_values):
         try:
-            settings = EstimationSettings(
-                k=choice.k_star, rho=rho, retention=THRESHOLD
-            )
-            estimate = php_estimate(sample, settings)
-            pi_true = theoretical_premium(
-                scheme.loss_model, rho, estimate.retention
+            # The settings check of php_estimate; only rho can fail it here.
+            rho = validate_settings(EstimationSettings(k=1, rho=rho), n).rho
+        except ValidationError as exc:
+            for r in chosen:
+                results[r][j] = ReplicateResult(failed=str(exc))
+            continue
+        estimates = {}
+        for r in chosen:
+            try:
+                estimates[r] = _php_value(
+                    _positive_index(gamma1[r]),
+                    rho,
+                    retention[r],
+                    retention[r],
+                    anchor[r],
+                )
+            except DomainError as exc:
+                results[r][j] = ReplicateResult(failed=str(exc))
+        if not estimates:
+            continue
+        try:
+            exact = scheme.loss_model.premium(
+                rho, np.array([retention[r] for r in estimates])
             )
         except (DomainError, ValidationError) as exc:
-            results.append(ReplicateResult(failed=str(exc)))
-        else:
-            results.append(
-                ReplicateResult(
-                    pi_true=float(pi_true),
-                    pi_hat=float(estimate.value),
-                    k_star=int(choice.k_star),
-                    retention=float(estimate.retention),
-                )
+            for r in estimates:
+                results[r][j] = ReplicateResult(failed=str(exc))
+            continue
+        for (r, pi_hat), pi_true in zip(estimates.items(), exact.tolist()):
+            results[r][j] = ReplicateResult(
+                pi_true=pi_true,
+                pi_hat=pi_hat,
+                k_star=int(k[r]),
+                retention=retention[r],
             )
-    return tuple(results)
+    return [tuple(row) for row in results]
 
 
 def aggregate(
@@ -263,13 +331,15 @@ def aggregate(
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the full grid and aggregate each cell.
 
-    The unit of work is a replicate of a distinct (p, n) group: it is drawn
-    and threshold-selected once and evaluated at every distinct rho.  Rows
-    come p-major, then rho, then n, and read their results by value, so
-    repeated grid values give repeated rows computed once.  ``workers``
-    only controls process-level parallelism; outputs are bitwise identical
-    for any worker count.  A cell whose replicates all failed is logged
-    and dropped; the run only errors out when every cell is in that state.
+    The unit of work is a block of replicates of a distinct (p, n) group,
+    ``max(1, _BLOCK_RECORDS // n)`` of them (the last block of a group may
+    be shorter): each replicate is drawn and threshold-selected once and
+    evaluated at every distinct rho.  Rows come p-major, then rho, then n,
+    and read their results by value, so repeated grid values give repeated
+    rows computed once.  ``workers`` only controls process-level
+    parallelism; outputs are bitwise identical for any worker count and
+    any block size.  A cell whose replicates all failed is logged and
+    dropped; the run only errors out when every cell is in that state.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
@@ -280,22 +350,29 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         for n in config.n_values
     }
     count = config.replicates
+    cells, blocks = zip(
+        *[
+            (cell, range(start, min(start + size, count)))
+            for cell in groups.values()
+            for size in (max(1, _BLOCK_RECORDS // cell.n),)
+            for start in range(0, count, size)
+        ]
+    )
     args = (
-        [cell for cell in groups.values() for _ in range(count)],
+        cells,
         repeat(rhos),
-        [i for _ in groups for i in range(count)],
+        blocks,
         repeat(config.master_seed),
         repeat(config.beta),
     )
     if workers == 1:
-        outcomes = list(map(run_matched_replicates, *args))
+        outcomes = list(map(_replicate_block, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(run_matched_replicates, *args, chunksize=_BLOCK)
-            )
+            outcomes = list(pool.map(_replicate_block, *args))
+    replicates = [m for block in outcomes for m in block]
     matched = {
-        group: outcomes[g * count : (g + 1) * count]
+        group: replicates[g * count : (g + 1) * count]
         for g, group in enumerate(groups)
     }
 

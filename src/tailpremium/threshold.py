@@ -11,7 +11,7 @@ finite-variance regime, or where censoring erases the path, are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,14 @@ class ThresholdChoice:
     objective_curve: Tuple[Tuple[int, float], ...]
 
 
+def _corrected_path(
+    z_sorted: np.ndarray, delta: np.ndarray, k_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gamma1, p_hat)`` of :func:`estimators._tail_path`, NaN where p_hat is 0."""
+    hill, p_hat = _tail_path(z_sorted, delta, k_max)
+    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
+
+
 def tail_index_path(
     sample: SortedCensoredSample, k_max: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,28 +74,137 @@ def tail_index_path(
             "threshold selection needs strictly positive order statistics "
             "over the whole candidate range"
         )
-    hill, p_hat = _tail_path(sample, k_max)
-    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
+    return _corrected_path(sample.z_sorted, sample.delta_concomitant, k_max)
 
 
-def _window_scores(gamma1: np.ndarray, ks: np.ndarray, beta: float) -> np.ndarray:
-    """Weighted dispersion of the path over the half-window ending at each k.
+def _window_scores(
+    gamma1: np.ndarray, ks: np.ndarray, valid: np.ndarray, beta: float
+) -> np.ndarray:
+    """Weighted dispersion of each row's path over the half-window ending at k.
 
-    Window ``j`` covers path entries ``ceil(k_j/2)..k_j``.  All windows are
-    scored in one pass, one row per candidate, padded with +inf so that the
-    padding sorts past every entry and the lower median of a window of
-    width ``w`` sits at column ``(w - 1) // 2``.
+    ``gamma1`` holds one path per row, ``ks`` (rows x candidates) the
+    candidate k of each row and ``valid`` which of them are scored; the
+    others get NaN.  Window ``(r, j)`` covers path entries
+    ``ceil(k_rj/2)..k_rj``.  Windows are padded with +inf to the widest
+    valid window of their row, so that the padding sorts past every entry
+    and the lower median of a window of width ``w`` sits at column
+    ``(w - 1) // 2``.  numpy sums the last axis pairwise, so extra zero
+    padding could move the last bit: a row's sums run over exactly its own
+    width, whatever the other rows hold, and each row scores bitwise as it
+    does alone.
     """
     lo = (ks + 1) // 2
     width = ks - lo + 1
-    columns = np.arange(width.max())
-    inside = columns < width[:, None]
-    index = np.where(inside, lo[:, None] - 1 + columns, 0)
-    values = np.where(inside, gamma1[index], np.inf)
-    med = np.sort(values, axis=1)[np.arange(ks.size), (width - 1) // 2]
+    span = np.where(valid, width, 0).max(axis=-1)
+    columns = np.arange(max(int(span.max()), 1))
+    inside = columns < width[..., None]
+    index = np.where(inside, lo[..., None] - 1 + columns, 0)
+    rows = np.arange(gamma1.shape[0])[:, None, None]
+    # Undefined (non-finite) entries and columns past a row's widest valid
+    # window only occur in windows that are not scored; zeroing the former
+    # and clipping the latter keeps their arithmetic finite and in bounds.
+    path = gamma1[:, : int(ks.max())]
+    path = np.where(np.isfinite(path), path, 0.0)
+    values = np.where(inside, path[rows, index], np.inf)
+    middle = np.minimum((width - 1) // 2, columns.size - 1)
+    med = np.take_along_axis(np.sort(values, axis=-1), middle[..., None], -1)
     weights = (index + 1.0) ** beta
-    deviations = np.where(inside, weights * np.abs(values - med[:, None]), 0.0)
-    return deviations.sum(axis=1) / ks
+    deviations = np.where(inside, weights * np.abs(values - med), 0.0)
+    sums = np.empty(ks.shape)
+    for w in np.unique(span):
+        same = span == w
+        sums[same] = deviations[same, :, :w].sum(axis=-1)
+    return np.where(valid, sums / ks, np.nan)
+
+
+@dataclass(frozen=True)
+class _RowChoices:
+    """The threshold rule applied to each row of a block of samples.
+
+    ``failed[r]`` is the reason row ``r`` has no choice, else None;
+    ``k_star`` is 0 there.  ``gamma1`` holds each row's corrected path,
+    valid up to the row's own candidate limit; ``candidates`` and
+    ``scores`` hold the objective curve, NaN-scored where a column is not
+    a candidate of its row.
+    """
+
+    k_star: np.ndarray
+    gamma1: np.ndarray
+    failed: Tuple[Optional[str], ...]
+    candidates: np.ndarray
+    scores: np.ndarray
+
+
+def _choose_rows(
+    z_sorted: np.ndarray, delta: np.ndarray, beta: float
+) -> _RowChoices:
+    """The rule of :func:`reiss_thomas_k` on every row of ``(rows, n)`` arrays.
+
+    Rows are sorted samples of one size.  Every step is an array pass over
+    the block, so each row's choice, curve and failure message are those
+    of :func:`reiss_thomas_k` on that row alone.
+    """
+    n = z_sorted.shape[-1]
+    if n < _MIN_SAMPLE:
+        raise ValidationError(
+            f"threshold selection needs n >= {_MIN_SAMPLE}, got n={n}"
+        )
+    if not 0.0 <= beta <= 0.5:
+        raise ValidationError(f"beta must lie in [0, 0.5], got {beta!r}")
+    # Candidate k needs the k+1 largest order statistics positive, so the
+    # threshold (and everything above it) has a logarithm.
+    positive = np.count_nonzero(z_sorted > 0.0, axis=-1)
+    k_limit = np.minimum(n // 2, positive - 1)
+    k_max = max(int(k_limit.max()), 2)
+    gamma1, _ = _corrected_path(z_sorted, delta, k_max)
+    # blocked[:, j] counts the undefined (NaN), out-of-cap or out-of-limit
+    # entries among the first j of the path; a window is open when it
+    # holds none of them.
+    path_k = np.arange(1, k_max + 1)
+    bad = ~(gamma1 < _INDEX_CAP) | (path_k > k_limit[:, None])
+    n_rows = z_sorted.shape[0]
+    blocked = np.concatenate(
+        (np.zeros((n_rows, 1), np.int64), np.cumsum(bad, axis=-1)), axis=-1
+    )
+    ks = np.arange(2, k_max + 1)
+    admissible = blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
+    ceiling = round(_CANDIDATE_SCALE * n ** (1.0 / 3.0))
+    primary = ks[ks <= ceiling]
+    candidates = np.broadcast_to(primary, (n_rows, primary.size)).copy()
+    valid = admissible[:, : primary.size]
+    scores = _window_scores(gamma1, candidates, valid, beta)
+    k_star = primary[np.argmin(np.where(valid, scores, np.inf), axis=-1)]
+    # When the whole primary range is blocked, the smallest admissible
+    # candidate up to the limit is the only one.
+    any_open = admissible.any(axis=-1)
+    widened = np.flatnonzero(~valid.any(axis=-1) & any_open)
+    if widened.size:
+        k_wide = ks[np.argmax(admissible[widened], axis=-1)]
+        k_star[widened] = k_wide
+        candidates[widened] = 0
+        candidates[widened, 0] = k_wide
+        scores[widened, 0] = _window_scores(
+            gamma1[widened], k_wide[:, None], np.ones((widened.size, 1), bool), beta
+        )[:, 0]
+    failed = []
+    for count, limit, open_ in zip(
+        positive.tolist(), k_limit.tolist(), any_open.tolist()
+    ):
+        if limit < 2:
+            failed.append(
+                "threshold selection needs at least 3 strictly positive "
+                f"order statistics, got {count}"
+            )
+        elif not open_:
+            failed.append(
+                "no admissible k: every candidate window up to "
+                f"{limit} contains an undefined or out-of-range "
+                "corrected tail index"
+            )
+        else:
+            failed.append(None)
+    k_star[~any_open] = 0
+    return _RowChoices(k_star, gamma1, tuple(failed), candidates, scores)
 
 
 def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> ThresholdChoice:
@@ -120,40 +237,15 @@ def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> Threshold
         If fewer than two candidate thresholds are strictly positive, or
         no candidate up to ``floor(n/2)`` has an admissible window.
     """
-    n = sample.n
-    if n < _MIN_SAMPLE:
-        raise ValidationError(
-            f"threshold selection needs n >= {_MIN_SAMPLE}, got n={n}"
-        )
-    if not 0.0 <= beta <= 0.5:
-        raise ValidationError(f"beta must lie in [0, 0.5], got {beta!r}")
-    # Candidate k needs the k+1 largest order statistics positive, so the
-    # threshold (and everything above it) has a logarithm.
-    positive = int(np.count_nonzero(sample.z_sorted > 0.0))
-    k_limit = min(n // 2, positive - 1)
-    if k_limit < 2:
-        raise DomainError(
-            "threshold selection needs at least 3 strictly positive "
-            f"order statistics, got {positive}"
-        )
-    gamma1, _ = tail_index_path(sample, k_limit)
-    # blocked[j] counts the undefined (NaN) or out-of-cap entries among the
-    # first j of the path; a window is open when it holds none of them.
-    blocked = np.concatenate(([0], np.cumsum(~(gamma1 < _INDEX_CAP))))
-    ks = np.arange(2, k_limit + 1)
-    ks = ks[blocked[ks] == blocked[(ks + 1) // 2 - 1]]
-    if ks.size == 0:
-        raise DomainError(
-            "no admissible k: every candidate window up to "
-            f"{k_limit} contains an undefined or out-of-range "
-            "corrected tail index"
-        )
-    ceiling = min(k_limit, round(_CANDIDATE_SCALE * n ** (1.0 / 3.0)))
-    candidates = ks[ks <= ceiling] if ks[0] <= ceiling else ks[:1]
-    scores = _window_scores(gamma1, candidates, beta)
-    k_star = int(candidates[np.argmin(scores)])
+    rows = _choose_rows(sample.z_sorted[None], sample.delta_concomitant[None], beta)
+    if rows.failed[0] is not None:
+        raise DomainError(rows.failed[0])
+    k_star = int(rows.k_star[0])
+    curve = ~np.isnan(rows.scores[0])
     return ThresholdChoice(
         k_star=k_star,
-        retention=float(sample.z_sorted[n - k_star - 1]),
-        objective_curve=tuple(zip(candidates.tolist(), scores.tolist())),
+        retention=float(sample.z_sorted[sample.n - k_star - 1]),
+        objective_curve=tuple(
+            zip(rows.candidates[0][curve].tolist(), rows.scores[0][curve].tolist())
+        ),
     )

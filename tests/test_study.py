@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import struct
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from tailpremium import (
     BurrModel,
     CensoringScheme,
     DomainError,
+    EstimationSettings,
     ParetoModel,
     ReplicateResult,
     SortedCensoredSample,
@@ -20,9 +22,12 @@ from tailpremium import (
     StudyRow,
     ValidationError,
     aggregate,
+    php_estimate,
+    reiss_thomas_k,
     replicate_stream,
     run_matched_replicates,
     run_study,
+    theoretical_premium,
 )
 from tailpremium import cli
 from tailpremium import study as study_module
@@ -310,18 +315,15 @@ class TestRunStudy:
             run_study(small_config(), workers=0)
 
     def test_all_failed_cell_is_dropped_with_warning(self, monkeypatch, caplog):
-        real = study_module.run_matched_replicates
+        real = study_module._replicate_block
 
-        def failing_on_low_p(cell, rho_values, index, seed, beta=0.3):
+        def failing_on_low_p(cell, rho_values, indices, seed, beta=0.3):
             if cell.p == 0.4:
-                return (ReplicateResult(failed="synthetic failure"),) * len(
-                    rho_values
-                )
-            return real(cell, rho_values, index, seed, beta)
+                failed = (ReplicateResult(failed="synthetic failure"),)
+                return [failed * len(rho_values)] * len(indices)
+            return real(cell, rho_values, indices, seed, beta)
 
-        monkeypatch.setattr(
-            study_module, "run_matched_replicates", failing_on_low_p
-        )
+        monkeypatch.setattr(study_module, "_replicate_block", failing_on_low_p)
         config = small_config(p_values=(0.4, 0.6), replicates=2)
         with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
             rows = run_study(config)
@@ -329,17 +331,18 @@ class TestRunStudy:
         assert any("dropping cell" in r.message for r in caplog.records)
 
     def test_partial_failures_warn_but_keep_cell(self, monkeypatch, caplog):
-        real = study_module.run_matched_replicates
+        real = study_module._replicate_block
 
-        def failing_first_replicate(cell, rho_values, index, seed, beta=0.3):
-            if index == 0:
-                return (ReplicateResult(failed="synthetic failure"),) * len(
-                    rho_values
-                )
-            return real(cell, rho_values, index, seed, beta)
+        def failing_first_replicate(cell, rho_values, indices, seed, beta=0.3):
+            results = real(cell, rho_values, indices, seed, beta)
+            failed = (ReplicateResult(failed="synthetic failure"),)
+            return [
+                failed * len(rho_values) if index == 0 else result
+                for index, result in zip(indices, results)
+            ]
 
         monkeypatch.setattr(
-            study_module, "run_matched_replicates", failing_first_replicate
+            study_module, "_replicate_block", failing_first_replicate
         )
         config = small_config(replicates=3)
         with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
@@ -350,30 +353,36 @@ class TestRunStudy:
     def test_every_cell_failing_is_an_error(self, monkeypatch):
         monkeypatch.setattr(
             study_module,
-            "run_matched_replicates",
-            lambda cell, rho_values, index, seed, beta=0.3: (
-                (ReplicateResult(failed="x"),) * len(rho_values)
+            "_replicate_block",
+            lambda cell, rho_values, indices, seed, beta=0.3: (
+                [(ReplicateResult(failed="x"),) * len(rho_values)] * len(indices)
             ),
         )
         with pytest.raises(DomainError, match="every cell of the study failed"):
             run_study(small_config(replicates=2))
 
     def test_duplicated_grid_values_are_computed_once(self, monkeypatch):
-        real = study_module.run_matched_replicates
+        real = study_module._replicate_block
         calls = []
 
-        def counting(cell, rho_values, index, seed, beta=0.3):
-            calls.append(tuple(rho_values))
-            return real(cell, rho_values, index, seed, beta)
+        def counting(cell, rho_values, indices, seed, beta=0.3):
+            calls.append((cell, tuple(rho_values), list(indices)))
+            return real(cell, rho_values, indices, seed, beta)
 
-        monkeypatch.setattr(study_module, "run_matched_replicates", counting)
+        monkeypatch.setattr(study_module, "_replicate_block", counting)
         run_study(
             small_config(
                 p_values=(0.6, 0.6), rho_values=(1.0, 1.0), n_values=(150, 200),
                 replicates=3,
             )
         )
-        assert calls == [(1.0,)] * 6
+        # Each (p, n) group's replicates are covered exactly once, in
+        # order, and priced at the distinct rho values only.
+        covered = {}
+        for cell, rhos, indices in calls:
+            assert rhos == (1.0,)
+            covered.setdefault((cell.p, cell.n), []).extend(indices)
+        assert covered == {(0.6, 150): [0, 1, 2], (0.6, 200): [0, 1, 2]}
 
     def test_duplicated_grid_values_give_duplicated_rows(self):
         config = small_config(
@@ -455,6 +464,192 @@ class TestMatchedReplicates:
                 threshold_failures += 1
                 assert results == (results[0],) * len(rho_values)
         assert threshold_failures > 0
+
+
+# gamma1 = 0.25: a fifth to two fifths of the threshold choices fail, and
+# at rho = 2.5 some estimates fail on their own (rho * gamma1_hat >= 1).
+# n = 500 puts the threshold ceiling at 16, where window sums are pairwise.
+GAMMA_025 = small_config(
+    gamma1=0.25,
+    p_values=(0.5, 0.8),
+    rho_values=(1.0, 1.1, 2.5),
+    n_values=(150, 500),
+    replicates=10,
+    master_seed=4242,
+)
+
+
+def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
+    """One replicate through the one-sample public API, rho by rho."""
+    scheme = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta)
+    rng = np.random.default_rng(
+        replicate_stream(master_seed, cell, replicate_index)
+    )
+    sample = SortedCensoredSample.from_unsorted(
+        *scheme.sample_arrays(cell.n, rng)
+    )
+    try:
+        choice = reiss_thomas_k(sample, beta)
+    except (DomainError, ValidationError) as exc:
+        return (ReplicateResult(failed=str(exc)),) * len(rho_values)
+    results = []
+    for rho in rho_values:
+        try:
+            estimate = php_estimate(
+                sample, EstimationSettings(k=choice.k_star, rho=rho)
+            )
+            pi_true = theoretical_premium(
+                scheme.loss_model, rho, estimate.retention
+            )
+        except (DomainError, ValidationError) as exc:
+            results.append(ReplicateResult(failed=str(exc)))
+        else:
+            results.append(
+                ReplicateResult(
+                    pi_true=pi_true,
+                    pi_hat=estimate.value,
+                    k_star=choice.k_star,
+                    retention=estimate.retention,
+                )
+            )
+    return tuple(results)
+
+
+def scalar_group(config, cell):
+    rhos = tuple(dict.fromkeys(config.rho_values))
+    return [
+        scalar_replicate(cell, rhos, i, config.master_seed, config.beta)
+        for i in range(config.replicates)
+    ]
+
+
+def scalar_rows(config):
+    """Study rows aggregated from one-sample replicates, failed cells dropped."""
+    rhos = tuple(dict.fromkeys(config.rho_values))
+    matched = {
+        (cell.p, cell.n): scalar_group(config, cell)
+        for cell in study_groups(config)
+    }
+    rows = []
+    for p, rho, n in product(config.p_values, config.rho_values, config.n_values):
+        try:
+            rows.append(
+                aggregate(
+                    [m[rhos.index(rho)] for m in matched[p, n]], p=p, rho=rho, n=n
+                )
+            )
+        except DomainError:
+            pass
+    return rows
+
+
+@dataclasses.dataclass(frozen=True)
+class CappedPareto:
+    """Pareto losses capped at ``cap``: the largest records tie at the cap."""
+
+    gamma: float
+    cap: float
+
+    @property
+    def tail_index(self):
+        return self.gamma
+
+    def quantile_of_survival(self, s):
+        return np.minimum(np.asarray(s) ** -self.gamma, self.cap)
+
+    def premium(self, rho, retention):
+        raise AssertionError("a degenerate tail is never priced")
+
+
+class TestReplicateBlocks:
+    """A block of replicates equals its replicates run one at a time."""
+
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["B=1", "B=7", "B=all"])
+    @pytest.mark.parametrize(
+        "config", [MATCHED, GAMMA_025], ids=["matched", "gamma1=0.25"]
+    )
+    def test_blocks_equal_one_sample_pipeline(self, config, size):
+        rhos = tuple(dict.fromkeys(config.rho_values))
+        count = config.replicates
+        size = size or count
+        threshold_failures = rho_only_failures = 0
+        for cell in study_groups(config):
+            expected = scalar_group(config, cell)
+            blocks = []
+            for start in range(0, count, size):
+                blocks += study_module._replicate_block(
+                    cell,
+                    rhos,
+                    range(start, min(start + size, count)),
+                    config.master_seed,
+                    config.beta,
+                )
+            assert blocks == expected
+            assert [
+                run_matched_replicates(
+                    cell, rhos, i, config.master_seed, config.beta
+                )
+                for i in range(count)
+            ] == expected
+            for results in expected:
+                failed = [r.failed is not None for r in results]
+                threshold_failures += all(failed)
+                rho_only_failures += any(failed) and not all(failed)
+        assert rho_only_failures > 0
+        if config is GAMMA_025:
+            assert threshold_failures > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["B=1", "B=7", "B=all"])
+    @pytest.mark.parametrize(
+        "config", [MATCHED, GAMMA_025], ids=["matched", "gamma1=0.25"]
+    )
+    def test_study_rows_do_not_depend_on_the_partition(
+        self, monkeypatch, config, size, workers
+    ):
+        # The record budget gives `size` replicates per block at the
+        # largest n of the grid (and at least as many at the others).
+        budget = (size or config.replicates) * max(config.n_values)
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
+        assert run_study(config, workers=workers) == scalar_rows(config)
+
+    def test_zero_index_fails_every_rho_like_the_estimate(self, monkeypatch):
+        def capped_scheme(gamma1, p, eta):
+            return CensoringScheme(
+                loss_model=CappedPareto(gamma=0.5, cap=5.0),
+                censor_model=ParetoModel(gamma=0.05, x_min=1e12),
+            )
+
+        monkeypatch.setattr(study_module, "burr_scheme", capped_scheme)
+        cell = StudyCell(gamma1=0.5, p=0.6, n=400, eta=0.25)
+        rhos = (1.0, 1.1)
+        block = study_module._replicate_block(cell, rhos, range(4), 77, 0.3)
+        expected = [scalar_replicate(cell, rhos, i, 77, 0.3) for i in range(4)]
+        assert block == expected
+        assert all(
+            r.failed.startswith("tail index estimate is not positive")
+            for results in block
+            for r in results
+        )
+
+    def test_no_block_exceeds_the_record_budget(self, monkeypatch):
+        real = study_module._replicate_block
+        blocks = []
+
+        def spy(cell, rho_values, indices, seed, beta=0.3):
+            blocks.append((cell.n, indices))
+            return real(cell, rho_values, indices, seed, beta)
+
+        monkeypatch.setattr(study_module, "_replicate_block", spy)
+        budget = study_module._BLOCK_RECORDS
+        config = small_config(n_values=(500, 1500), replicates=2 * budget // 1500 + 1)
+        run_study(config)
+        assert all(n * len(indices) <= budget for n, indices in blocks)
+        # Blocks use the whole budget, so larger samples come in more of them.
+        assert [len(indices) for n, indices in blocks if n == 1500] == [
+            budget // 1500, budget // 1500, 1
+        ]
+        assert {n for n, _ in blocks} == {500, 1500}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

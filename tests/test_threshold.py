@@ -16,7 +16,7 @@ from tailpremium import (
     replicate_stream,
     tail_index_path,
 )
-from tailpremium.threshold import _window_scores
+from tailpremium.threshold import _choose_rows, _window_scores
 
 from helpers import naive_gamma1_path, naive_threshold_choice, sample_from_pairs
 
@@ -39,7 +39,10 @@ class TestLowerMedian:
         k = 2 * len(window) - 2
         lo = (k + 1) // 2
         gamma1 = np.concatenate([np.full(lo - 1, np.nan), window])
-        return float(_window_scores(gamma1, np.array([k]), self.BETA)[0])
+        scores = _window_scores(
+            gamma1[None], np.array([[k]]), np.array([[True]]), self.BETA
+        )
+        return float(scores[0, 0])
 
     def hand_score(self, window, med):
         k = 2 * len(window) - 2
@@ -117,6 +120,25 @@ class TestTailIndexPath:
             tail_index_path(sample, 2)
 
 
+def crafted_path_sample():
+    """n = 120, Hill path at 0.62 for k <= 10, then decaying like 6.3/k.
+
+    Every window through k = 24 touches an index >= 1/2, so the primary
+    range (ceiling 10 at n = 120) is fully blocked and the widened search
+    must return the first k whose window [13, k] clears the cap, k = 25.
+    """
+    targets = [0.62 if k <= 10 else 6.3 / k for k in range(1, 61)]
+    logs = [5.0]
+    for k, h in enumerate(targets, start=1):
+        mean = sum(logs[:k]) / k
+        logs.append(mean - h)
+    assert all(a >= b - 1e-12 for a, b in zip(logs, logs[1:]))
+    top = np.exp(logs)
+    bulk = np.linspace(0.5 * top[-1], 0.9 * top[-1], 120 - top.size)
+    z = np.concatenate([bulk, top[::-1]])
+    return sample_from_arrays(z, np.ones(z.size, dtype=int))
+
+
 class TestReissThomasK:
     def test_constant_sample_ties_resolve_to_smallest_k(self):
         sample = sample_from_arrays([5.0] * 20, [1] * 20)
@@ -153,22 +175,7 @@ class TestReissThomasK:
         assert choice.k_star == ks[scores.index(best)]
 
     def test_extension_branch_on_crafted_path(self):
-        # Build log-spacings whose Hill path sits at 0.62 for k <= 10 and
-        # then decays like 6.3/k: every window through k = 24 touches an
-        # index >= 1/2, so the primary range (ceiling 10 at n = 120) is
-        # fully blocked and the widened search must return the first k
-        # whose window [13, k] clears the cap, namely k = 25.
-        targets = [0.62 if k <= 10 else 6.3 / k for k in range(1, 61)]
-        logs = [5.0]
-        for k, h in enumerate(targets, start=1):
-            mean = sum(logs[:k]) / k
-            logs.append(mean - h)
-        assert all(a >= b - 1e-12 for a, b in zip(logs, logs[1:]))
-        top = np.exp(logs)
-        bulk = np.linspace(0.5 * top[-1], 0.9 * top[-1], 120 - top.size)
-        z = np.concatenate([bulk, top[::-1]])
-        sample = sample_from_arrays(z, np.ones(z.size, dtype=int))
-
+        sample = crafted_path_sample()
         gamma1, _ = tail_index_path(sample, 30)
         assert gamma1[11] >= 0.5  # k = 12 still blocked
         assert gamma1[12] < 0.5  # k = 13 clears the cap
@@ -210,6 +217,120 @@ class TestReissThomasK:
         with pytest.raises(DomainError, match="no admissible k"):
             reiss_thomas_k(sample)
 
+
+class TestRowKernel:
+    """Each row of the block kernel is the one-sample rule on that row."""
+
+    N = 120
+
+    def rows(self):
+        rng = np.random.default_rng(31)
+        n = self.N
+
+        def heavy(size, share):
+            z = (1.0 - rng.random(size)) ** -0.3
+            return z, (rng.random(size) < share).astype(int)
+
+        def with_zeros(zeros):
+            z, delta = heavy(n - zeros, 0.7)
+            return (
+                np.concatenate([np.zeros(zeros), z]),
+                np.concatenate([np.ones(zeros, dtype=int), delta]),
+            )
+
+        tied_top = heavy(n, 1.0)[0]
+        tied_top[np.argsort(tied_top)[-20:]] = tied_top.max()
+        return {
+            "ordinary": sample_from_arrays(*heavy(n, 0.7)),
+            "limit 19": sample_from_arrays(*with_zeros(100)),
+            "limit 4": sample_from_arrays(*with_zeros(115)),
+            "two positive": sample_from_arrays(*with_zeros(118)),
+            "no admissible k": sample_from_arrays(heavy(n, 1.0)[0], np.zeros(n, int)),
+            "widened": crafted_path_sample(),
+            "zero index": sample_from_arrays(tied_top, np.ones(n, dtype=int)),
+        }
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
+    def test_each_row_equals_its_own_choice(self, beta):
+        samples = self.rows()
+        block = _choose_rows(
+            np.stack([s.z_sorted for s in samples.values()]),
+            np.stack([s.delta_concomitant for s in samples.values()]),
+            beta,
+        )
+        outcomes = {}
+        for r, (name, sample) in enumerate(samples.items()):
+            try:
+                choice = reiss_thomas_k(sample, beta)
+            except DomainError as exc:
+                assert block.failed[r] == str(exc)
+                assert block.k_star[r] == 0
+                outcomes[name] = str(exc)
+                continue
+            assert block.failed[r] is None
+            assert block.k_star[r] == choice.k_star
+            curve = ~np.isnan(block.scores[r])
+            assert choice.objective_curve == tuple(
+                zip(
+                    block.candidates[r][curve].tolist(),
+                    block.scores[r][curve].tolist(),
+                )
+            )
+            expected_k, expected_curve = naive_threshold_choice(
+                sample.z_sorted.tolist(), sample.delta_concomitant.tolist(), beta
+            )
+            assert choice.k_star == expected_k
+            assert [k for k, _ in choice.objective_curve] == [
+                k for k, _ in expected_curve
+            ]
+            outcomes[name] = choice
+        # The rows exercise the branches they are named after.
+        assert outcomes["ordinary"].objective_curve[-1][0] == 10
+        assert max(k for k, _ in outcomes["limit 4"].objective_curve) <= 4
+        assert "got 2" in outcomes["two positive"]
+        assert outcomes["no admissible k"].startswith("no admissible k")
+        assert "up to 60" in outcomes["no admissible k"]
+        assert outcomes["widened"].k_star == 25
+        assert len(outcomes["widened"].objective_curve) == 1
+        zero = outcomes["zero index"]
+        assert zero.k_star == 2
+        assert censored_hill(samples["zero index"], zero.k_star).gamma1_hat == 0.0
+        r = list(samples).index("zero index")
+        assert block.gamma1[r, zero.k_star - 1] == 0.0
+
+
+    def test_random_block_rows_score_as_alone(self):
+        # n = 600 puts the ceiling at 17: rows whose widest open window is
+        # narrower than 8 share the block with rows whose window is wider,
+        # so the scores of a row must not depend on its neighbours.
+        rng = np.random.default_rng(32)
+        samples = []
+        for _ in range(40):
+            z = (1.0 - rng.random(600)) ** -rng.uniform(0.15, 0.45)
+            delta = (rng.random(600) < rng.uniform(0.5, 1.0)).astype(int)
+            samples.append(sample_from_arrays(z, delta))
+        block = _choose_rows(
+            np.stack([s.z_sorted for s in samples]),
+            np.stack([s.delta_concomitant for s in samples]),
+            0.3,
+        )
+        widest = set()
+        for r, sample in enumerate(samples):
+            try:
+                choice = reiss_thomas_k(sample)
+            except DomainError as exc:
+                assert block.failed[r] == str(exc)
+                continue
+            curve = ~np.isnan(block.scores[r])
+            assert block.k_star[r] == choice.k_star
+            assert block.candidates[r][curve].tolist() == [
+                k for k, _ in choice.objective_curve
+            ]
+            assert block.scores[r][curve].tolist() == [
+                score for _, score in choice.objective_curve
+            ]
+            widest.add(choice.objective_curve[-1][0] // 2 + 1 >= 8)
+        assert widest == {False, True}
 
 class TestAgainstNaiveRule:
     """Brute-force battery: library vs the scalar-loop reimplementation."""
