@@ -40,7 +40,6 @@ from .models import (
     burr_scheme,
     gamma2_from_p,
     h_threshold,
-    theoretical_premium,
 )
 from .samples import (
     THRESHOLD,
@@ -55,7 +54,6 @@ from .study import (
     StudyRow,
     aggregate,
     replicate_stream,
-    run_matched_replicates,
     run_study,
 )
 from .threshold import ThresholdChoice, reiss_thomas_k, tail_index_path
@@ -97,10 +95,8 @@ __all__ = [
     "php_estimate",
     "reiss_thomas_k",
     "replicate_stream",
-    "run_matched_replicates",
     "run_study",
     "tail_index_path",
-    "theoretical_premium",
     "uncensored_proportion",
     "validate_settings",
     "weissman_tail",

@@ -25,6 +25,13 @@ from .errors import DomainError, ValidationError
 from .estimators import PremiumEstimate
 
 
+def _check_index_and_rho(gamma1: float, rho: float) -> None:
+    if not (np.isfinite(gamma1) and gamma1 > 0.0):
+        raise ValidationError(f"gamma1 must be > 0, got {gamma1!r}")
+    if not 1.0 <= rho < np.inf:
+        raise ValidationError(f"rho must be >= 1, got {rho!r}")
+
+
 @dataclass(frozen=True)
 class AsymptoticParams:
     """Parameter set of the normal limit.
@@ -41,12 +48,9 @@ class AsymptoticParams:
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma1) and self.gamma1 > 0.0):
-            raise ValidationError(f"gamma1 must be > 0, got {self.gamma1!r}")
+        _check_index_and_rho(self.gamma1, self.rho)
         if not 0.0 < self.p <= 1.0:
             raise ValidationError(f"p must lie in (0, 1], got {self.p!r}")
-        if not 1.0 <= self.rho < np.inf:
-            raise ValidationError(f"rho must be >= 1, got {self.rho!r}")
         if self.rho * self.gamma1 >= 1.0:
             raise ValidationError(
                 f"rho * gamma1 must be < 1, got {self.rho * self.gamma1:g}"
@@ -109,12 +113,14 @@ def asym_variance(gamma1: float, p: float, rho: float) -> float:
     + rho*(p - 1)/(1 - rho*gamma1) + rho**2*(1 - 2p)/(p*(1 - rho*gamma1)**2))``
 
     The value can be negative for some parameter sets; the sign is the
-    caller's problem, by design.
+    caller's problem, by design.  The parameters obey the bounds of
+    :class:`AsymptoticParams`.
     """
     if p == 0.0:
         raise DomainError("asymptotic variance is undefined at p = 0")
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"p must lie in (0, 1], got {p!r}")
+    _check_index_and_rho(gamma1, rho)
     one_minus = 1.0 - rho * gamma1
     if one_minus <= 0.0:
         raise DomainError(

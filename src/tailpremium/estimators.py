@@ -105,11 +105,11 @@ def kaplan_meier_survival(
     Raises
     ------
     DomainError
-        If any ``x >= max(z)``.
+        If any ``x`` is NaN or ``>= max(z)``.
     """
     z = sample.z_sorted
     xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs >= z[-1]):
+    if not np.all(xs < z[-1]):
         raise DomainError(
             "product-limit survival is undefined at or above the largest "
             f"observation ({z[-1]:g}), got x={float(np.max(xs)):g}"
@@ -234,7 +234,7 @@ def _anchored_fit(sample: SortedCensoredSample, k: int) -> Tuple[float, float, f
     """Corrected index (> 0), threshold ``z_(n-k)`` and its product-limit anchor."""
     gamma1 = _positive_index(censored_hill(sample, k).gamma1_hat)
     z_threshold = sample.z_sorted[sample.n - k - 1]
-    return gamma1, z_threshold, km_survival_at_threshold(sample, k)
+    return gamma1, z_threshold, float(_km_anchor(sample.delta_concomitant, k))
 
 
 def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
@@ -254,7 +254,7 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     """
     gamma1, z_threshold, anchor = _anchored_fit(sample, k)
     x = float(x)
-    if x < z_threshold:
+    if not x >= z_threshold:
         raise DomainError(
             "tail extrapolation is only valid at or above the k-th upper "
             f"order statistic ({z_threshold:g}), got x={x:g}"

@@ -327,22 +327,6 @@ def _check_premium_params(
         )
 
 
-def theoretical_premium(model: HeavyTailModel, rho: float, retention: float) -> float:
-    """Distorted layer premium ``integral_R^inf survival(x)**(1/rho) dx``.
-
-    Evaluated by the model's own closed form, :meth:`HeavyTailModel.premium`,
-    which also guards the parameters.
-
-    Raises
-    ------
-    ValidationError
-        If ``rho`` or ``retention`` is not finite and > 0.
-    DomainError
-        If ``rho * tail_index >= 1`` (divergent integral).
-    """
-    return float(model.premium(rho, retention))
-
-
 def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
     """Level whose observed-minimum survival equals ``k/n``.
 

@@ -18,8 +18,7 @@ most ``_BLOCK_RECORDS`` records (at least one replicate), so its memory
 does not grow with n.  These are the kernels behind the one-sample API
 (``reiss_thomas_k``, ``tail_index_path``, ``km_survival_at_threshold``),
 read there on a single row, and the premium estimate is the scalar closed
-form of ``php_estimate``; :func:`run_matched_replicates` is the block of
-one replicate.
+form of ``php_estimate``.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .estimators import _km_anchor, _php_value, _positive_index
 from .models import burr_scheme
-from .samples import EstimationSettings, _check_rows, _sort_rows, validate_settings
+from .samples import _check_rows, _sort_rows
 from .threshold import _choose_rows
 
 logger = logging.getLogger(__name__)
@@ -87,7 +86,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(self.n_values))
         if not (np.isfinite(self.gamma1) and self.gamma1 > 0.0):
             raise ValidationError(f"gamma1 must be > 0, got {self.gamma1!r}")
         if not (np.isfinite(self.eta) and self.eta > 0.0):
@@ -102,9 +101,11 @@ class StudyConfig:
             raise ValidationError(
                 f"every rho must be >= 1, got {self.rho_values!r}"
             )
-        if not self.n_values or any(n < 100 for n in self.n_values):
+        if not self.n_values or any(
+            not isinstance(n, (int, np.integer)) or n < 100 for n in self.n_values
+        ):
             raise ValidationError(
-                f"every n must be >= 100, got {self.n_values!r}"
+                f"every n must be an integer >= 100, got {self.n_values!r}"
             )
         if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
             raise ValidationError(
@@ -119,6 +120,7 @@ class StudyConfig:
             )
         if not 0.0 <= self.beta <= 0.5:
             raise ValidationError(f"beta must lie in [0, 0.5], got {self.beta!r}")
+        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
@@ -190,34 +192,6 @@ def replicate_stream(
     )
 
 
-def run_matched_replicates(
-    cell: StudyCell,
-    rho_values: Sequence[float],
-    replicate_index: int,
-    master_seed: int,
-    beta: float = 0.3,
-) -> Tuple[ReplicateResult, ...]:
-    """Draw one censored sample and estimate the premium on it at every rho.
-
-    The sample, its sort and the threshold choice are computed once.  The
-    retention is the order statistic selected by the threshold rule; the
-    exact premium is evaluated in closed form at that same (random)
-    retention.  Returns one result per entry of ``rho_values``, in order.
-    Estimation failures are recorded in the results, never raised: a failed
-    threshold choice fails every rho alike, while an estimate failure (for
-    example a tail estimate too heavy for a finite premium at that rho)
-    fails its rho only.  The study runs the same computation a block of
-    replicates at a time; this is its one-replicate block.
-    """
-    return _replicate_block(
-        cell,
-        rho_values,
-        range(replicate_index, replicate_index + 1),
-        master_seed,
-        beta,
-    )[0]
-
-
 def _replicate_block(
     cell: StudyCell,
     rho_values: Sequence[float],
@@ -225,14 +199,17 @@ def _replicate_block(
     master_seed: int,
     beta: float = 0.3,
 ) -> List[Tuple[ReplicateResult, ...]]:
-    """:func:`run_matched_replicates` for every replicate index in ``indices``.
+    """One result per rho for each replicate index in ``indices``.
 
     Each replicate draws from its own stream; the samples are then
     transformed, sorted, checked and threshold-selected as one
-    ``(len(indices), n)`` array pass, and the exact premium is one array
-    call per rho.  Every kernel treats rows independently and each
-    estimate is the scalar closed form of :func:`php_estimate`, so a
-    replicate's results are bitwise the same in any block.
+    ``(len(indices), n)`` array pass, and the exact premium (at the
+    selected retention) is one array call per rho.  A failed threshold
+    choice fails every rho alike; an estimate failure fails its rho only.
+    Every kernel treats rows independently and each estimate is the
+    scalar closed form of :func:`php_estimate`, so a replicate's results
+    are bitwise the same in any block.  Settings are those a
+    :class:`StudyConfig` accepts.
     """
     n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
@@ -240,11 +217,7 @@ def _replicate_block(
     uniforms = np.stack([scheme.draw(n, np.random.default_rng(s)) for s in streams])
     z, delta = _sort_rows(*scheme.records(uniforms))
     _check_rows(z, delta)
-    try:
-        choices = _choose_rows(z, delta, beta)
-    except (DomainError, ValidationError) as exc:
-        failed = (ReplicateResult(failed=str(exc)),) * len(rho_values)
-        return [failed] * len(indices)
+    choices = _choose_rows(z, delta, beta)
     k = choices.k_star
     rows = np.arange(len(indices))
     # Read at every row; rows without a choice (k = 0) read unused values.
@@ -257,13 +230,6 @@ def _replicate_block(
         for reason in choices.failed
     ]
     for j, rho in enumerate(rho_values):
-        try:
-            # The settings check of php_estimate; only rho can fail it here.
-            rho = validate_settings(EstimationSettings(k=1, rho=rho), n).rho
-        except ValidationError as exc:
-            for r in chosen:
-                results[r][j] = ReplicateResult(failed=str(exc))
-            continue
         estimates = {}
         for r in chosen:
             try:

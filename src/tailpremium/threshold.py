@@ -170,22 +170,19 @@ def _choose_rows(
     admissible = blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
     ceiling = round(_CANDIDATE_SCALE * n ** (1.0 / 3.0))
     primary = ks[ks <= ceiling]
-    candidates = np.broadcast_to(primary, (n_rows, primary.size)).copy()
-    valid = admissible[:, : primary.size]
-    scores = _window_scores(gamma1, candidates, valid, beta)
-    k_star = primary[np.argmin(np.where(valid, scores, np.inf), axis=-1)]
-    # When the whole primary range is blocked, the smallest admissible
-    # candidate up to the limit is the only one.
+    valid = admissible[:, : primary.size].copy()
     any_open = admissible.any(axis=-1)
-    widened = np.flatnonzero(~valid.any(axis=-1) & any_open)
-    if widened.size:
-        k_wide = ks[np.argmax(admissible[widened], axis=-1)]
-        k_star[widened] = k_wide
-        candidates[widened] = 0
-        candidates[widened, 0] = k_wide
-        scores[widened, 0] = _window_scores(
-            gamma1[widened], k_wide[:, None], np.ones((widened.size, 1), bool), beta
-        )[:, 0]
+    # A row whose whole primary range is blocked has one candidate: the
+    # smallest admissible k up to its limit, held in every column and
+    # scored in column 0.
+    widened = ~valid.any(axis=-1) & any_open
+    candidates = np.where(
+        widened[:, None], ks[np.argmax(admissible, axis=-1)][:, None], primary
+    )
+    valid[widened, 0] = True
+    scores = _window_scores(gamma1, candidates, valid, beta)
+    best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
+    k_star = np.take_along_axis(candidates, best[:, None], -1)[:, 0]
     failed = []
     for count, limit, open_ in zip(
         positive.tolist(), k_limit.tolist(), any_open.tolist()

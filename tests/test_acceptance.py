@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from tailpremium import (
     reiss_thomas_k,
     replicate_stream,
     run_study,
-    theoretical_premium,
 )
 from tailpremium.cli import main
 
@@ -146,7 +146,7 @@ def test_4_pareto_premium_closed_form():
         model = ParetoModel(gamma=float(gamma), x_min=1.0)
         for rho in (1.0, 1.1):
             for retention in np.geomspace(1.0, 1e3, 5):
-                got = theoretical_premium(model, rho, float(retention))
+                got = model.premium(rho, float(retention))
                 product = rho * gamma
                 want = (
                     product / (1.0 - product)
@@ -297,9 +297,7 @@ def test_7_normalized_error_distribution():
             estimate = php_estimate(
                 sample, EstimationSettings(k=k, rho=rho)
             )
-            pi_true = theoretical_premium(
-                scheme.loss_model, rho, estimate.retention
-            )
+            pi_true = scheme.loss_model.premium(rho, estimate.retention)
         except DomainError:
             continue
         scale = normalization_factor(
@@ -359,13 +357,15 @@ def test_8_worker_count_determinism(tmp_path):
 
 def test_9_property_suite_standalone():
     start = time.perf_counter()
+    tests = Path(__file__).resolve().parent
     process = subprocess.run(
         [
             sys.executable, "-m", "pytest",
-            "tests/test_properties.py", "-q", "-p", "no:cacheprovider",
+            str(tests / "test_properties.py"), "-q", "-p", "no:cacheprovider",
         ],
         capture_output=True,
         text=True,
+        cwd=tests.parent,
     )
     elapsed = time.perf_counter() - start
     passed = process.returncode == 0 and elapsed < 10.0

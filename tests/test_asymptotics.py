@@ -102,6 +102,22 @@ class TestAsymVariance:
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             asym_variance(0.95, 0.4, 1.1)
 
+    @pytest.mark.parametrize(
+        "gamma1, rho, message",
+        [
+            (float("nan"), 1.0, "gamma1"),
+            (0.0, 1.0, "gamma1"),
+            (-0.1, 1.0, "gamma1"),
+            (0.1, float("nan"), "rho"),
+            (0.1, 0.9, "rho"),
+        ],
+    )
+    def test_rejects_what_the_params_reject(self, gamma1, rho, message):
+        with pytest.raises(ValidationError, match=message):
+            AsymptoticParams(gamma1=gamma1, p=0.4, rho=rho)
+        with pytest.raises(ValidationError, match=message):
+            asym_variance(gamma1, 0.4, rho)
+
 
 class TestNormalizationFactor:
     def test_hand_value(self):

@@ -120,6 +120,12 @@ class TestKaplanMeier:
         with pytest.raises(DomainError, match="largest"):
             kaplan_meier_survival(censored_triple, np.array([1.5, 3.0]))
 
+    def test_rejects_nan(self, censored_triple):
+        with pytest.raises(DomainError, match="largest"):
+            kaplan_meier_survival(censored_triple, float("nan"))
+        with pytest.raises(DomainError, match="largest"):
+            kaplan_meier_survival(censored_triple, np.array([1.5, np.nan]))
+
     def test_uncensored_equals_empirical_everywhere(self):
         rng = np.random.default_rng(3)
         z = np.sort(rng.pareto(2.0, 50) + 1.0)
@@ -308,6 +314,10 @@ class TestWeissmanTail:
     def test_rejects_below_threshold(self, uncensored_quad):
         with pytest.raises(DomainError, match="above"):
             weissman_tail(uncensored_quad, 2, 1.5)
+
+    def test_rejects_nan(self, uncensored_quad):
+        with pytest.raises(DomainError, match="above"):
+            weissman_tail(uncensored_quad, 2, float("nan"))
 
 
 class TestPhpEstimate:

@@ -16,7 +16,6 @@ from tailpremium import (
     burr_scheme,
     gamma2_from_p,
     h_threshold,
-    theoretical_premium,
 )
 
 from helpers import (
@@ -192,16 +191,16 @@ class TestCensoringScheme:
 
 class TestTheoreticalPremium:
     def test_pareto_closed_form(self):
-        value = theoretical_premium(ParetoModel(0.2), 1.0, 10.0)
+        value = ParetoModel(0.2).premium(1.0, 10.0)
         assert value == pytest.approx(2.5e-5, rel=1e-9)
 
     def test_divergent_integral_guard(self):
         with pytest.raises(DomainError, match="diverges"):
-            theoretical_premium(ParetoModel(0.95), 1.1, 10.0)
+            ParetoModel(0.95).premium(1.1, 10.0)
 
     def test_rejects_bad_retention(self):
         with pytest.raises(ValidationError, match="retention"):
-            theoretical_premium(ParetoModel(0.2), 1.0, 0.0)
+            ParetoModel(0.2).premium(1.0, 0.0)
 
     def test_karamata_limit_far_out(self):
         # The ratio tends to 1 like 1 + 0.87 * R**(-2.5) for this model:
@@ -210,7 +209,7 @@ class TestTheoreticalPremium:
         gaps = []
         for level, bound in [(1e-6, 0.03), (1e-9, 0.006)]:
             retention = model.quantile_of_survival(level)
-            exact = theoretical_premium(model, 1.0, retention)
+            exact = model.premium(1.0, retention)
             approx = karamata_premium(
                 mp_burr_survival(0.1, 0.25), 0.1, 1.0, retention
             )
@@ -223,9 +222,9 @@ class TestTheoreticalPremium:
         # A flatter distortion exponent 1/rho lifts the integrand
         # survival**(1/rho), so the premium grows with rho.
         model = BurrModel(0.2, 0.5)
-        values_r = [theoretical_premium(model, 1.0, r) for r in (1.0, 2.0, 5.0, 20.0)]
+        values_r = [model.premium(1.0, r) for r in (1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(values_r, values_r[1:]))
-        values_rho = [theoretical_premium(model, rho, 5.0) for rho in (1.0, 1.2, 1.5)]
+        values_rho = [model.premium(rho, 5.0) for rho in (1.0, 1.2, 1.5)]
         assert all(a < b for a, b in zip(values_rho, values_rho[1:]))
 
     def test_burr_matches_quadrature_oracle(self):
@@ -238,9 +237,7 @@ class TestTheoreticalPremium:
                         want = mp_premium(
                             survival, gamma, rho, retention, knots=(1.0,)
                         )
-                        got = theoretical_premium(
-                            BurrModel(gamma, eta), rho, retention
-                        )
+                        got = BurrModel(gamma, eta).premium(rho, retention)
                         if want == 0.0:
                             # below the smallest double: the oracle underflowed
                             assert got == 0.0
@@ -255,7 +252,7 @@ class TestTheoreticalPremium:
         want = mp_premium(
             mp_pareto_survival(gamma, 2.0), gamma, rho, retention, knots=(2.0,)
         )
-        got = theoretical_premium(ParetoModel(gamma, x_min=2.0), rho, retention)
+        got = ParetoModel(gamma, x_min=2.0).premium(rho, retention)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -269,7 +266,7 @@ class TestTheoreticalPremium:
             scalars = [model.premium(rho, float(r)) for r in retentions]
             assert all(isinstance(v, float) for v in scalars)
             assert np.array_equal(out, scalars)
-            assert scalars == [theoretical_premium(model, rho, r) for r in retentions]
+            assert scalars == [model.premium(rho, r) for r in retentions]
 
     @pytest.mark.parametrize("model", [BurrModel(0.6, 0.25), ParetoModel(0.6)])
     def test_premium_method_guards(self, model):

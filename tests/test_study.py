@@ -25,9 +25,7 @@ from tailpremium import (
     php_estimate,
     reiss_thomas_k,
     replicate_stream,
-    run_matched_replicates,
     run_study,
-    theoretical_premium,
 )
 from tailpremium import cli
 from tailpremium import study as study_module
@@ -42,11 +40,20 @@ REFERENCE_CSV = (
 )
 
 
+def one_replicate(cell, rho_values, replicate_index, master_seed, beta=0.3):
+    """The study's results for one replicate of ``cell``: its block of one."""
+    return study_module._replicate_block(
+        cell,
+        rho_values,
+        range(replicate_index, replicate_index + 1),
+        master_seed,
+        beta,
+    )[0]
+
+
 def own_rho_replicate(cell, rho, replicate_index, master_seed, beta=0.3):
     """The replicate of ``cell`` evaluated at ``rho`` only."""
-    return run_matched_replicates(
-        cell, (rho,), replicate_index, master_seed, beta
-    )[0]
+    return one_replicate(cell, (rho,), replicate_index, master_seed, beta)[0]
 
 
 def study_groups(config):
@@ -122,7 +129,7 @@ class TestRunReplicate:
         assert first == second
 
     def test_matched_pairs_share_sample(self):
-        low, high = run_matched_replicates(CELL, (1.0, 1.1), 2, 777)
+        low, high = one_replicate(CELL, (1.0, 1.1), 2, 777)
         assert low.failed is None and high.failed is None
         assert low.k_star == high.k_star
         assert low.retention == high.retention
@@ -272,6 +279,8 @@ class TestStudyConfig:
             (dict(beta=0.6), "beta"),
             (dict(rho_values=(float("nan"),)), "rho must"),
             (dict(rho_values=(1.0, float("inf"))), "rho must"),
+            (dict(n_values=(150.7,)), "n must"),
+            (dict(n_values=(150, 200.0)), "n must"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -417,7 +426,7 @@ class TestMatchedReplicates:
         rho_specific = 0
         for cell in study_groups(config):
             for i in range(config.replicates):
-                matched = run_matched_replicates(
+                matched = one_replicate(
                     cell, config.rho_values, i, config.master_seed, config.beta
                 )
                 for rho, result in zip(config.rho_values, matched):
@@ -458,7 +467,7 @@ class TestMatchedReplicates:
         cell = study_groups(MATCHED)[0]
         threshold_failures = 0
         for i in range(MATCHED.replicates):
-            results = run_matched_replicates(cell, rho_values, i, 777, 0.2)
+            results = one_replicate(cell, rho_values, i, 777, 0.2)
             assert len(results) == len(rho_values)
             if results[0].failed and "admissible" in results[0].failed:
                 threshold_failures += 1
@@ -498,9 +507,7 @@ def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
             estimate = php_estimate(
                 sample, EstimationSettings(k=choice.k_star, rho=rho)
             )
-            pi_true = theoretical_premium(
-                scheme.loss_model, rho, estimate.retention
-            )
+            pi_true = float(scheme.loss_model.premium(rho, estimate.retention))
         except (DomainError, ValidationError) as exc:
             results.append(ReplicateResult(failed=str(exc)))
         else:
@@ -586,7 +593,7 @@ class TestReplicateBlocks:
                 )
             assert blocks == expected
             assert [
-                run_matched_replicates(
+                one_replicate(
                     cell, rhos, i, config.master_seed, config.beta
                 )
                 for i in range(count)
