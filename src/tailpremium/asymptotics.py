@@ -32,6 +32,12 @@ def _check_index_and_rho(gamma1: float, rho: float) -> None:
         raise ValidationError(f"rho must be >= 1, got {rho!r}")
 
 
+def _check_finite_premium(gamma1: float, rho: float) -> None:
+    """A finite premium, and so its normal limit, needs rho * gamma1 < 1."""
+    if rho * gamma1 >= 1.0:
+        raise DomainError(f"rho * gamma1 must be < 1, got {rho * gamma1:g}")
+
+
 @dataclass(frozen=True)
 class AsymptoticParams:
     """Parameter set of the normal limit.
@@ -51,14 +57,11 @@ class AsymptoticParams:
         _check_index_and_rho(self.gamma1, self.rho)
         if not 0.0 < self.p <= 1.0:
             raise ValidationError(f"p must lie in (0, 1], got {self.p!r}")
-        if self.rho * self.gamma1 >= 1.0:
-            raise ValidationError(
-                f"rho * gamma1 must be < 1, got {self.rho * self.gamma1:g}"
-            )
         if not self.tau1 <= 0.0:
             raise ValidationError(f"tau1 must be <= 0, got {self.tau1!r}")
         if not np.isfinite(self.lambda1):
             raise ValidationError(f"lambda1 must be finite, got {self.lambda1!r}")
+        _check_finite_premium(self.gamma1, self.rho)
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,8 @@ def asym_variance(gamma1: float, p: float, rho: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"p must lie in (0, 1], got {p!r}")
     _check_index_and_rho(gamma1, rho)
+    _check_finite_premium(gamma1, rho)
     one_minus = 1.0 - rho * gamma1
-    if one_minus <= 0.0:
-        raise DomainError(
-            f"rho * gamma1 must be < 1, got {rho * gamma1:g} "
-            f"(gamma1={gamma1:g}, rho={rho:g})"
-        )
     lead = gamma1**2 / one_minus**2
     inner = (
         p * (2.0 - p)
@@ -155,10 +154,7 @@ def normalization_factor(
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be > 0, got {value!r}")
-    if rho * gamma1 >= 1.0:
-        raise DomainError(
-            f"rho * gamma1 must be < 1, got {rho * gamma1:g}"
-        )
+    _check_finite_premium(gamma1, rho)
     return (
         (retention / h) ** (-1.0 / (rho * gamma1))
         * retention

@@ -197,7 +197,7 @@ def _replicate_block(
     rho_values: Sequence[float],
     indices: range,
     master_seed: int,
-    beta: float = 0.3,
+    beta: float,
 ) -> List[Tuple[ReplicateResult, ...]]:
     """One result per rho for each replicate index in ``indices``.
 

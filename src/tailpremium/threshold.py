@@ -84,37 +84,25 @@ def _window_scores(
 
     ``gamma1`` holds one path per row, ``ks`` (rows x candidates) the
     candidate k of each row and ``valid`` which of them are scored; the
-    others get NaN.  Window ``(r, j)`` covers path entries
-    ``ceil(k_rj/2)..k_rj``.  Windows are padded with +inf to the widest
-    valid window of their row, so that the padding sorts past every entry
-    and the lower median of a window of width ``w`` sits at column
-    ``(w - 1) // 2``.  numpy sums the last axis pairwise, so extra zero
-    padding could move the last bit: a row's sums run over exactly its own
-    width, whatever the other rows hold, and each row scores bitwise as it
-    does alone.
+    others get NaN.  Window ``(r, j)`` covers the ``w = k_rj // 2 + 1``
+    path entries ``ceil(k_rj/2)..k_rj``.  The valid windows of one width
+    are gathered as one ``(m, w)`` array, whose lower medians sit at column
+    ``(w - 1) // 2`` of its row-wise sort.  No entry outside a scored
+    window is read: each score is numpy's sum over exactly its own window,
+    so it depends neither on the other candidates of its row nor on the
+    other rows.
     """
-    lo = (ks + 1) // 2
-    width = ks - lo + 1
-    span = np.where(valid, width, 0).max(axis=-1)
-    columns = np.arange(max(int(span.max()), 1))
-    inside = columns < width[..., None]
-    index = np.where(inside, lo[..., None] - 1 + columns, 0)
-    rows = np.arange(gamma1.shape[0])[:, None, None]
-    # Undefined (non-finite) entries and columns past a row's widest valid
-    # window only occur in windows that are not scored; zeroing the former
-    # and clipping the latter keeps their arithmetic finite and in bounds.
-    path = gamma1[:, : int(ks.max())]
-    path = np.where(np.isfinite(path), path, 0.0)
-    values = np.where(inside, path[rows, index], np.inf)
-    middle = np.minimum((width - 1) // 2, columns.size - 1)
-    med = np.take_along_axis(np.sort(values, axis=-1), middle[..., None], -1)
-    weights = (index + 1.0) ** beta
-    deviations = np.where(inside, weights * np.abs(values - med), 0.0)
-    sums = np.empty(ks.shape)
-    for w in np.unique(span):
-        same = span == w
-        sums[same] = deviations[same, :, :w].sum(axis=-1)
-    return np.where(valid, sums / ks, np.nan)
+    width = ks // 2 + 1
+    scores = np.full(ks.shape, np.nan)
+    for w in np.unique(width[valid]).tolist():
+        rows, cols = np.nonzero(valid & (width == w))
+        k = ks[rows, cols]
+        index = (k - w)[:, None] + np.arange(w)
+        values = gamma1[rows[:, None], index]
+        med = np.sort(values, axis=-1)[:, (w - 1) // 2, None]
+        weights = (index + 1.0) ** beta
+        scores[rows, cols] = (weights * np.abs(values - med)).sum(axis=-1) / k
+    return scores
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,8 @@ class _RowChoices:
     ``k_star`` is 0 there.  ``gamma1`` holds each row's corrected path,
     valid up to the row's own candidate limit; ``candidates`` and
     ``scores`` hold the objective curve, NaN-scored where a column is not
-    a candidate of its row.
+    a candidate of its row.  Each score reads its own window only, so it is
+    bitwise the score of that window scored alone.
     """
 
     k_star: np.ndarray

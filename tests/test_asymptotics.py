@@ -38,7 +38,7 @@ class TestAsymptoticParams:
             (dict(gamma1=0.1, p=0.0, rho=1.0), "p must"),
             (dict(gamma1=0.1, p=1.2, rho=1.0), "p must"),
             (dict(gamma1=0.1, p=0.4, rho=0.9), "rho must"),
-            (dict(gamma1=0.5, p=0.4, rho=2.0), "rho \\* gamma1"),
+            (dict(gamma1=float("inf"), p=0.4, rho=1.0), "gamma1"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=0.1), "tau1"),
             (dict(gamma1=0.1, p=0.4, rho=float("nan")), "rho must"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("nan")), "lambda1"),
@@ -48,6 +48,24 @@ class TestAsymptoticParams:
     def test_validation(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             AsymptoticParams(**kwargs)
+
+
+class TestDivergentPremium:
+    """rho * gamma1 >= 1 is one DomainError whichever function meets it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: AsymptoticParams(gamma1=0.5, p=0.4, rho=2.0),
+            lambda: asym_variance(0.5, 0.4, 2.0),
+            lambda: normalization_factor(2.0, 1.0, 0.1, 0.5, 2.0),
+        ],
+        ids=["params", "variance", "normalization"],
+    )
+    def test_is_a_domain_error(self, call):
+        message = "^rho \\* gamma1 must be < 1, got 1$"
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 class TestAsymMean:

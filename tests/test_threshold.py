@@ -332,6 +332,38 @@ class TestRowKernel:
             widest.add(choice.objective_curve[-1][0] // 2 + 1 >= 8)
         assert widest == {False, True}
 
+    def random_rows(self):
+        # The 40 n = 600 samples of test_random_block_rows_score_as_alone.
+        rng = np.random.default_rng(32)
+        samples = []
+        for _ in range(40):
+            z = (1.0 - rng.random(600)) ** -rng.uniform(0.15, 0.45)
+            delta = (rng.random(600) < rng.uniform(0.5, 1.0)).astype(int)
+            samples.append(sample_from_arrays(z, delta))
+        return samples
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
+    def test_each_window_scores_as_alone(self, beta):
+        # A score is the sum over its own window only: neither the other
+        # candidates of its row nor the other rows of the block move a bit.
+        scored = 0
+        for samples in (list(self.rows().values()), self.random_rows()):
+            block = _choose_rows(
+                np.stack([s.z_sorted for s in samples]),
+                np.stack([s.delta_concomitant for s in samples]),
+                beta,
+            )
+            for r, j in zip(*np.nonzero(~np.isnan(block.scores))):
+                alone = _window_scores(
+                    block.gamma1[r : r + 1],
+                    block.candidates[r : r + 1, j : j + 1],
+                    np.ones((1, 1), dtype=bool),
+                    beta,
+                )
+                assert alone[0, 0] == block.scores[r, j], (r, j)
+                scored += 1
+        assert scored > 400
+
 class TestAgainstNaiveRule:
     """Brute-force battery: library vs the scalar-loop reimplementation."""
 
