@@ -48,7 +48,6 @@ from .samples import (
     validate_settings,
 )
 from .study import (
-    ReplicateResult,
     StudyCell,
     StudyConfig,
     StudyRow,
@@ -70,7 +69,6 @@ __all__ = [
     "NormalLimit",
     "ParetoModel",
     "PremiumEstimate",
-    "ReplicateResult",
     "SortedCensoredSample",
     "StudyCell",
     "StudyConfig",

@@ -6,8 +6,8 @@ parameter ``-eta``, and the exact Pareto, used as a closed-form oracle.
 Both know their proportional-hazard layer premium in closed form.
 A :class:`CensoringScheme` couples a loss model with an independent
 censoring model and knows the population quantities of the observed
-minimum: the uncensored share, the combined tail index, and the
-intermediate threshold matching a top fraction ``k/n``.
+minimum: the uncensored share and the intermediate threshold matching a
+top fraction ``k/n``.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class BurrModel:
     @property
     def tail_index(self) -> float:
         return self.gamma
-
-    @property
-    def second_order_index(self) -> float:
-        """Second-order parameter of the tail expansion, equal to -eta."""
-        return -self.eta
 
     @property
     def support_lower(self) -> float:
@@ -236,10 +231,6 @@ class CensoringScheme:
     ``gamma1`` (loss) and ``gamma2`` (censor), the minimum has tail index
     ``gamma1 * gamma2 / (gamma1 + gamma2)`` and the share of uncensored
     records in the far tail tends to ``gamma2 / (gamma1 + gamma2)``.
-
-    The censor model's own second-order descriptors are available through
-    ``censor_model.second_order_rate`` and ``second_order_index``; nothing
-    in this package consumes them.
     """
 
     loss_model: HeavyTailModel
@@ -251,13 +242,6 @@ class CensoringScheme:
         g1 = self.loss_model.tail_index
         g2 = self.censor_model.tail_index
         return g2 / (g1 + g2)
-
-    @property
-    def observed_tail_index(self) -> float:
-        """Tail index of the observed minimum."""
-        g1 = self.loss_model.tail_index
-        g2 = self.censor_model.tail_index
-        return g1 * g2 / (g1 + g2)
 
     def observed_survival(self, x: ArrayLike) -> ArrayLike:
         """Survival of the observed minimum, the product of both tails."""

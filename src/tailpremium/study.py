@@ -13,12 +13,16 @@ difference of those means, and the root mean squared per-replicate error.
 The engine works one block of a group's replicates at a time, as
 ``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
 one pass of the threshold rule and the Kaplan-Meier anchor over the block,
-and one exact-premium call per distortion parameter.  A block holds at
+and one exact-premium call per distortion parameter.  These are the
+kernels behind the one-sample API (``reiss_thomas_k``, ``tail_index_path``,
+``km_survival_at_threshold``), read there on a single row, and the premium
+estimate is the scalar closed form of ``php_estimate``.  A block holds at
 most ``_BLOCK_RECORDS`` records (at least one replicate), so its memory
-does not grow with n.  These are the kernels behind the one-sample API
-(``reiss_thomas_k``, ``tail_index_path``, ``km_survival_at_threshold``),
-read there on a single row, and the premium estimate is the scalar closed
-form of ``php_estimate``.
+does not grow with n.
+
+A block returns (replicate x distortion parameter) columns: the exact and
+the estimated premium, NaN where that entry failed, and the failure reason
+or None.  The run joins the blocks, and each cell aggregates its slice.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
@@ -34,7 +38,7 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,30 +130,6 @@ class StudyConfig:
 
 
 @dataclass(frozen=True)
-class ReplicateResult:
-    """Outcome of one replicate: either all values or a failure reason."""
-
-    pi_true: Optional[float] = None
-    pi_hat: Optional[float] = None
-    k_star: Optional[int] = None
-    retention: Optional[float] = None
-    failed: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        values = (self.pi_true, self.pi_hat, self.k_star, self.retention)
-        if self.failed is None:
-            if any(v is None for v in values):
-                raise ValidationError(
-                    "a successful replicate must carry pi_true, pi_hat, "
-                    "k_star and retention"
-                )
-        elif any(v is not None for v in values):
-            raise ValidationError(
-                "a failed replicate must not carry estimate values"
-            )
-
-
-@dataclass(frozen=True)
 class StudyRow:
     """Aggregated cell result."""
 
@@ -198,18 +178,20 @@ def _replicate_block(
     indices: range,
     master_seed: int,
     beta: float,
-) -> List[Tuple[ReplicateResult, ...]]:
-    """One result per rho for each replicate index in ``indices``.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``(pi_true, pi_hat, failed)`` of the replicates in ``indices``.
 
-    Each replicate draws from its own stream; the samples are then
-    transformed, sorted, checked and threshold-selected as one
-    ``(len(indices), n)`` array pass, and the exact premium (at the
-    selected retention) is one array call per rho.  A failed threshold
-    choice fails every rho alike; an estimate failure fails its rho only.
-    Every kernel treats rows independently and each estimate is the
-    scalar closed form of :func:`php_estimate`, so a replicate's results
-    are bitwise the same in any block.  Settings are those a
-    :class:`StudyConfig` accepts.
+    Each column is a ``(len(indices), len(rho_values))`` array: the exact
+    and the estimated premium (float64, NaN where the entry failed) and
+    the failure reason (object, a string or None).  Each replicate draws
+    from its own stream; the samples are then transformed, sorted, checked
+    and threshold-selected as one ``(len(indices), n)`` array pass, and the
+    exact premium (at the selected retention) is one array call per rho.
+    A failed threshold choice fails every rho alike; an estimate failure
+    fails its rho only.  Every kernel treats rows independently and each
+    estimate is the scalar closed form of :func:`php_estimate`, so a
+    replicate's values are bitwise the same in any block.  Settings are
+    those a :class:`StudyConfig` accepts.
     """
     n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
@@ -221,65 +203,65 @@ def _replicate_block(
     k = choices.k_star
     rows = np.arange(len(indices))
     # Read at every row; rows without a choice (k = 0) read unused values.
+    retention = z[rows, n - k - 1]
     gamma1 = choices.gamma1[rows, k - 1].tolist()
-    retention = z[rows, n - k - 1].tolist()
+    threshold = retention.tolist()
     anchor = _km_anchor(delta, k).tolist()
     chosen = [r for r, reason in enumerate(choices.failed) if reason is None]
-    results = [
-        [ReplicateResult(failed=reason) if reason else None] * len(rho_values)
-        for reason in choices.failed
-    ]
+    shape = (len(indices), len(rho_values))
+    pi_true = np.full(shape, np.nan)
+    pi_hat = np.full(shape, np.nan)
+    failed = np.array(choices.failed, dtype=object)[:, None].repeat(
+        len(rho_values), axis=1
+    )
     for j, rho in enumerate(rho_values):
-        estimates = {}
         for r in chosen:
             try:
-                estimates[r] = _php_value(
+                pi_hat[r, j] = _php_value(
                     _positive_index(gamma1[r]),
                     rho,
-                    retention[r],
-                    retention[r],
+                    threshold[r],
+                    threshold[r],
                     anchor[r],
                 )
             except DomainError as exc:
-                results[r][j] = ReplicateResult(failed=str(exc))
-        if not estimates:
+                failed[r, j] = str(exc)
+        ok = np.equal(failed[:, j], None)
+        if not ok.any():
             continue
         try:
-            exact = scheme.loss_model.premium(
-                rho, np.array([retention[r] for r in estimates])
-            )
+            pi_true[ok, j] = scheme.loss_model.premium(rho, retention[ok])
         except (DomainError, ValidationError) as exc:
-            for r in estimates:
-                results[r][j] = ReplicateResult(failed=str(exc))
-            continue
-        for (r, pi_hat), pi_true in zip(estimates.items(), exact.tolist()):
-            results[r][j] = ReplicateResult(
-                pi_true=pi_true,
-                pi_hat=pi_hat,
-                k_star=int(k[r]),
-                retention=retention[r],
-            )
-    return [tuple(row) for row in results]
+            failed[ok, j] = str(exc)
+            pi_hat[ok, j] = np.nan
+    return pi_true, pi_hat, failed
 
 
 def aggregate(
-    results: Sequence[ReplicateResult], *, p: float, rho: float, n: int
+    pi_true: np.ndarray,
+    pi_hat: np.ndarray,
+    failed: np.ndarray,
+    *,
+    p: float,
+    rho: float,
+    n: int,
 ) -> StudyRow:
-    """Fold replicate results into a study row.
+    """Fold one cell's replicate columns into a study row.
 
-    Means run over successful replicates only; failures are counted.
-    ``abs_bias`` is the absolute difference of the two means, ``rmse`` the
-    root of the mean squared per-replicate error.
+    The columns are one entry per replicate, as :func:`run_study` slices
+    them from its blocks: the exact and the estimated premium, and the
+    failure reason (None for a success).  Means run over successful
+    replicates only; failures are counted.  ``abs_bias`` is the absolute
+    difference of the two means, ``rmse`` the root of the mean squared
+    per-replicate error.
     """
-    successes = [r for r in results if r.failed is None]
-    if not successes:
-        reasons = {r.failed for r in results}
+    ok = np.equal(failed, None)
+    if not ok.any():
         raise DomainError(
             f"every replicate failed for cell (p={p:g}, rho={rho:g}, "
-            f"n={n}); reasons: {sorted(reasons)}"
+            f"n={n}); reasons: {sorted(set(failed.tolist()))}"
         )
-    pi_true = np.array([r.pi_true for r in successes], dtype=np.float64)
-    pi_hat = np.array([r.pi_hat for r in successes], dtype=np.float64)
+    pi_true, pi_hat = pi_true[ok], pi_hat[ok]
     mean_true = float(np.mean(pi_true))
     mean_hat = float(np.mean(pi_hat))
     return StudyRow(
@@ -290,7 +272,7 @@ def aggregate(
         mean_pi_hat=mean_hat,
         abs_bias=abs(mean_hat - mean_true),
         rmse=float(np.sqrt(np.mean((pi_hat - pi_true) ** 2))),
-        failure_count=len(results) - len(successes),
+        failure_count=int(ok.size - ok.sum()),
     )
 
 
@@ -331,15 +313,15 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         repeat(config.master_seed),
         repeat(config.beta),
     )
+    workers = min(workers, len(blocks))
     if workers == 1:
         outcomes = list(map(_replicate_block, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate_block, *args))
-    replicates = [m for block in outcomes for m in block]
-    matched = {
-        group: replicates[g * count : (g + 1) * count]
-        for g, group in enumerate(groups)
+    pi_true, pi_hat, failed = map(np.concatenate, zip(*outcomes))
+    group_rows = {
+        group: slice(g * count, (g + 1) * count) for g, group in enumerate(groups)
     }
 
     rows: List[StudyRow] = []
@@ -347,9 +329,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     for p, rho, n in product(
         config.p_values, config.rho_values, config.n_values
     ):
-        results = [m[rhos.index(rho)] for m in matched[p, n]]
+        column = group_rows[p, n], rhos.index(rho)
         try:
-            row = aggregate(results, p=p, rho=rho, n=n)
+            row = aggregate(
+                pi_true[column], pi_hat[column], failed[column], p=p, rho=rho, n=n
+            )
         except DomainError as exc:
             logger.warning("dropping cell: %s", exc)
             drop_reasons.append(str(exc))
@@ -364,13 +348,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
                 config.replicates,
             )
         if logger.isEnabledFor(logging.DEBUG):
-            errors = np.array(
-                [
-                    r.pi_hat - r.pi_true
-                    for r in results
-                    if r.failed is None
-                ]
-            )
+            ok = np.equal(failed[column], None)
+            errors = (pi_hat[column] - pi_true[column])[ok]
             quantiles = np.percentile(errors, [1, 25, 50, 75, 99])
             logger.debug(
                 "cell (p=%g, rho=%g, n=%d) error quantiles "

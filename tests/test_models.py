@@ -74,9 +74,6 @@ class TestBurrModel:
         back = model.survival(model.quantile_of_survival(grid))
         assert np.allclose(back, grid, rtol=1e-12, atol=0.0)
 
-    def test_second_order_index(self):
-        assert BurrModel(0.1, 0.25).second_order_index == -0.25
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             BurrModel(0.0, 0.25)
@@ -136,7 +133,6 @@ class TestCensoringScheme:
     def test_population_quantities(self):
         scheme = burr_scheme(0.1, 0.4, 0.25)
         assert scheme.uncensored_share == pytest.approx(0.4, rel=1e-12)
-        assert scheme.observed_tail_index == pytest.approx(0.04, rel=1e-12)
 
     def test_observed_survival_is_product(self):
         scheme = burr_scheme(0.1, 0.4, 0.25)

@@ -15,7 +15,6 @@ from tailpremium import (
     DomainError,
     EstimationSettings,
     ParetoModel,
-    ReplicateResult,
     SortedCensoredSample,
     StudyCell,
     StudyConfig,
@@ -29,6 +28,8 @@ from tailpremium import (
 )
 from tailpremium import cli
 from tailpremium import study as study_module
+from tailpremium.samples import _sort_rows
+from tailpremium.threshold import _choose_rows
 
 from helpers import naive_aggregate, naive_threshold_choice, naive_uncensored_premium
 
@@ -41,19 +42,19 @@ REFERENCE_CSV = (
 
 
 def one_replicate(cell, rho_values, replicate_index, master_seed, beta=0.3):
-    """The study's results for one replicate of ``cell``: its block of one."""
+    """The study's columns for one replicate of ``cell``: its block of one."""
     return study_module._replicate_block(
         cell,
         rho_values,
         range(replicate_index, replicate_index + 1),
         master_seed,
         beta,
-    )[0]
+    )
 
 
 def own_rho_replicate(cell, rho, replicate_index, master_seed, beta=0.3):
     """The replicate of ``cell`` evaluated at ``rho`` only."""
-    return one_replicate(cell, (rho,), replicate_index, master_seed, beta)[0]
+    return one_replicate(cell, (rho,), replicate_index, master_seed, beta)
 
 
 def study_groups(config):
@@ -65,9 +66,44 @@ def study_groups(config):
     ]
 
 
-def success(pi_true, pi_hat):
-    return ReplicateResult(
-        pi_true=pi_true, pi_hat=pi_hat, k_star=5, retention=2.0
+def chosen_threshold(cell, replicate_index, master_seed, beta=0.3):
+    """``(k*, retention)`` that ``_choose_rows`` picks on a replicate's draws."""
+    scheme = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta)
+    rng = np.random.default_rng(
+        replicate_stream(master_seed, cell, replicate_index)
+    )
+    z, delta = _sort_rows(*scheme.records(scheme.draw(cell.n, rng)[None]))
+    k = int(_choose_rows(z, delta, beta).k_star[0])
+    return k, float(z[0, cell.n - k - 1])
+
+
+def join(blocks):
+    """The columns of consecutive blocks, stacked along the replicates."""
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def assert_columns_equal(actual, expected):
+    for got, want in zip(actual, expected, strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def columns(pairs, failures=()):
+    """Replicate columns: successful ``(pi_true, pi_hat)`` pairs, then failures."""
+    nan = [np.nan] * len(failures)
+    return (
+        np.array([t for t, _ in pairs] + nan),
+        np.array([h for _, h in pairs] + nan),
+        np.array([None] * len(pairs) + list(failures), dtype=object),
+    )
+
+
+def failed_columns(rho_values, indices, reason):
+    """A block whose every entry failed for ``reason``."""
+    shape = (len(indices), len(rho_values))
+    return (
+        np.full(shape, np.nan),
+        np.full(shape, np.nan),
+        np.full(shape, reason, dtype=object),
     )
 
 
@@ -126,14 +162,19 @@ class TestRunReplicate:
     def test_deterministic(self):
         first = own_rho_replicate(CELL, 1.0, 3, 777)
         second = own_rho_replicate(CELL, 1.0, 3, 777)
-        assert first == second
+        assert_columns_equal(first, second)
 
     def test_matched_pairs_share_sample(self):
-        low, high = one_replicate(CELL, (1.0, 1.1), 2, 777)
-        assert low.failed is None and high.failed is None
-        assert low.k_star == high.k_star
-        assert low.retention == high.retention
-        assert low.pi_hat != high.pi_hat
+        pi_true, pi_hat, failed = one_replicate(CELL, (1.0, 1.1), 2, 777)
+        assert failed.tolist() == [[None, None]]
+        # Both rho are priced at the one retention chosen on the draws.
+        _, retention = chosen_threshold(CELL, 2, 777)
+        model = study_module.burr_scheme(CELL.gamma1, CELL.p, CELL.eta).loss_model
+        np.testing.assert_array_equal(
+            pi_true,
+            [[model.premium(rho, np.array([retention]))[0] for rho in (1.0, 1.1)]],
+        )
+        assert pi_hat[0, 0] != pi_hat[0, 1]
 
     def test_uncensored_replicate_matches_naive_pipeline(self, monkeypatch):
         # A censor living at 1e12 never binds, so the full estimate chain
@@ -146,8 +187,8 @@ class TestRunReplicate:
 
         monkeypatch.setattr(study_module, "burr_scheme", degenerate_scheme)
         cell = StudyCell(gamma1=0.1, p=0.6, n=400, eta=0.25)
-        result = own_rho_replicate(cell, 1.1, 5, 202)
-        assert result.failed is None
+        _, pi_hat, failed = own_rho_replicate(cell, 1.1, 5, 202)
+        assert failed.tolist() == [[None]]
 
         scheme = degenerate_scheme(cell.gamma1, cell.p, cell.eta)
         rng = np.random.default_rng(replicate_stream(202, cell, 5))
@@ -155,38 +196,27 @@ class TestRunReplicate:
         assert delta.all()
         z_sorted = sorted(z.tolist())
         k_star, _ = naive_threshold_choice(z_sorted, [1] * cell.n)
-        assert result.k_star == k_star
-        assert result.retention == z_sorted[cell.n - k_star - 1]
-        assert result.pi_hat == pytest.approx(
+        assert chosen_threshold(cell, 5, 202) == (
+            k_star, z_sorted[cell.n - k_star - 1]
+        )
+        assert pi_hat[0, 0] == pytest.approx(
             naive_uncensored_premium(z_sorted, k_star, 1.1), rel=1e-10
         )
 
     def test_failure_is_recorded_not_raised(self):
         heavy = StudyCell(gamma1=0.95, p=0.9, n=150, eta=0.25)
-        results = [own_rho_replicate(heavy, 1.0, i, 777) for i in range(10)]
-        failures = [r for r in results if r.failed is not None]
-        assert failures, "a tail index near 1 must trip the admissibility cap"
-        assert all(r.pi_hat is None for r in failures)
-        assert any("admissible" in r.failed for r in failures)
-
-
-class TestReplicateResult:
-    def test_success_requires_all_values(self):
-        with pytest.raises(ValidationError, match="successful replicate"):
-            ReplicateResult(pi_true=1.0, pi_hat=2.0, k_star=5)
-
-    def test_failure_forbids_values(self):
-        with pytest.raises(ValidationError, match="failed replicate"):
-            ReplicateResult(pi_true=1.0, failed="boom")
-
-    def test_valid_forms(self):
-        assert success(1.0, 2.0).failed is None
-        assert ReplicateResult(failed="boom").failed == "boom"
+        _, pi_hat, failed = join(
+            own_rho_replicate(heavy, 1.0, i, 777) for i in range(10)
+        )
+        failures = ~np.equal(failed, None)
+        assert failures.any(), "a tail index near 1 must trip the admissibility cap"
+        assert np.isnan(pi_hat[failures]).all()
+        assert any("admissible" in reason for reason in failed[failures])
 
 
 class TestAggregate:
     def test_single_replicate_hand_values(self):
-        row = aggregate([success(2.0, 3.0)], p=0.4, rho=1.0, n=500)
+        row = aggregate(*columns([(2.0, 3.0)]), p=0.4, rho=1.0, n=500)
         assert row == StudyRow(
             p=0.4,
             rho=1.0,
@@ -200,14 +230,14 @@ class TestAggregate:
 
     def test_bias_cancels_but_rmse_does_not(self):
         row = aggregate(
-            [success(1.0, 2.0), success(3.0, 2.0)], p=0.4, rho=1.0, n=500
+            *columns([(1.0, 2.0), (3.0, 2.0)]), p=0.4, rho=1.0, n=500
         )
         assert row.abs_bias == 0.0
         assert row.rmse == 1.0
 
     def test_failures_are_counted_and_excluded(self):
         row = aggregate(
-            [success(2.0, 3.0), ReplicateResult(failed="x")],
+            *columns([(2.0, 3.0)], failures=["x"]),
             p=0.4,
             rho=1.0,
             n=500,
@@ -218,9 +248,7 @@ class TestAggregate:
     def test_matches_naive_aggregate(self):
         rng = np.random.default_rng(8)
         pairs = [(t, t + e) for t, e in zip(rng.random(40), rng.normal(size=40))]
-        row = aggregate(
-            [success(t, h) for t, h in pairs], p=0.4, rho=1.0, n=500
-        )
+        row = aggregate(*columns(pairs), p=0.4, rho=1.0, n=500)
         mean_true, mean_hat, abs_bias, rmse = naive_aggregate(pairs)
         assert row.mean_pi_true == pytest.approx(mean_true, rel=1e-12)
         assert row.mean_pi_hat == pytest.approx(mean_hat, rel=1e-12)
@@ -229,18 +257,17 @@ class TestAggregate:
 
     def test_rmse_dominates_bias(self):
         rng = np.random.default_rng(9)
-        results = [
-            success(float(t), float(t + e))
+        pairs = [
+            (float(t), float(t + e))
             for t, e in zip(rng.random(60), rng.normal(size=60))
         ]
-        row = aggregate(results, p=0.4, rho=1.0, n=500)
+        row = aggregate(*columns(pairs), p=0.4, rho=1.0, n=500)
         assert row.rmse >= row.abs_bias
 
     def test_all_failed_is_an_error(self):
-        with pytest.raises(DomainError, match="every replicate failed"):
-            aggregate(
-                [ReplicateResult(failed="x")] * 3, p=0.4, rho=1.0, n=500
-            )
+        with pytest.raises(DomainError, match="every replicate failed") as info:
+            aggregate(*columns([], failures=["y", "x", "y"]), p=0.4, rho=1.0, n=500)
+        assert str(info.value).endswith("reasons: ['x', 'y']")
 
 
 def small_config(**overrides):
@@ -308,9 +335,9 @@ class TestRunStudy:
     def test_single_replicate_reduces_to_run_replicate(self):
         config = small_config(replicates=1)
         (row,) = run_study(config)
-        result = own_rho_replicate(CELL, 1.0, 0, 777)
-        assert row.mean_pi_hat == result.pi_hat
-        assert row.mean_pi_true == result.pi_true
+        pi_true, pi_hat, _ = own_rho_replicate(CELL, 1.0, 0, 777)
+        assert row.mean_pi_hat == pi_hat[0, 0]
+        assert row.mean_pi_true == pi_true[0, 0]
         assert row.failure_count == 0
 
     def test_worker_count_does_not_change_results(self):
@@ -323,13 +350,88 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="workers"):
             run_study(small_config(), workers=0)
 
+    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Runs the pool's tasks in this process, recording its size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(study_module, "ProcessPoolExecutor", InlinePool)
+        config = small_config(replicates=3)
+        expected = run_study(config)
+        # One block: no pool at all, however many workers are asked for.
+        assert run_study(config, workers=8) == expected
+        assert sizes == []
+        # One replicate per block: three blocks, so at most three workers.
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 150)
+        assert run_study(config, workers=8) == expected
+        assert run_study(config, workers=2) == expected
+        assert sizes == [3, 2]
+
+    def test_debug_logs_error_quantiles_of_each_kept_cell(
+        self, monkeypatch, caplog
+    ):
+        real = study_module._replicate_block
+
+        def failing_on_high_p(cell, rho_values, indices, seed, beta=0.3):
+            if cell.p == 0.9:
+                return failed_columns(rho_values, indices, "synthetic failure")
+            return real(cell, rho_values, indices, seed, beta)
+
+        monkeypatch.setattr(study_module, "_replicate_block", failing_on_high_p)
+        config = MATCHED
+        with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
+            rows = run_study(config)
+        warnings = [(r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tailpremium.study"):
+            assert run_study(config) == rows
+        assert [
+            (r.levelno, r.getMessage())
+            for r in caplog.records
+            if r.levelno >= logging.WARNING
+        ] == warnings
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        # The p = 0.9 cells are dropped and log no quantiles.
+        assert {row.p for row in rows} == {0.7}
+        assert [r.args[:3] for r in debug] == [(r.p, r.rho, r.n) for r in rows]
+        for record, row in zip(debug, rows):
+            assert "error quantiles" in record.getMessage()
+            pi_true, pi_hat, failed = real(
+                StudyCell(config.gamma1, row.p, row.n, config.eta),
+                (row.rho,),
+                range(config.replicates),
+                config.master_seed,
+                config.beta,
+            )
+            errors = (pi_hat - pi_true)[np.equal(failed, None)]
+            assert errors.size == config.replicates - row.failure_count
+            quantiles = np.percentile(errors, [1, 25, 50, 75, 99])
+            logged = record.args[3]
+            assert logged == np.array2string(quantiles, precision=4)
+            median = float(logged.strip("[]").split()[2])
+            assert median == pytest.approx(
+                np.percentile(errors, 50), rel=1e-4, abs=5e-5
+            )
+
     def test_all_failed_cell_is_dropped_with_warning(self, monkeypatch, caplog):
         real = study_module._replicate_block
 
         def failing_on_low_p(cell, rho_values, indices, seed, beta=0.3):
             if cell.p == 0.4:
-                failed = (ReplicateResult(failed="synthetic failure"),)
-                return [failed * len(rho_values)] * len(indices)
+                return failed_columns(rho_values, indices, "synthetic failure")
             return real(cell, rho_values, indices, seed, beta)
 
         monkeypatch.setattr(study_module, "_replicate_block", failing_on_low_p)
@@ -343,12 +445,11 @@ class TestRunStudy:
         real = study_module._replicate_block
 
         def failing_first_replicate(cell, rho_values, indices, seed, beta=0.3):
-            results = real(cell, rho_values, indices, seed, beta)
-            failed = (ReplicateResult(failed="synthetic failure"),)
-            return [
-                failed * len(rho_values) if index == 0 else result
-                for index, result in zip(indices, results)
-            ]
+            pi_true, pi_hat, failed = real(cell, rho_values, indices, seed, beta)
+            first = np.equal(indices, 0)
+            pi_true[first] = pi_hat[first] = np.nan
+            failed[first] = "synthetic failure"
+            return pi_true, pi_hat, failed
 
         monkeypatch.setattr(
             study_module, "_replicate_block", failing_first_replicate
@@ -364,7 +465,7 @@ class TestRunStudy:
             study_module,
             "_replicate_block",
             lambda cell, rho_values, indices, seed, beta=0.3: (
-                [(ReplicateResult(failed="x"),) * len(rho_values)] * len(indices)
+                failed_columns(rho_values, indices, "x")
             ),
         )
         with pytest.raises(DomainError, match="every cell of the study failed"):
@@ -429,28 +530,34 @@ class TestMatchedReplicates:
                 matched = one_replicate(
                     cell, config.rho_values, i, config.master_seed, config.beta
                 )
-                for rho, result in zip(config.rho_values, matched):
-                    assert result == own_rho_replicate(
-                        cell, rho, i, config.master_seed, config.beta
+                for j, rho in enumerate(config.rho_values):
+                    assert_columns_equal(
+                        [column[:, j : j + 1] for column in matched],
+                        own_rho_replicate(
+                            cell, rho, i, config.master_seed, config.beta
+                        ),
                     )
-                low, high = matched
-                rho_specific += low.failed is None and high.failed is not None
+                low, high = matched[2][0]
+                rho_specific += low is None and high is not None
         assert rho_specific > 0, "some replicate must fail at the larger rho only"
 
     def test_study_rows_equal_per_cell_replicates(self):
         config = MATCHED
         expected = [
             aggregate(
-                [
-                    own_rho_replicate(
-                        StudyCell(config.gamma1, p, n, config.eta),
-                        rho,
-                        i,
-                        config.master_seed,
-                        config.beta,
+                *(
+                    column[:, 0]
+                    for column in join(
+                        own_rho_replicate(
+                            StudyCell(config.gamma1, p, n, config.eta),
+                            rho,
+                            i,
+                            config.master_seed,
+                            config.beta,
+                        )
+                        for i in range(config.replicates)
                     )
-                    for i in range(config.replicates)
-                ],
+                ),
                 p=p,
                 rho=rho,
                 n=n,
@@ -467,11 +574,13 @@ class TestMatchedReplicates:
         cell = study_groups(MATCHED)[0]
         threshold_failures = 0
         for i in range(MATCHED.replicates):
-            results = one_replicate(cell, rho_values, i, 777, 0.2)
-            assert len(results) == len(rho_values)
-            if results[0].failed and "admissible" in results[0].failed:
+            pi_true, pi_hat, failed = one_replicate(cell, rho_values, i, 777, 0.2)
+            assert failed.shape == (1, len(rho_values))
+            reason = failed[0, 0]
+            if reason and "admissible" in reason:
                 threshold_failures += 1
-                assert results == (results[0],) * len(rho_values)
+                assert failed.tolist() == [[reason] * len(rho_values)]
+                assert np.isnan(pi_true).all() and np.isnan(pi_hat).all()
         assert threshold_failures > 0
 
 
@@ -488,8 +597,19 @@ GAMMA_025 = small_config(
 )
 
 
+# gamma1 = 0.45 at rho = 2.5: the exact premium diverges, so every sample
+# whose estimate succeeds there still fails at that rho.
+DIVERGENT = small_config(
+    gamma1=0.45,
+    p_values=(0.6,),
+    rho_values=(1.0, 2.5),
+    n_values=(150, 500),
+    replicates=12,
+)
+
+
 def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
-    """One replicate through the one-sample public API, rho by rho."""
+    """One replicate through the one-sample public API, as a block of one."""
     scheme = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta)
     rng = np.random.default_rng(
         replicate_stream(master_seed, cell, replicate_index)
@@ -500,34 +620,35 @@ def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
     try:
         choice = reiss_thomas_k(sample, beta)
     except (DomainError, ValidationError) as exc:
-        return (ReplicateResult(failed=str(exc)),) * len(rho_values)
-    results = []
-    for rho in rho_values:
-        try:
-            estimate = php_estimate(
-                sample, EstimationSettings(k=choice.k_star, rho=rho)
-            )
-            pi_true = float(scheme.loss_model.premium(rho, estimate.retention))
-        except (DomainError, ValidationError) as exc:
-            results.append(ReplicateResult(failed=str(exc)))
-        else:
-            results.append(
-                ReplicateResult(
-                    pi_true=pi_true,
-                    pi_hat=estimate.value,
-                    k_star=choice.k_star,
-                    retention=estimate.retention,
+        entries = [(np.nan, np.nan, str(exc))] * len(rho_values)
+    else:
+        entries = []
+        for rho in rho_values:
+            try:
+                estimate = php_estimate(
+                    sample, EstimationSettings(k=choice.k_star, rho=rho)
                 )
-            )
-    return tuple(results)
+                pi_true = float(
+                    scheme.loss_model.premium(rho, estimate.retention)
+                )
+            except (DomainError, ValidationError) as exc:
+                entries.append((np.nan, np.nan, str(exc)))
+            else:
+                entries.append((pi_true, estimate.value, None))
+    pi_true, pi_hat, failed = zip(*entries)
+    return (
+        np.array([pi_true]),
+        np.array([pi_hat]),
+        np.array([failed], dtype=object),
+    )
 
 
 def scalar_group(config, cell):
     rhos = tuple(dict.fromkeys(config.rho_values))
-    return [
+    return join(
         scalar_replicate(cell, rhos, i, config.master_seed, config.beta)
         for i in range(config.replicates)
-    ]
+    )
 
 
 def scalar_rows(config):
@@ -539,10 +660,11 @@ def scalar_rows(config):
     }
     rows = []
     for p, rho, n in product(config.p_values, config.rho_values, config.n_values):
+        j = rhos.index(rho)
         try:
             rows.append(
                 aggregate(
-                    [m[rhos.index(rho)] for m in matched[p, n]], p=p, rho=rho, n=n
+                    *(column[:, j] for column in matched[p, n]), p=p, rho=rho, n=n
                 )
             )
         except DomainError:
@@ -582,26 +704,29 @@ class TestReplicateBlocks:
         threshold_failures = rho_only_failures = 0
         for cell in study_groups(config):
             expected = scalar_group(config, cell)
-            blocks = []
-            for start in range(0, count, size):
-                blocks += study_module._replicate_block(
+            blocks = [
+                study_module._replicate_block(
                     cell,
                     rhos,
                     range(start, min(start + size, count)),
                     config.master_seed,
                     config.beta,
                 )
-            assert blocks == expected
-            assert [
-                one_replicate(
-                    cell, rhos, i, config.master_seed, config.beta
-                )
-                for i in range(count)
-            ] == expected
-            for results in expected:
-                failed = [r.failed is not None for r in results]
-                threshold_failures += all(failed)
-                rho_only_failures += any(failed) and not all(failed)
+                for start in range(0, count, size)
+            ]
+            assert_columns_equal(join(blocks), expected)
+            assert_columns_equal(
+                join(
+                    one_replicate(
+                        cell, rhos, i, config.master_seed, config.beta
+                    )
+                    for i in range(count)
+                ),
+                expected,
+            )
+            failed = ~np.equal(expected[2], None)
+            threshold_failures += failed.all(axis=1).sum()
+            rho_only_failures += (failed.any(axis=1) & ~failed.all(axis=1)).sum()
         assert rho_only_failures > 0
         if config is GAMMA_025:
             assert threshold_failures > 0
@@ -620,6 +745,33 @@ class TestReplicateBlocks:
         monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
         assert run_study(config, workers=workers) == scalar_rows(config)
 
+    @pytest.mark.parametrize(
+        "config",
+        [MATCHED, GAMMA_025, DIVERGENT],
+        ids=["matched", "gamma1=0.25", "divergent"],
+    )
+    def test_failed_entries_are_nan_and_the_rest_finite(self, config):
+        rhos = tuple(dict.fromkeys(config.rho_values))
+        threshold_failures = rho_only_failures = 0
+        for cell in study_groups(config):
+            pi_true, pi_hat, failed = study_module._replicate_block(
+                cell,
+                rhos,
+                range(config.replicates),
+                config.master_seed,
+                config.beta,
+            )
+            failures = ~np.equal(failed, None)
+            np.testing.assert_array_equal(np.isnan(pi_hat), failures)
+            np.testing.assert_array_equal(np.isnan(pi_true), failures)
+            assert np.isfinite(pi_hat[~failures]).all()
+            assert np.isfinite(pi_true[~failures]).all()
+            assert all(isinstance(reason, str) for reason in failed[failures])
+            threshold_failures += failures.all(axis=1).sum()
+            rho_only_failures += (failures.any(axis=1) & ~failures.all(axis=1)).sum()
+        assert threshold_failures > 0
+        assert rho_only_failures > 0
+
     def test_zero_index_fails_every_rho_like_the_estimate(self, monkeypatch):
         def capped_scheme(gamma1, p, eta):
             return CensoringScheme(
@@ -631,12 +783,11 @@ class TestReplicateBlocks:
         cell = StudyCell(gamma1=0.5, p=0.6, n=400, eta=0.25)
         rhos = (1.0, 1.1)
         block = study_module._replicate_block(cell, rhos, range(4), 77, 0.3)
-        expected = [scalar_replicate(cell, rhos, i, 77, 0.3) for i in range(4)]
-        assert block == expected
+        expected = join(scalar_replicate(cell, rhos, i, 77, 0.3) for i in range(4))
+        assert_columns_equal(block, expected)
         assert all(
-            r.failed.startswith("tail index estimate is not positive")
-            for results in block
-            for r in results
+            reason.startswith("tail index estimate is not positive")
+            for reason in block[2].flat
         )
 
     def test_no_block_exceeds_the_record_budget(self, monkeypatch):
