@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ValidationError
 from .estimators import PremiumEstimate
@@ -189,7 +189,9 @@ def confidence_interval(
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k!r}")
-    z = 0.0 if level == 0.0 else float(ndtri((1.0 + level) / 2.0))
+    tail = (1.0 + level) / 2.0
+    # The largest level below 1 rounds the tail level up to 1.
+    z = math.inf if tail == 1.0 else NormalDist().inv_cdf(tail)
     scale = limit.normalization / math.sqrt(k)
     sigma = math.sqrt(limit.sigma2)
     lo = estimate.value - scale * (limit.mu + z * sigma)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import logging
 import math
 import sys
+import warnings
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,6 +45,7 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 _CLAIMS_HEADER = ["z", "delta"]
+_CLAIMS_DTYPE = np.dtype([("z", np.float64), ("delta", np.int64)])
 _STUDY_HEADER = ["p", "rho", "n", "pi_true", "pi_hat", "abs_bias", "rmse", "failures"]
 # Study config keys in parse order: key -> (caster, is_list).  Every key
 # but ``beta`` is required.
@@ -66,8 +69,60 @@ def _fmt(value: float) -> str:
 def read_claims(path: str) -> SortedCensoredSample:
     """Parse a claims CSV with exact header ``z,delta``.
 
-    Each row is parsed and checked as it is read, so every failure
-    carries the line number of the first offending row.
+    After the header the body is parsed in one pass of ``np.loadtxt``
+    into ``(z, delta)`` records and checked with array masks.  When that
+    pass rejects the file (a field fails to parse, a value or flag breaks
+    its rule, or the records do not match the body's lines one to one,
+    as with a blank line, which ``loadtxt`` would skip), the file is read
+    again row by row.  That loop names the line of the first offending
+    row, or accepts what only Python's ``float`` and ``int`` parse, such
+    as ``1_5``.  ``loadtxt`` converts floats with the routine behind
+    ``float``, so both passes read the same values.
+    """
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except ValueError:
+        # Undecodable bytes: the row loop fails where the parse meets them.
+        return _read_claims_rows(path)
+    header, _, body = text.partition("\n")
+    # Left to the row loop: any other header form, an empty body, and the
+    # separators \x1c-\x1f, which loadtxt strips as whitespace and float
+    # and int reject.
+    if (
+        header not in ("z,delta", "z,delta\r")
+        or not body
+        or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
+    ):
+        return _read_claims_rows(path)
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns rather than fails on a body of blank lines.
+            warnings.simplefilter("error")
+            records = np.loadtxt(
+                io.StringIO(body),
+                dtype=_CLAIMS_DTYPE,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        return _read_claims_rows(path)
+    z, delta = records["z"], records["delta"]
+    if (
+        records.size != body.count("\n") + (not body.endswith("\n"))
+        or not np.all((z >= 0.0) & (z < math.inf))
+        or not np.all((delta == 0) | (delta == 1))
+    ):
+        return _read_claims_rows(path)
+    return SortedCensoredSample.from_unsorted(z, delta)
+
+
+def _read_claims_rows(path: str) -> SortedCensoredSample:
+    """Read a claims CSV row by row, checking each row as it is read.
+
+    Every failure carries the line number of the first offending row.
     """
     z: List[float] = []
     delta: List[int] = []

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
-from scipy.special import beta, betainc
 
 from .errors import DomainError, ValidationError
 
@@ -126,6 +125,10 @@ class BurrModel:
         double precision.
         """
         _check_premium_params(self, rho, retention)
+        # Imported here, its only user: scipy.special costs every import of
+        # the package, the claims commands included, about 0.3 s.
+        from scipy.special import beta, betainc
+
         a = 1.0 / (self.eta * rho)
         b = self.gamma / self.eta
         rs = np.asarray(retention, dtype=np.float64)

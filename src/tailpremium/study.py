@@ -317,6 +317,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     if workers == 1:
         outcomes = list(map(_replicate_block, *args))
     else:
+        # The exact premium imports scipy.special on first use.  Importing
+        # it here, before the pool forks, spares each worker that import.
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate_block, *args))
     pi_true, pi_hat, failed = map(np.concatenate, zip(*outcomes))

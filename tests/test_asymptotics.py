@@ -184,6 +184,8 @@ class TestGaussianQuantile:
                 NormalDist().inv_cdf((1.0 + level) / 2.0), rel=1e-12
             )
         assert self.quantile(0.0) == 0.0
+        # the largest level below 1 rounds (1 + level)/2 up to 1
+        assert self.quantile(math.nextafter(1.0, 0.0)) == math.inf
 
     def test_symmetry(self):
         assert self.quantile(0.4) == pytest.approx(

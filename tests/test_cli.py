@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from tailpremium import (
     reiss_thomas_k,
     run_study,
 )
-from tailpremium.cli import main, read_claims, read_study_config
+from tailpremium.cli import _read_claims_rows, main, read_claims, read_study_config
 
 from helpers import naive_km_grouped
 
@@ -100,6 +101,23 @@ class TestReadClaims:
         path.write_text("z,delta\n1,1\n2,1,9\n")
         with pytest.raises(FileFormatError, match=r"c\.csv:3: expected 2 fields"):
             read_claims(str(path))
+        # blank lines, which a whole-file parse would skip, are rows too;
+        # a body of blank lines fails without a warning
+        for text, lineno in [
+            ("z,delta\n1,1\n\n2,0\n", 3),
+            ("z,delta\n1,1\n2,0\n\n", 4),
+            ("z,delta\r\n1,1\r\n\r\n", 3),
+            ("z,delta\n\n", 2),
+        ]:
+            path.write_text(text, newline="")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(
+                    FileFormatError,
+                    match=rf"c\.csv:{lineno}: expected 2 fields, got 0",
+                ):
+                    read_claims(str(path))
+            assert caught == []
 
     def test_bad_values_name_offending_line(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -109,6 +127,11 @@ class TestReadClaims:
         path.write_text("z,delta\n1,2\n")
         with pytest.raises(FileFormatError, match=r"c\.csv:2"):
             read_claims(str(path))
+        # flags int() rejects; numpy's integer parser would read the last two
+        for flag in ("1.0", "1\x1c", "\x1f0"):
+            path.write_text(f"z,delta\n1,1\n2,{flag}\n")
+            with pytest.raises(FileFormatError, match=r"c\.csv:3: invalid literal"):
+                read_claims(str(path))
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -136,11 +159,52 @@ class TestReadClaims:
         assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 2
         assert "c.csv:4:" in capsys.readouterr().err
 
-    def test_no_data_rows(self, tmp_path):
+    def test_no_data_rows(self, tmp_path, capfd):
         path = tmp_path / "c.csv"
-        path.write_text("z,delta\n")
-        with pytest.raises(FileFormatError, match="no data rows"):
-            read_claims(str(path))
+        for text in ("z,delta\n", "z,delta", "z,delta\r\n"):
+            path.write_text(text, newline="")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(FileFormatError, match="no data rows"):
+                    read_claims(str(path))
+            assert caught == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "body, z, delta",
+        [
+            pytest.param("1_5,1\n2,0\n", [2.0, 15.0], [0, 1], id="underscore"),
+            pytest.param('"1.5",1\n2,"0"\n', [1.5, 2.0], [1, 0], id="quoted"),
+            pytest.param("1.5,1\r\n2,0\r\n", [1.5, 2.0], [1, 0], id="crlf"),
+            pytest.param(" 1.5 , 1\n2\t,0 \n", [1.5, 2.0], [1, 0], id="spaces"),
+            pytest.param("1.5,1\n2,0", [1.5, 2.0], [1, 0], id="no-final-newline"),
+            pytest.param("-0.0,1\n1e-320,0\n", [-0.0, 1e-320], [1, 0], id="tiny"),
+        ],
+    )
+    def test_reads_what_float_and_int_read(self, tmp_path, body, z, delta):
+        path = tmp_path / "c.csv"
+        path.write_text("z,delta\n" + body, newline="")
+        sample = read_claims(str(path))
+        assert sample.z_sorted.tolist() == z
+        assert sample.delta_concomitant.tolist() == delta
+        assert np.signbit(sample.z_sorted).tolist() == np.signbit(z).tolist()
+
+    def test_one_pass_matches_the_row_loop(self, tmp_path):
+        # the row loop is the reference: same values, bit for bit
+        rng = np.random.default_rng(12)
+        values = rng.pareto(2.0, 3000) * 10.0 ** rng.integers(-5, 9, 3000)
+        fields = [
+            repr(v) if i % 3 else f"{v:.2f}" for i, v in enumerate(values.tolist())
+        ]
+        flags = rng.integers(0, 2, values.size).tolist()
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "z,delta\n" + "".join(f"{z},{d}\n" for z, d in zip(fields, flags))
+        )
+        fast = read_claims(str(path))
+        rows = _read_claims_rows(str(path))
+        assert fast.z_sorted.tobytes() == rows.z_sorted.tobytes()
+        assert fast.delta_concomitant.tobytes() == rows.delta_concomitant.tobytes()
 
 
 class TestEstimateCommand:
@@ -219,6 +283,34 @@ class TestEstimateCommand:
         lo, hi = confidence_interval(premium, limit, k, 0.9)
         assert float(report["ci_low"]) == pytest.approx(lo, rel=1e-10)
         assert float(report["ci_high"]) == pytest.approx(hi, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "level, ci_low, ci_high",
+        [
+            ("0.5", "0.030705129443", "0.0361331173839"),
+            ("0.9", "0.0268006050083", "0.0400376418187"),
+            ("0.95", "0.0255326723076", "0.0413055745193"),
+            ("0.99", "0.0230545697688", "0.0437836770582"),
+            ("0.999999", "0.0137362782336", "0.0531019685934"),
+        ],
+    )
+    def test_confidence_interval_digits(
+        self, tmp_path, capsys, level, ci_low, ci_high
+    ):
+        # digits printed when the Gaussian quantile came from scipy's ndtri
+        n, k = 200, 50
+        z = ((n + 1.0 - np.arange(1, n + 1)) / (n + 1.0)) ** -0.05
+        delta = [1] * (n - k) + [1, 1, 0, 0, 0] * (k // 5)
+        path = write_claims(tmp_path / "c.csv", list(zip(z.tolist(), delta)))
+        code = main(
+            [
+                "estimate", path, "--rho", "1", "--k", str(k),
+                "--tau1", "-0.25", "--lambda1", "0.5", "--level", level,
+            ]
+        )
+        assert code == 0
+        report = parse_report(capsys.readouterr().out)
+        assert (report["ci_low"], report["ci_high"]) == (ci_low, ci_high)
 
     def test_non_positive_variance_omits_interval(self, tmp_path, capsys):
         z = [float(v) for v in np.geomspace(1.0, 50.0, 20)]
@@ -503,19 +595,41 @@ class TestSimulateCommand:
         assert code == 4
 
 
-def test_import_leaves_out_integrate_and_optimize():
-    # Both cost every CLI start a few hundred milliseconds; only
-    # h_threshold needs scipy.optimize, and imports it when called.
+def _scipy_modules_after(probe):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, tailpremium.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+    probe += (
+        "\nimport sys"
+        "\nprint(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))"
     )
     process = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert process.returncode == 0, process.stderr
-    assert process.stdout.strip() == "[]"
+    return process.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # scipy costs every CLI start a few hundred milliseconds; only the
+    # exact Burr premium and h_threshold need it, and import it when called.
+    assert _scipy_modules_after("import tailpremium.cli") == "[]"
+
+
+def test_claims_commands_leave_out_scipy(tmp_path):
+    rng = np.random.default_rng(21)
+    z = (1.0 - rng.random(300)) ** -0.15
+    rows = [(float(v), i % 2) for i, v in enumerate(z)]
+    path = write_claims(tmp_path / "c.csv", rows)
+    out = str(tmp_path / "km.csv")
+    probe = (
+        "from tailpremium.cli import main\n"
+        f"assert main(['estimate', {path!r}, '--rho', '1.1', '--auto-k']) == 0\n"
+        f"assert main(['estimate', {path!r}, '--rho', '1', '--k', '40',"
+        " '--tau1', '-0.25', '--lambda1', '0.5']) == 0\n"
+        f"assert main(['km', {path!r}, '--out', {out!r}]) == 0\n"
+        "assert main(['asymptotics', '--gamma1', '0.2', '--p', '0.5',"
+        " '--rho', '1']) == 0"
+    )
+    assert _scipy_modules_after(probe) == "[]"
