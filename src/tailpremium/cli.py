@@ -83,7 +83,7 @@ def read_claims(path: str) -> SortedCensoredSample:
         with open(path, newline="") as handle:
             text = handle.read()
     except ValueError:
-        # Undecodable bytes: the row loop fails where the parse meets them.
+        # Undecodable bytes: the row loop names the line of the first.
         return _read_claims_rows(path)
     header, _, body = text.partition("\n")
     # Left to the row loop: any other header form, an empty body, and the
@@ -122,40 +122,52 @@ def read_claims(path: str) -> SortedCensoredSample:
 def _read_claims_rows(path: str) -> SortedCensoredSample:
     """Read a claims CSV row by row, checking each row as it is read.
 
-    Every failure carries the line number of the first offending row.
+    Every failure carries the line number of the first offending row; a
+    file that does not decode fails first, at the line of its first
+    undecodable byte.
     """
     z: List[float] = []
     delta: List[int] = []
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _CLAIMS_HEADER:
-            got = ",".join(header) if header else "<empty file>"
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            # A whole-file read decodes all bytes in one call, so the
+            # offset is the file's.
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise FileFormatError(
-                f"{path}:1: expected header 'z,delta', got '{got}'"
+                f"{path}:{line}: cannot decode byte "
+                f"0x{exc.object[exc.start]:02x} as {exc.encoding}"
+            ) from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != _CLAIMS_HEADER:
+        got = ",".join(header) if header else "<empty file>"
+        raise FileFormatError(
+            f"{path}:1: expected header 'z,delta', got '{got}'"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected 2 fields, got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                value = float(row[0])
-                flag = int(row[1])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not 0.0 <= value < math.inf:
-                raise FileFormatError(
-                    f"{path}:{lineno}: observed value must be finite and >= 0, "
-                    f"got {value!r}"
-                )
-            if flag not in (0, 1):
-                raise FileFormatError(
-                    f"{path}:{lineno}: censoring indicator must be 0 or 1, "
-                    f"got {flag!r}"
-                )
-            z.append(value)
-            delta.append(flag)
+        try:
+            value = float(row[0])
+            flag = int(row[1])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not 0.0 <= value < math.inf:
+            raise FileFormatError(
+                f"{path}:{lineno}: observed value must be finite and >= 0, "
+                f"got {value!r}"
+            )
+        if flag not in (0, 1):
+            raise FileFormatError(
+                f"{path}:{lineno}: censoring indicator must be 0 or 1, "
+                f"got {flag!r}"
+            )
+        z.append(value)
+        delta.append(flag)
     if not z:
         raise FileFormatError(f"{path}: no data rows")
     return SortedCensoredSample.from_unsorted(z, delta)

@@ -189,6 +189,17 @@ class TestReadClaims:
         assert sample.delta_concomitant.tolist() == delta
         assert np.signbit(sample.z_sorted).tolist() == np.signbit(z).tolist()
 
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        # 3000 rows put the byte well past the first 8 KiB the file is
+        # read in; a 0xff byte is never valid UTF-8.
+        path = tmp_path / "c.csv"
+        body = "".join(f"{i}.5,1\n" for i in range(3000)).encode("ascii")
+        path.write_bytes(b"z,delta\n" + body + b"7.5,\xff1\n8,0\n")
+        with pytest.raises(FileFormatError, match=r"c\.csv:3002: cannot decode"):
+            read_claims(str(path))
+        assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 2
+        assert "c.csv:3002: cannot decode byte 0xff" in capsys.readouterr().err
+
     def test_one_pass_matches_the_row_loop(self, tmp_path):
         # the row loop is the reference: same values, bit for bit
         rng = np.random.default_rng(12)
@@ -612,9 +623,25 @@ def _scipy_modules_after(probe):
 
 
 def test_import_leaves_out_integrate_and_optimize():
-    # scipy costs every CLI start a few hundred milliseconds; only the
-    # exact Burr premium and h_threshold need it, and import it when called.
+    # scipy costs every CLI start a few hundred milliseconds, and nothing
+    # in the package needs it: numpy is the only runtime dependency.
     assert _scipy_modules_after("import tailpremium.cli") == "[]"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_and_h_threshold_leave_out_scipy(tmp_path, workers):
+    # The exact Burr premium and h_threshold ran on scipy.special and
+    # scipy.optimize; both are numpy now.
+    config = write_config(tmp_path / "study.cfg")
+    out = str(tmp_path / "rows.csv")
+    probe = (
+        "from tailpremium import burr_scheme, h_threshold\n"
+        "from tailpremium.cli import main\n"
+        f"assert main(['simulate', {config!r}, '--out', {out!r},"
+        f" '--workers', {workers!r}]) == 0\n"
+        "h_threshold(burr_scheme(0.1, 0.4, 0.25), 100, 1000)"
+    )
+    assert _scipy_modules_after(probe) == "[]"
 
 
 def test_claims_commands_leave_out_scipy(tmp_path):

@@ -17,6 +17,7 @@ from tailpremium import (
     gamma2_from_p,
     h_threshold,
 )
+from tailpremium import models
 
 from helpers import (
     karamata_premium,
@@ -241,6 +242,29 @@ class TestTheoreticalPremium:
                             worst = max(worst, abs(got / want - 1.0))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize(
+        "gamma, eta, rho, retention",
+        [(0.05, 1.0, 1.0, 0.1), (0.05, 1.0, 1.0, 0.3), (0.1, 1.0, 1.0, 0.05)],
+    )
+    def test_burr_matches_quadrature_oracle_below_the_knee(
+        self, gamma, eta, rho, retention
+    ):
+        # R**(eta/gamma) is small here, so 1 - t is far below t's rounding.
+        want = mp_premium(
+            mp_burr_survival(gamma, eta), gamma, rho, retention, knots=(1.0,)
+        )
+        got = BurrModel(gamma, eta).premium(rho, retention)
+        assert abs(got / want - 1.0) <= 1e-10
+
+    def test_burr_premium_where_the_power_underflows(self):
+        # R**(eta/gamma) = 1e-400 rounds to 0, leaving the whole integral
+        # b * B(a - b, b); pytest turns any RuntimeWarning into an error.
+        gamma, eta, rho = 0.05, 1.0, 1.0
+        a, b = 1.0 / (eta * rho), gamma / eta
+        want = float(b * mpmath.beta(a - b, b))
+        got = BurrModel(gamma, eta).premium(rho, 1e-20)
+        assert got == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize("retention", [0.5, 2.0, 100.0])
     @pytest.mark.parametrize("gamma, rho", [(0.2, 1.0), (0.4, 1.1)])
     def test_pareto_matches_quadrature_oracle(self, gamma, rho, retention):
@@ -252,10 +276,24 @@ class TestTheoreticalPremium:
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "model", [BurrModel(0.1, 0.25), BurrModel(0.4, 1.0), ParetoModel(0.2, 2.0)]
+        "model",
+        [
+            BurrModel(0.1, 0.25),
+            BurrModel(0.4, 1.0),
+            ParetoModel(0.2, 2.0),
+            BurrModel(0.05, 1.0),
+            BurrModel(0.3, 0.002),
+        ],
     )
     def test_array_premium_equals_scalar_calls(self, model):
-        retentions = np.array([0.5, 1.0, 2.0, 7.5, 1e3])
+        # The continued fraction of BurrModel(0.05, 1.0) is mirrored below
+        # R = 0.86 and takes 10 or 11 terms at R = 1, against at most 6 at
+        # the other retentions up to 1e3; that of BurrModel(0.3, 0.002) is
+        # mirrored up to R = 1e-55, where it takes 23 to 31 terms, against
+        # 7 to 15 elsewhere.
+        retentions = np.array(
+            [1e-80, 1e-55, 1e-20, 0.05, 0.5, 0.8, 1.0, 2.0, 7.5, 1e3, 1e30]
+        )
         for rho in (1.0, 1.1):
             out = model.premium(rho, retentions)
             assert out.shape == retentions.shape
@@ -263,6 +301,14 @@ class TestTheoreticalPremium:
             assert all(isinstance(v, float) for v in scalars)
             assert np.array_equal(out, scalars)
             assert scalars == [model.premium(rho, r) for r in retentions]
+            assert model.premium(rho, retentions[:0]).shape == (0,)
+
+    def test_burr_premium_raises_when_the_fraction_does_not_converge(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(models, "_BETA_TERMS", 1)
+        with pytest.raises(DomainError, match="did not converge"):
+            BurrModel(0.1, 0.25).premium(1.0, np.array([1.0, 3.0]))
 
     @pytest.mark.parametrize("model", [BurrModel(0.6, 0.25), ParetoModel(0.6)])
     def test_premium_method_guards(self, model):
