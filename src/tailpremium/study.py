@@ -189,12 +189,13 @@ def _replicate_block(
     the failure reason (object, a string or None).  Each replicate draws
     from its own stream; the samples are then transformed, sorted, checked
     and threshold-selected as one ``(len(indices), n)`` array pass, and the
-    exact premium (at the selected retention) is one array call per rho.
-    A failed threshold choice fails every rho alike; an estimate failure
-    fails its rho only.  Every kernel treats rows independently and each
-    estimate is the scalar closed form of :func:`php_estimate`, so a
-    replicate's values are bitwise the same in any block.  Settings are
-    those a :class:`StudyConfig` accepts.
+    exact premium (at the selected retention) is one array call per rho,
+    repeated row by row when it fails.  A failed threshold choice fails
+    every rho alike; an estimate or exact-premium failure fails its rho
+    only.  Every kernel treats rows independently and each estimate is
+    the scalar closed form of :func:`php_estimate`, so a replicate's
+    values, failures included, are bitwise the same in any block.
+    Settings are those a :class:`StudyConfig` accepts.
     """
     n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
@@ -234,9 +235,15 @@ def _replicate_block(
             continue
         try:
             pi_true[ok, j] = scheme.loss_model.premium(rho, retention[ok])
-        except (DomainError, ValidationError) as exc:
-            failed[ok, j] = str(exc)
-            pi_hat[ok, j] = np.nan
+        except (DomainError, ValidationError):
+            # Price each row alone, so a row fails for its own retention
+            # only; array and scalar calls give the same bits.
+            for r in np.flatnonzero(ok):
+                try:
+                    pi_true[r, j] = scheme.loss_model.premium(rho, retention[r])
+                except (DomainError, ValidationError) as exc:
+                    failed[r, j] = str(exc)
+                    pi_hat[r, j] = np.nan
     return pi_true, pi_hat, failed
 
 

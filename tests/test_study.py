@@ -27,6 +27,7 @@ from tailpremium import (
     run_study,
 )
 from tailpremium import cli
+from tailpremium import models as models_module
 from tailpremium import study as study_module
 from tailpremium.samples import _sort_rows
 from tailpremium.threshold import _choose_rows
@@ -744,6 +745,20 @@ class TestReplicateBlocks:
         budget = (size or config.replicates) * max(config.n_values)
         monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
         assert run_study(config, workers=workers) == scalar_rows(config)
+
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["B=1", "B=7", "B=all"])
+    def test_exact_premium_failures_do_not_depend_on_the_partition(
+        self, monkeypatch, size
+    ):
+        # Eleven continued-fraction terms price half of these retentions,
+        # so the exact premium fails on 10 of the 20 replicates.
+        config = small_config(n_values=(500,), replicates=20, master_seed=5)
+        monkeypatch.setattr(models_module, "_BETA_TERMS", 11)
+        budget = (size or config.replicates) * max(config.n_values)
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
+        rows = run_study(config)
+        assert rows == scalar_rows(config)
+        assert 0 < rows[0].failure_count < config.replicates
 
     @pytest.mark.parametrize(
         "config",
