@@ -73,18 +73,24 @@ def read_claims(path: str) -> SortedCensoredSample:
     into ``(z, delta)`` records and checked with array masks.  When that
     pass rejects the file (a field fails to parse, a value or flag breaks
     its rule, or the records do not match the body's lines one to one,
-    as with a blank line, which ``loadtxt`` would skip), the file is read
+    as with a blank line, which ``loadtxt`` would skip), the text is parsed
     again row by row.  That loop names the line of the first offending
     row, or accepts what only Python's ``float`` and ``int`` parse, such
     as ``1_5``.  ``loadtxt`` converts floats with the routine behind
-    ``float``, so both passes read the same values.
+    ``float``, so both passes read the same values.  A file that does not
+    decode fails at the line of its first undecodable byte.
     """
     try:
         with open(path, newline="") as handle:
             text = handle.read()
-    except ValueError:
-        # Undecodable bytes: the row loop names the line of the first.
-        return _read_claims_rows(path)
+    except UnicodeDecodeError as exc:
+        # A whole-file read decodes all bytes in one call, so the offset
+        # is the file's.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(
+            f"{path}:{line}: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} as {exc.encoding}"
+        ) from exc
     header, _, body = text.partition("\n")
     # Left to the row loop: any other header form, an empty body, and the
     # separators \x1c-\x1f, which loadtxt strips as whitespace and float
@@ -94,7 +100,7 @@ def read_claims(path: str) -> SortedCensoredSample:
         or not body
         or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
     ):
-        return _read_claims_rows(path)
+        return _read_claims_rows(path, text)
     try:
         with warnings.catch_warnings():
             # loadtxt warns rather than fails on a body of blank lines.
@@ -108,37 +114,24 @@ def read_claims(path: str) -> SortedCensoredSample:
                 ndmin=1,
             )
     except (ValueError, Warning):
-        return _read_claims_rows(path)
+        return _read_claims_rows(path, text)
     z, delta = records["z"], records["delta"]
     if (
         records.size != body.count("\n") + (not body.endswith("\n"))
         or not np.all((z >= 0.0) & (z < math.inf))
         or not np.all((delta == 0) | (delta == 1))
     ):
-        return _read_claims_rows(path)
+        return _read_claims_rows(path, text)
     return SortedCensoredSample.from_unsorted(z, delta)
 
 
-def _read_claims_rows(path: str) -> SortedCensoredSample:
-    """Read a claims CSV row by row, checking each row as it is read.
+def _read_claims_rows(path: str, text: str) -> SortedCensoredSample:
+    """Parse the ``text`` of a claims CSV row by row, checking each row.
 
-    Every failure carries the line number of the first offending row; a
-    file that does not decode fails first, at the line of its first
-    undecodable byte.
+    Every failure carries the line number of the first offending row.
     """
     z: List[float] = []
     delta: List[int] = []
-    with open(path, newline="") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            # A whole-file read decodes all bytes in one call, so the
-            # offset is the file's.
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise FileFormatError(
-                f"{path}:{line}: cannot decode byte "
-                f"0x{exc.object[exc.start]:02x} as {exc.encoding}"
-            ) from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != _CLAIMS_HEADER:

@@ -138,22 +138,16 @@ def _tail_path(
     ``(..., n)``, and returns ``(hill, p_hat)`` indexed by ``k - 1`` along
     the last axis, from running sums over the top order statistics, so the
     entry for ``k`` is bitwise the same for any ``k_max`` and any number of
-    rows.  The caller checks ``1 <= k_max < n``.  The Hill entry for ``k``
+    rows.  The logarithm runs on the ascending top slice, laid out alike
+    in one sample and in a block row: numpy picks its ``log`` routine by
+    memory layout, and a reversed view gets one that can differ in the
+    last bit.  The caller checks ``1 <= k_max < n``.  The Hill entry for ``k``
     is defined only where ``z_(n-k) > 0``; past that it is NaN or
     infinite, without a warning.
     """
     n = z_sorted.shape[-1]
-    top = z_sorted[..., n - k_max - 1 :][..., ::-1]
-    # One log call per row, on its descending 1-D view.  numpy takes the C
-    # library's log for that layout and its vectorised log for others, and
-    # the two can differ in the last bit; a call per row keeps every row
-    # bitwise equal to the one-sample path.
-    log_top = np.empty(top.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for row, out in zip(
-            top.reshape(-1, k_max + 1), log_top.reshape(-1, k_max + 1)
-        ):
-            np.log(row, out=out)
+        log_top = np.log(z_sorted[..., n - k_max - 1 :])[..., ::-1]
         counts = np.arange(1, k_max + 1, dtype=np.float64)
         # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
         hill = np.cumsum(log_top[..., :k_max], axis=-1) / counts - log_top[..., 1:]
@@ -220,19 +214,39 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     )
 
 
-def _positive_index(gamma1: float) -> float:
-    """The corrected index, which the tail fit needs strictly positive."""
-    if gamma1 <= 0.0:
-        raise DomainError(
-            "tail index estimate is not positive; the top k observations "
-            "are degenerate"
+def _php_failures(gamma1: np.ndarray, rho: float) -> np.ndarray:
+    """Why the closed form of :func:`php_estimate` fails at each index.
+
+    ``gamma1`` is a 1-D array of corrected indices.  Returns an object
+    array of its shape: the reason where an index is not positive or
+    ``rho * gamma1 >= 1`` (the premium integral diverges), else None.
+    At ``rho = 0`` only the sign is checked.
+    """
+    reasons = np.full(gamma1.shape, None, dtype=object)
+    reasons[gamma1 <= 0.0] = (
+        "tail index estimate is not positive; the top k observations "
+        "are degenerate"
+    )
+    for i in np.flatnonzero(rho * gamma1 >= 1.0):
+        reasons[i] = (
+            "estimated tail is too heavy for a finite premium: "
+            f"rho * gamma1 = {rho * gamma1[i]:g} >= 1 "
+            f"(gamma1={gamma1[i]:g}, rho={rho:g})"
         )
-    return gamma1
+    return reasons
 
 
-def _anchored_fit(sample: SortedCensoredSample, k: int) -> Tuple[float, float, float]:
-    """Corrected index (> 0), threshold ``z_(n-k)`` and its product-limit anchor."""
-    gamma1 = _positive_index(censored_hill(sample, k).gamma1_hat)
+def _anchored_fit(
+    sample: SortedCensoredSample, k: int, rho: float
+) -> Tuple[float, float, float]:
+    """Corrected index, threshold ``z_(n-k)`` and its product-limit anchor.
+
+    Raises the reason :func:`_php_failures` gives the index at ``rho``.
+    """
+    gamma1 = censored_hill(sample, k).gamma1_hat
+    reason = _php_failures(np.array([gamma1]), rho)[0]
+    if reason is not None:
+        raise DomainError(reason)
     z_threshold = sample.z_sorted[sample.n - k - 1]
     return gamma1, z_threshold, float(_km_anchor(sample.delta_concomitant, k))
 
@@ -252,7 +266,7 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     x : float
         Evaluation point, at or above the k-th upper order statistic.
     """
-    gamma1, z_threshold, anchor = _anchored_fit(sample, k)
+    gamma1, z_threshold, anchor = _anchored_fit(sample, k, 0.0)
     x = float(x)
     if not x >= z_threshold:
         raise DomainError(
@@ -263,21 +277,20 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
 
 
 def _php_value(
-    gamma1: float, rho: float, retention: float, z_threshold: float, anchor: float
-) -> float:
-    """The closed form of :func:`php_estimate`, with its divergence guard.
+    gamma1: np.ndarray,
+    rho: float,
+    retention: np.ndarray,
+    z_threshold: np.ndarray,
+    anchor: np.ndarray,
+) -> np.ndarray:
+    """The closed form of :func:`php_estimate`, entry by entry.
 
-    Evaluated on Python floats: numpy's vectorised ``power`` may differ from
-    the C library's ``pow`` in the last bit, so batched callers loop here
-    to keep every estimate bitwise equal to the one-sample API.
+    Every entry needs ``gamma1 > 0`` and ``rho * gamma1 < 1`` (see
+    :func:`_php_failures`).  numpy's ``power`` gives an entry the same
+    bits whatever the array's length, so a study block and the one-sample
+    API, which reads this on 1-element arrays, agree bit for bit.
     """
-    if rho * gamma1 >= 1.0:
-        raise DomainError(
-            "estimated tail is too heavy for a finite premium: "
-            f"rho * gamma1 = {rho * gamma1:g} >= 1 "
-            f"(gamma1={gamma1:g}, rho={rho:g})"
-        )
-    return float(
+    return (
         rho * gamma1 / (1.0 - rho * gamma1)
         * retention
         * (retention / z_threshold) ** (-1.0 / (rho * gamma1))
@@ -311,12 +324,13 @@ def php_estimate(
     settings = validate_settings(settings, sample.n)
     k = settings.k
     rho = settings.rho
-    gamma1, z_threshold, anchor = _anchored_fit(sample, k)
+    gamma1, z_threshold, anchor = _anchored_fit(sample, k, rho)
     if settings.retention_is_threshold:
         retention = float(z_threshold)
     else:
         retention = float(settings.retention)
-    value = _php_value(gamma1, rho, retention, z_threshold, anchor)
+    fit = np.array([[gamma1], [retention], [z_threshold], [anchor]])
+    value = float(_php_value(fit[0], rho, *fit[1:])[0])
     return PremiumEstimate(
         value=value,
         rho=rho,

@@ -126,21 +126,18 @@ class BurrModel:
         ``R**(eta/gamma) * t``, exact even below the knee, where ``t``
         rounds to 1.  Where ``t < 1e-300`` the leading term
         ``b/(a-b) * t**(a-b)``, taken in log space, is exact to double
-        precision.
+        precision, and the fraction is not run.
         """
         _check_premium_params(self, rho, retention)
         a = 1.0 / (self.eta * rho)
         b = self.gamma / self.eta
-        rs = np.asarray(retention, dtype=np.float64)
+        rs = np.asarray(retention, dtype=np.float64).ravel()
         big, log_t = self._log_t(rs)
-        power = np.where(big, 1.0, rs) ** (self.eta / self.gamma)
+        out = b / (a - b) * np.exp((a - b) * log_t)
+        power = rs[~big] ** (self.eta / self.gamma)
         t = 1.0 / (1.0 + power)
-        out = np.where(
-            big,
-            b / (a - b) * np.exp((a - b) * log_t),
-            b * _lower_beta(a - b, b, t, power * t),
-        )
-        return _match(retention, out)
+        out[~big] = b * _lower_beta(a - b, b, t, power * t)
+        return _match(retention, out.reshape(np.shape(retention)))
 
 
 # Continued-fraction terms _lower_beta evaluates before giving up.  The
@@ -154,19 +151,19 @@ _LENTZ_TINY = 1e-300
 def _lower_beta(p: float, q: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Unregularised incomplete beta ``B_t(p, q)``, given ``s = 1 - t`` exactly.
 
-    The continued fraction of ``B_x(a, b) = x**a (1-x)**b / a * cf`` runs
-    by the modified Lentz method (DiDonato & Morris 1992).  It converges
-    fast for ``x < (a+1)/(a+b+2)``; an element past that cut runs the
-    fraction of ``B_s(q, p)`` instead and is mirrored through the complete
+    ``t`` and ``s`` are 1-D arrays.  The continued fraction of
+    ``B_x(a, b) = x**a (1-x)**b / a * cf`` runs by the modified Lentz
+    method (DiDonato & Morris 1992).  It converges fast for
+    ``x < (a+1)/(a+b+2)``; an element past that cut runs the fraction of
+    ``B_s(q, p)`` instead and is mirrored through the complete
     ``B(p, q)``.  Both sides share the front ``t**p * s**q``.  Each element
     stops at its own first step within 2**-53 of 1, which only 1.0 itself
     is, so its value does not depend on the other elements of the array;
     one still running after ``_BETA_TERMS`` terms raises ``DomainError``.
     """
-    t, s = np.asarray(t), np.asarray(s)
-    mirror = (t * (p + q + 2.0) >= p + 1.0).ravel()
+    mirror = t * (p + q + 2.0) >= p + 1.0
     sides = ((p, q), (q, p))  # (a, b) of the fraction each side runs
-    side, x = mirror.astype(np.intp), np.where(mirror, s.ravel(), t.ravel())
+    side, x = mirror.astype(np.intp), np.where(mirror, s, t)
     d = 1.0 - np.array([(a + b) / (a + 1.0) for a, b in sides])[side] * x
     h = 1.0 / _lentz_floor(d)
     # Rows d and 1/c of the modified Lentz method for the elements still
@@ -202,11 +199,11 @@ def _lower_beta(p: float, q: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
             side, x, dc, h, live = side[keep], x[keep], dc[:, keep], h[keep], live[keep]
     with np.errstate(divide="ignore"):
         front = np.exp(p * np.log(t) + q * np.log(s))
-    out = front.ravel() * cf / np.where(mirror, q, p)
+    out = front * cf / np.where(mirror, q, p)
     if mirror.any():
         complete = math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
         out = np.where(mirror, complete - out, out)
-    return out.reshape(t.shape)
+    return out
 
 
 def _lentz_floor(v: np.ndarray) -> np.ndarray:

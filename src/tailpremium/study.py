@@ -13,12 +13,12 @@ difference of those means, and the root mean squared per-replicate error.
 The engine works one block of a group's replicates at a time, as
 ``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
 one pass of the threshold rule and the Kaplan-Meier anchor over the block,
-and one exact-premium call per distortion parameter.  These are the
-kernels behind the one-sample API (``reiss_thomas_k``, ``tail_index_path``,
-``km_survival_at_threshold``), read there on a single row, and the premium
-estimate is the scalar closed form of ``php_estimate``.  A block holds at
-most ``_BLOCK_RECORDS`` records (at least one replicate), so its memory
-does not grow with n.
+and one premium-estimate and one exact-premium call per distortion
+parameter.  These are the kernels behind the one-sample API
+(``reiss_thomas_k``, ``tail_index_path``, ``km_survival_at_threshold``,
+``php_estimate``), read there on a single row.  A block holds at most
+``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
+not grow with n.
 
 A block returns (replicate x distortion parameter) columns: the exact and
 the estimated premium, NaN where that entry failed, and the failure reason
@@ -28,7 +28,9 @@ Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
 n, eta), and the replicate index, and every kernel treats the rows of a
 block independently, so results are bitwise identical no matter how
-replicates are grouped into blocks or scheduled across processes.
+replicates are grouped into blocks or scheduled across processes.  Across
+machines that holds on one numpy build and CPU family: numpy dispatches
+``log`` and ``power`` to SIMD routines by CPU, which can move last bits.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import _km_anchor, _php_value, _positive_index
+from .estimators import _km_anchor, _php_failures, _php_value
 from .models import burr_scheme
 from .samples import _check_rows, _sort_rows
 from .threshold import _choose_rows
@@ -188,14 +190,15 @@ def _replicate_block(
     and the estimated premium (float64, NaN where the entry failed) and
     the failure reason (object, a string or None).  Each replicate draws
     from its own stream; the samples are then transformed, sorted, checked
-    and threshold-selected as one ``(len(indices), n)`` array pass, and the
-    exact premium (at the selected retention) is one array call per rho,
-    repeated row by row when it fails.  A failed threshold choice fails
-    every rho alike; an estimate or exact-premium failure fails its rho
-    only.  Every kernel treats rows independently and each estimate is
-    the scalar closed form of :func:`php_estimate`, so a replicate's
-    values, failures included, are bitwise the same in any block.
-    Settings are those a :class:`StudyConfig` accepts.
+    and threshold-selected as one ``(len(indices), n)`` array pass.  Per
+    rho, the estimate is one call of the closed form of
+    :func:`php_estimate` over the rows it holds for, and the exact premium
+    (at the selected retention) one array call, repeated row by row when
+    it fails.  A failed threshold choice fails every rho alike; an
+    estimate or exact-premium failure fails its rho only.  Every kernel
+    treats rows independently, so a replicate's values, failures
+    included, are bitwise the same in any block.  Settings are those a
+    :class:`StudyConfig` accepts.
     """
     n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
@@ -204,14 +207,11 @@ def _replicate_block(
     z, delta = _sort_rows(*scheme.records(uniforms))
     _check_rows(z, delta)
     choices = _choose_rows(z, delta, beta)
-    k = choices.k_star
-    rows = np.arange(len(indices))
-    # Read at every row; rows without a choice (k = 0) read unused values.
-    retention = z[rows, n - k - 1]
-    gamma1 = choices.gamma1[rows, k - 1].tolist()
-    threshold = retention.tolist()
-    anchor = _km_anchor(delta, k).tolist()
-    chosen = [r for r, reason in enumerate(choices.failed) if reason is None]
+    chosen = np.flatnonzero(np.equal(choices.failed, None))
+    k = choices.k_star[chosen]
+    gamma1 = choices.gamma1[chosen, k - 1]
+    threshold = z[chosen, n - k - 1]
+    anchor = _km_anchor(delta, choices.k_star)[chosen]
     shape = (len(indices), len(rho_values))
     pi_true = np.full(shape, np.nan)
     pi_hat = np.full(shape, np.nan)
@@ -219,28 +219,21 @@ def _replicate_block(
         len(rho_values), axis=1
     )
     for j, rho in enumerate(rho_values):
-        for r in chosen:
-            try:
-                pi_hat[r, j] = _php_value(
-                    _positive_index(gamma1[r]),
-                    rho,
-                    threshold[r],
-                    threshold[r],
-                    anchor[r],
-                )
-            except DomainError as exc:
-                failed[r, j] = str(exc)
-        ok = np.equal(failed[:, j], None)
-        if not ok.any():
+        reasons = _php_failures(gamma1, rho)
+        failed[chosen, j] = reasons
+        fit = np.equal(reasons, None)
+        rows, retention = chosen[fit], threshold[fit]
+        pi_hat[rows, j] = _php_value(gamma1[fit], rho, retention, retention, anchor[fit])
+        if not rows.size:
             continue
         try:
-            pi_true[ok, j] = scheme.loss_model.premium(rho, retention[ok])
+            pi_true[rows, j] = scheme.loss_model.premium(rho, retention)
         except (DomainError, ValidationError):
             # Price each row alone, so a row fails for its own retention
             # only; array and scalar calls give the same bits.
-            for r in np.flatnonzero(ok):
+            for r, at in zip(rows.tolist(), retention.tolist()):
                 try:
-                    pi_true[r, j] = scheme.loss_model.premium(rho, retention[r])
+                    pi_true[r, j] = scheme.loss_model.premium(rho, at)
                 except (DomainError, ValidationError) as exc:
                     failed[r, j] = str(exc)
                     pi_hat[r, j] = np.nan

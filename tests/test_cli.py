@@ -209,11 +209,10 @@ class TestReadClaims:
         ]
         flags = rng.integers(0, 2, values.size).tolist()
         path = tmp_path / "c.csv"
-        path.write_text(
-            "z,delta\n" + "".join(f"{z},{d}\n" for z, d in zip(fields, flags))
-        )
+        text = "z,delta\n" + "".join(f"{z},{d}\n" for z, d in zip(fields, flags))
+        path.write_text(text)
         fast = read_claims(str(path))
-        rows = _read_claims_rows(str(path))
+        rows = _read_claims_rows(str(path), text)
         assert fast.z_sorted.tobytes() == rows.z_sorted.tobytes()
         assert fast.delta_concomitant.tobytes() == rows.delta_concomitant.tobytes()
 

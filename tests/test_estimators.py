@@ -27,6 +27,7 @@ from tailpremium import (
     uncensored_proportion,
     weissman_tail,
 )
+from tailpremium.estimators import _php_value
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 from tailpremium.threshold import tail_index_path
 
@@ -371,6 +372,28 @@ class TestPhpEstimate:
         sample = sample_from_pairs([(1.0, 1), (math.exp(0.95), 1)])
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             php_estimate(sample, EstimationSettings(k=1, rho=1.1))
+
+    @pytest.mark.parametrize("rho", [1.0, 1.1, 1.7])
+    def test_closed_form_entries_equal_one_element_calls(self, rho):
+        # The study evaluates the closed form on whole blocks with R = Z,
+        # where the power (R/Z)**(-1/(rho*gamma1)) is exactly 1;
+        # php_estimate reads it on 1-element arrays with any R.  With
+        # R != Z every entry of a 50-entry call must still be bitwise that
+        # entry alone.
+        rng = np.random.default_rng(14)
+        gamma1 = rng.uniform(0.02, 0.55, 50)
+        z_threshold = np.exp(rng.uniform(0.0, 8.0, 50))
+        retention = z_threshold * np.exp(rng.uniform(-1.0, 3.0, 50))
+        anchor = rng.uniform(0.01, 0.3, 50)
+        assert np.all(retention != z_threshold)
+        out = _php_value(gamma1, rho, retention, z_threshold, anchor)
+        assert np.all(np.isfinite(out) & (out > 0.0))
+        for i in range(50):
+            one = slice(i, i + 1)
+            alone = _php_value(
+                gamma1[one], rho, retention[one], z_threshold[one], anchor[one]
+            )
+            assert alone.tobytes() == out[one].tobytes(), i
 
     def test_settings_validation_propagates(self, uncensored_quad):
         from tailpremium import ValidationError

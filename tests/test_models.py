@@ -310,6 +310,22 @@ class TestTheoreticalPremium:
         with pytest.raises(DomainError, match="did not converge"):
             BurrModel(0.1, 0.25).premium(1.0, np.array([1.0, 3.0]))
 
+    def test_burr_premium_runs_the_fraction_short_of_the_far_tail_only(
+        self, monkeypatch
+    ):
+        # R = 1e16 is priced by the log-space term, so the fraction must not
+        # run there: 4 terms price R = 2 and 1e3 in full, but not t = 1/2.
+        model = BurrModel(0.05, 1.0)
+        retentions = np.array([2.0, 1e3, 1e16])
+        full = model.premium(1.0, retentions)
+        monkeypatch.setattr(models, "_BETA_TERMS", 4)
+        capped = model.premium(1.0, retentions)
+        assert capped.tolist() == full.tolist() == [
+            1.0038672350730173e-07,
+            5.263157894736866e-59,
+            5.26315789473657e-306,
+        ]
+
     @pytest.mark.parametrize("model", [BurrModel(0.6, 0.25), ParetoModel(0.6)])
     def test_premium_method_guards(self, model):
         with pytest.raises(DomainError, match="diverges"):

@@ -16,6 +16,7 @@ from tailpremium import (
     replicate_stream,
     tail_index_path,
 )
+from tailpremium.estimators import _tail_path
 from tailpremium.threshold import _choose_rows, _window_scores
 
 from helpers import naive_gamma1_path, naive_threshold_choice, sample_from_pairs
@@ -363,6 +364,36 @@ class TestRowKernel:
                 assert alone[0, 0] == block.scores[r, j], (r, j)
                 scored += 1
         assert scored > 400
+
+    @pytest.mark.parametrize("layout", ["fortran", "row-strided"])
+    def test_layout_does_not_change_bits(self, layout):
+        # numpy picks its log routine by memory layout (a reversed 1-D view
+        # gets another one than a contiguous slice, which can differ in the
+        # last bit), so a block laid out otherwise must still give each row
+        # the bits of that row alone.
+        samples = self.random_rows()
+        z = np.stack([s.z_sorted for s in samples])
+        delta = np.stack([s.delta_concomitant for s in samples])
+        if layout == "fortran":
+            z, delta = np.asfortranarray(z), np.asfortranarray(delta)
+        else:
+            z, delta = np.repeat(z, 2, axis=0)[::2], np.repeat(delta, 2, axis=0)[::2]
+        assert not z.flags.c_contiguous
+        k_max = z.shape[1] // 2
+        hill, p_hat = _tail_path(z, delta, k_max)
+        block = _choose_rows(z, delta, 0.3)
+        for r in range(z.shape[0]):
+            row_hill, row_p_hat = _tail_path(z[r].copy(), delta[r].copy(), k_max)
+            assert hill[r].tobytes() == row_hill.tobytes()
+            assert p_hat[r].tobytes() == row_p_hat.tobytes()
+            alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
+            assert block.failed[r] == alone.failed[0]
+            assert block.k_star[r] == alone.k_star[0]
+            width = alone.gamma1.shape[1]
+            assert block.gamma1[r, :width].tobytes() == alone.gamma1[0].tobytes()
+            assert block.candidates[r].tolist() == alone.candidates[0].tolist()
+            assert block.scores[r].tobytes() == alone.scores[0].tobytes()
+
 
 class TestAgainstNaiveRule:
     """Brute-force battery: library vs the scalar-loop reimplementation."""
