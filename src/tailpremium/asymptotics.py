@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import PremiumEstimate
+from .estimators import PremiumEstimate, _finite_scale
 
 
 def _check_index_and_rho(gamma1: float, rho: float) -> None:
@@ -142,7 +142,8 @@ def normalization_factor(
 
     ``(R/h)**(-1/(rho*gamma1)) * R * survival_at_h**(1/rho)``.  Defined
     for strictly positive inputs with ``rho * gamma1 < 1``; homogeneous of
-    degree 1 when ``R`` and ``h`` are scaled together.
+    degree 1 when ``R`` and ``h`` are scaled together.  A factor past the
+    float range raises :class:`DomainError`.
     """
     values = {
         "retention": retention,
@@ -155,11 +156,13 @@ def normalization_factor(
         if not (np.isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be > 0, got {value!r}")
     _check_finite_premium(gamma1, rho)
-    return (
-        (retention / h) ** (-1.0 / (rho * gamma1))
-        * retention
-        * survival_at_h ** (1.0 / rho)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(
+            np.float64(retention / h) ** (-1.0 / (rho * gamma1))
+            * retention
+            * np.float64(survival_at_h) ** (1.0 / rho)
+        )
+    return _finite_scale(value, retention, h, rho * gamma1)
 
 
 def confidence_interval(

@@ -7,8 +7,8 @@ replicated study from a config file.
 
 Exit codes: 0 success, 2 malformed input (bad flags, bad CSV or config),
 3 violated mathematical precondition, 4 input/output failure.  Numbers are
-serialized with 12 significant digits so emitted files round-trip exactly
-through reparsing.
+serialized with 12 significant digits, so emitted files reparse to full
+printed precision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 import math
 import sys
 import warnings
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .asymptotics import (
 from .errors import DomainError, FileFormatError, ValidationError
 from .estimators import censored_hill, kaplan_meier_survival, php_estimate
 from .samples import THRESHOLD, EstimationSettings, SortedCensoredSample
-from .study import StudyConfig, StudyRow, run_study
+from .study import StudyConfig, run_study
 from .threshold import reiss_thomas_k
 
 EXIT_OK = 0
@@ -44,9 +44,12 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-_CLAIMS_HEADER = ["z", "delta"]
 _CLAIMS_DTYPE = np.dtype([("z", np.float64), ("delta", np.int64)])
-_STUDY_HEADER = ["p", "rho", "n", "pi_true", "pi_hat", "abs_bias", "rmse", "failures"]
+# Every emitted number that is not a count: 12 significant digits.
+_FLOAT = "%.12g"
+_STUDY_HEADER = "p,rho,n,pi_true,pi_hat,abs_bias,rmse,failures"
+# One study line, over the fields of a ``StudyRow`` in order.
+_STUDY_LINE = ",".join([_FLOAT, _FLOAT, "%d", _FLOAT, _FLOAT, _FLOAT, _FLOAT, "%d"])
 # Study config keys in parse order: key -> (caster, is_list).  Every key
 # but ``beta`` is required.
 _CONFIG_KEYS = {
@@ -63,7 +66,7 @@ _CONFIG_KEYS = {
 
 def _fmt(value: float) -> str:
     """12-significant-digit shortest decimal form."""
-    return format(float(value), ".12g")
+    return _FLOAT % value
 
 
 def read_claims(path: str) -> SortedCensoredSample:
@@ -134,7 +137,7 @@ def _read_claims_rows(path: str, text: str) -> SortedCensoredSample:
     delta: List[int] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
-    if header != _CLAIMS_HEADER:
+    if header != ["z", "delta"]:
         got = ",".join(header) if header else "<empty file>"
         raise FileFormatError(
             f"{path}:1: expected header 'z,delta', got '{got}'"
@@ -242,11 +245,11 @@ def _retention_flag(value: str) -> Union[float, str]:
         ) from None
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_lines(path: str, header: str, line: str, rows: Iterable) -> None:
+    """Write ``header``, then ``line % row`` per row, as unquoted lines."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(header + "\n")
+        handle.writelines(map((line + "\n").__mod__, rows))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -259,15 +262,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     estimate = php_estimate(sample, settings)
     estimates = censored_hill(sample, k)
 
-    pairs: List[Tuple[str, str]] = [
-        ("n", str(sample.n)),
-        ("k", str(k)),
-        ("p_hat", _fmt(estimates.p_hat)),
-        ("gamma_hill", _fmt(estimates.gamma_hill)),
-        ("gamma1_hat", _fmt(estimates.gamma1_hat)),
-        ("retention", _fmt(estimate.retention)),
-        ("premium", _fmt(estimate.value)),
-    ]
+    report = {
+        "n": str(sample.n),
+        "k": str(k),
+        "p_hat": _fmt(estimates.p_hat),
+        "gamma_hill": _fmt(estimates.gamma_hill),
+        "gamma1_hat": _fmt(estimates.gamma1_hat),
+        "retention": _fmt(estimate.retention),
+        "premium": _fmt(estimate.value),
+    }
     if args.tau1 is not None or args.lambda1 is not None:
         tau1 = args.tau1 if args.tau1 is not None else 0.0
         lambda1 = args.lambda1 if args.lambda1 is not None else 0.0
@@ -299,24 +302,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 ),
             )
             lo, hi = confidence_interval(estimate, limit, k, args.level)
-            pairs.append(("ci_level", _fmt(args.level)))
-            pairs.append(("ci_low", _fmt(lo)))
-            pairs.append(("ci_high", _fmt(hi)))
-    for key, value in pairs:
+            report.update(ci_level=_fmt(args.level), ci_low=_fmt(lo), ci_high=_fmt(hi))
+    for key, value in report.items():
         print(f"{key} {value}")
     if args.out is not None:
-        _write_csv(
-            args.out, [key for key, _ in pairs], [[value for _, value in pairs]]
-        )
+        _write_lines(args.out, ",".join(report), "%s", [",".join(report.values())])
     return EXIT_OK
 
 
 def cmd_km(args: argparse.Namespace) -> int:
     sample = read_claims(args.input)
     x = np.unique(sample.z_sorted)[:-1]
-    survival = kaplan_meier_survival(sample, x)
-    rows = [[_fmt(a), _fmt(b)] for a, b in zip(x.tolist(), survival.tolist())]
-    _write_csv(args.out, ["x", "survival"], rows)
+    curve = zip(x.tolist(), kaplan_meier_survival(sample, x).tolist())
+    _write_lines(args.out, "x,survival", f"{_FLOAT},{_FLOAT}", curve)
     return EXIT_OK
 
 
@@ -348,21 +346,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"--seed: {exc}") from exc
     rows = run_study(config, workers=args.workers)
-    _write_csv(args.out, _STUDY_HEADER, [_row_to_csv(row) for row in rows])
+    _write_lines(args.out, _STUDY_HEADER, _STUDY_LINE, map(dataclasses.astuple, rows))
     return EXIT_OK
-
-
-def _row_to_csv(row: StudyRow) -> List[str]:
-    return [
-        _fmt(row.p),
-        _fmt(row.rho),
-        str(row.n),
-        _fmt(row.mean_pi_true),
-        _fmt(row.mean_pi_hat),
-        _fmt(row.abs_bias),
-        _fmt(row.rmse),
-        str(row.failure_count),
-    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

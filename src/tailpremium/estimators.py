@@ -276,6 +276,16 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     return float((x / z_threshold) ** (-1.0 / gamma1) * anchor)
 
 
+def _finite_scale(value: float, retention: float, h: float, rho_gamma1: float) -> float:
+    """``value``, unless ``(R / h) ** (-1 / (rho * gamma1))`` overflowed it."""
+    if not np.isfinite(value):
+        raise DomainError(
+            "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
+            f"with R={retention:g}, h={h:g}, rho * gamma1={rho_gamma1:g}"
+        )
+    return value
+
+
 def _php_value(
     gamma1: np.ndarray,
     rho: float,
@@ -318,8 +328,8 @@ def php_estimate(
         If the settings violate their bounds for this sample size.
     DomainError
         If the censoring correction is undefined, the tail estimate is not
-        positive, or ``rho * gamma1 >= 1`` so the premium integral
-        diverges.
+        positive, ``rho * gamma1 >= 1`` so the premium integral diverges,
+        or the premium overflows the float range.
     """
     settings = validate_settings(settings, sample.n)
     k = settings.k
@@ -330,9 +340,10 @@ def php_estimate(
     else:
         retention = float(settings.retention)
     fit = np.array([[gamma1], [retention], [z_threshold], [anchor]])
-    value = float(_php_value(fit[0], rho, *fit[1:])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(_php_value(fit[0], rho, *fit[1:])[0])
     return PremiumEstimate(
-        value=value,
+        value=_finite_scale(value, retention, z_threshold, rho * gamma1),
         rho=rho,
         retention=retention,
         k=k,

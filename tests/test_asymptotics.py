@@ -1,6 +1,7 @@
 """Normal-limit mean/variance, normalization, confidence intervals."""
 
 import math
+import warnings
 from statistics import NormalDist
 
 import pytest
@@ -164,6 +165,13 @@ class TestNormalizationFactor:
     def test_rejects_heavy_tail(self):
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             normalization_factor(2.0, 1.0, 0.1, 0.95, 1.1)
+
+    def test_overflow_guard(self):
+        # (1e-3 / 1005) ** (-1 / 3.98e-4) is far past the float range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="premium overflows the float range"):
+                normalization_factor(1e-3, 1005.0, 1.0, 3.98e-4, 1.0)
 
 
 class TestGaussianQuantile:

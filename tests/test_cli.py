@@ -21,6 +21,7 @@ from tailpremium import (
     asym_variance,
     censored_hill,
     confidence_interval,
+    kaplan_meier_survival,
     normalization_factor,
     php_estimate,
     reiss_thomas_k,
@@ -52,6 +53,17 @@ def read_rows(path):
 
 
 QUAD = [(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)]
+
+
+def interval_rows(n=200, k=50):
+    """Claims whose top ``k`` are 40% uncensored: at rho = 1 and this k
+    the printed variance is positive, so an interval is reported."""
+    z = ((n + 1.0 - np.arange(1, n + 1)) / (n + 1.0)) ** -0.05
+    delta = [1] * (n - k) + [1, 1, 0, 0, 0] * (k // 5)
+    return list(zip(z.tolist(), delta))
+
+
+INTERVAL_FLAGS = ["--tau1", "-0.25", "--lambda1", "0.5", "--level", "0.9"]
 
 CONFIG_TEXT = """\
 # two-cell smoke study
@@ -238,13 +250,31 @@ class TestEstimateCommand:
         )
 
     def test_out_csv_mirrors_report(self, tmp_path, capsys):
-        path = write_claims(tmp_path / "c.csv", QUAD)
-        out = tmp_path / "report.csv"
-        main(["estimate", path, "--rho", "1", "--k", "2", "--out", str(out)])
-        report = parse_report(capsys.readouterr().out)
-        header, row = read_rows(out)
-        assert header == list(report)
-        assert row == list(report.values())
+        runs = [
+            (QUAD, ["--k", "2"]),
+            (interval_rows(), ["--k", "50", *INTERVAL_FLAGS]),
+        ]
+        for i, (rows, flags) in enumerate(runs):
+            path = write_claims(tmp_path / f"c{i}.csv", rows)
+            out = tmp_path / f"report{i}.csv"
+            main(["estimate", path, "--rho", "1", *flags, "--out", str(out)])
+            report = parse_report(capsys.readouterr().out)
+            header, row = read_rows(out)
+            assert header == list(report)
+            assert row == list(report.values())
+        assert header[-3:] == ["ci_level", "ci_low", "ci_high"]
+
+    def test_overflowing_premium_is_named(self, tmp_path, capsys):
+        # gamma1_hat ~ 2e-4 and R / z_(n-k) ~ 1e-6: the power
+        # (R / z) ** (-1 / (rho * gamma1)) leaves the float range.
+        z = np.random.default_rng(3).uniform(1000.0, 1010.0, 300)
+        path = write_claims(tmp_path / "c.csv", [(v, 1) for v in z.tolist()])
+        argv = ["estimate", path, "--rho", "1", "--k", "20", "--retention", "1e-3"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: premium overflows the float range")
+        assert captured.err.count("\n") == 1
 
     def test_auto_k_matches_library_rule(self, tmp_path, capsys):
         rng = np.random.default_rng(21)
@@ -257,15 +287,8 @@ class TestEstimateCommand:
 
     def test_confidence_interval_wires_the_asymptotics(self, tmp_path, capsys):
         n, k = 200, 50
-        z = ((n + 1.0 - np.arange(1, n + 1)) / (n + 1.0)) ** -0.05
-        delta = [1] * (n - k) + [1, 1, 0, 0, 0] * (k // 5)
-        path = write_claims(tmp_path / "c.csv", list(zip(z.tolist(), delta)))
-        code = main(
-            [
-                "estimate", path, "--rho", "1", "--k", str(k),
-                "--tau1", "-0.25", "--lambda1", "0.5", "--level", "0.9",
-            ]
-        )
+        path = write_claims(tmp_path / "c.csv", interval_rows(n, k))
+        code = main(["estimate", path, "--rho", "1", "--k", str(k), *INTERVAL_FLAGS])
         assert code == 0
         report = parse_report(capsys.readouterr().out)
         assert report["ci_level"] == "0.9"
@@ -435,6 +458,26 @@ class TestKmCommand:
         for x_text, survival_text in rows:
             want = naive_km_grouped(z, delta, float(x_text))
             assert float(survival_text) == pytest.approx(want, rel=1e-11)
+
+    def test_file_bytes_on_ties_and_exponents(self, tmp_path):
+        # Amounts near 1e-7 and 1e15, each tied several times, so both
+        # columns need exponent notation and 12-digit rounding.
+        rng = np.random.default_rng(29)
+        values = np.concatenate(
+            [rng.uniform(1e-7, 9e-7, 6), rng.uniform(1e15, 9e15, 6)]
+        )
+        z = rng.choice(values, 60).tolist()
+        delta = rng.integers(0, 2, 60).tolist()
+        path = write_claims(tmp_path / "c.csv", list(zip(z, delta)))
+        out = tmp_path / "km.csv"
+        assert main(["km", path, "--out", str(out)]) == 0
+        sample = read_claims(path)
+        lines = [
+            f"{format(x, '.12g')},{format(kaplan_meier_survival(sample, x), '.12g')}\n"
+            for x in sorted(set(z))[:-1]
+        ]
+        assert len(lines) > 6 and "e-07" in lines[0] and "e+15" in lines[-1]
+        assert out.read_bytes() == ("x,survival\n" + "".join(lines)).encode()
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         path = write_claims(tmp_path / "c.csv", QUAD)
@@ -615,7 +658,10 @@ def _scipy_modules_after(probe):
         " if m == 'scipy' or m.startswith('scipy.')))"
     )
     process = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert process.returncode == 0, process.stderr
     return process.stdout.strip().splitlines()[-1]

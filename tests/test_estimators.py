@@ -1,6 +1,7 @@
 """Point estimators: Kaplan-Meier, Hill, censoring correction, premium."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,17 @@ class TestPhpEstimate:
         sample = sample_from_pairs([(1.0, 1), (math.exp(0.95), 1)])
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             php_estimate(sample, EstimationSettings(k=1, rho=1.1))
+
+    def test_overflow_guard(self):
+        # gamma1_hat ~ 2e-4 at k = 20 and R / z_(n-k) ~ 1e-6: the power
+        # (R / z) ** (-1 / (rho * gamma1)) leaves the float range.
+        z = np.random.default_rng(3).uniform(1000.0, 1010.0, 300)
+        sample = sample_from_pairs([(v, 1) for v in z.tolist()])
+        settings = EstimationSettings(k=20, rho=1.0, retention=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="premium overflows the float range"):
+                php_estimate(sample, settings)
 
     @pytest.mark.parametrize("rho", [1.0, 1.1, 1.7])
     def test_closed_form_entries_equal_one_element_calls(self, rho):

@@ -159,7 +159,7 @@ class TestReplicateStream:
             replicate_stream(42, CELL, -1)
 
 
-class TestRunReplicate:
+class TestOneReplicate:
     def test_deterministic(self):
         first = own_rho_replicate(CELL, 1.0, 3, 777)
         second = own_rho_replicate(CELL, 1.0, 3, 777)
@@ -333,7 +333,7 @@ class TestRunStudy:
             (0.6, 1.1, 200),
         ]
 
-    def test_single_replicate_reduces_to_run_replicate(self):
+    def test_single_replicate_row_is_that_replicate(self):
         config = small_config(replicates=1)
         (row,) = run_study(config)
         pi_true, pi_hat, _ = own_rho_replicate(CELL, 1.0, 0, 777)
@@ -522,7 +522,7 @@ MATCHED = small_config(
 )
 
 
-class TestMatchedReplicates:
+class TestEveryRhoSharesOneDraw:
     def test_each_rho_equals_its_own_replicate(self):
         config = MATCHED
         rho_specific = 0
