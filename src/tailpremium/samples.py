@@ -24,6 +24,10 @@ from .errors import ValidationError
 # statistic of the sample as the retention level.
 THRESHOLD = "threshold"
 
+# Bit pattern of +inf: a double's bits lie below it exactly when the value
+# is finite with its sign bit clear (>= 0, and not -0.0).
+_INF_BITS = np.float64(np.inf).view(np.uint64)
+
 
 def _int_flags(delta: np.ndarray) -> np.ndarray:
     """Censoring flags as a new int64 array.
@@ -42,13 +46,22 @@ def _sort_rows(z: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     Rows are ordered by ``z`` ascending and, within a tie, by ``delta``
     descending; the flags are checked and returned as int64.  One key
     holds both: for ``z >= 0`` the IEEE bit pattern orders like the value
-    (``-0.0`` is keyed as ``0.0``) and the spare top bit makes room for
-    the flag, so records with equal keys are equal.  Values that are not
-    finite and >= 0 sort anywhere, for the sample's checks to reject.
+    and the spare sign bit makes room for the flag, so records with equal
+    keys are equal.  When every value is finite and has its sign bit
+    clear, the key is sorted in place and unpacked into the records.
+    Otherwise it is argsorted, stably, and the raw records gathered, so
+    ``-0.0`` (keyed as ``0.0``) keeps its sign and its input order among
+    the zeros, and values that are not finite and >= 0 sort anywhere, for
+    the sample's checks to reject.
     """
     delta = _int_flags(delta)
-    key = ((z + 0.0).view(np.uint64) << np.uint64(1)) | (delta == 0)
-    order = np.argsort(key, axis=-1)
+    one = np.uint64(1)
+    packed = z.size > 0 and z.view(np.uint64).max() < _INF_BITS
+    key = ((z if packed else z + 0.0).view(np.uint64) << one) | (delta == 0)
+    if packed:
+        key.sort(axis=-1)
+        return (key >> one).view(np.float64), (~key & one).view(np.int64)
+    order = np.argsort(key, axis=-1, kind="stable")
     return np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
 
 

@@ -13,16 +13,18 @@ difference of those means, and the root mean squared per-replicate error.
 The engine works one block of a group's replicates at a time, as
 ``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
 one pass of the threshold rule and the Kaplan-Meier anchor over the block,
-and one premium-estimate and one exact-premium call per distortion
-parameter.  These are the kernels behind the one-sample API
-(``reiss_thomas_k``, ``tail_index_path``, ``km_survival_at_threshold``,
-``php_estimate``), read there on a single row.  A block holds at most
-``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
-not grow with n.
+and one premium-estimate call per distortion parameter.  These are the
+kernels behind the one-sample API (``reiss_thomas_k``,
+``tail_index_path``, ``km_survival_at_threshold``, ``php_estimate``),
+read there on a single row.  A block holds at most ``_BLOCK_RECORDS``
+records (at least one replicate), so its memory does not grow with n.
 
-A block returns (replicate x distortion parameter) columns: the exact and
-the estimated premium, NaN where that entry failed, and the failure reason
-or None.  The run joins the blocks, and each cell aggregates its slice.
+A block returns each replicate's retention (NaN where the threshold
+choice failed) and (replicate x distortion parameter) columns: the
+estimated premium, NaN where that entry failed, and the failure reason or
+None.  The run joins the blocks and, since every group shares the loss
+model, prices the exact premium in one call per distortion parameter over
+every replicate still alive there; each cell then aggregates its slice.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
@@ -36,8 +38,6 @@ machines that holds on one numpy build and CPU family: numpy dispatches
 from __future__ import annotations
 
 import logging
-import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
 from typing import List, Sequence, Tuple
@@ -46,19 +46,19 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .estimators import _km_anchor, _php_failures, _php_value
-from .models import burr_scheme
+from .models import BurrModel, HeavyTailModel, burr_scheme
 from .samples import _check_rows, _sort_rows
 from .threshold import _choose_rows
 
 logger = logging.getLogger(__name__)
 
 # Records (replicates x sample size) drawn and processed as one block: it
-# bounds a block's arrays whatever n is, and never affects results.  Each
-# further 10 000 records costs about 1 MB of peak memory.  The exact
-# premium's continued fraction costs about 0.5 ms per call on a few dozen
-# retentions, whatever their number, so fewer, larger blocks pay it less
-# often: a 1000-replicate Table-1 study ran in 4.1 s at 20 000 records,
-# 3.3 s at 50 000 and 3.0 s at 100 000 (2 vCPUs, 2.1 GHz Xeon).
+# bounds a block's arrays whatever n is, and never affects results.  The
+# exact premium is priced once per rho after the blocks, so the budget
+# barely moves the run time: a 1000-replicate Table-1 study ran in a median
+# 1.50 s at 20 000 records, 1.57 s at 50 000 and 1.45 s at 100 000, within
+# the noise of 5 fresh processes each, with peak RSS 41, 42 and 46 MB
+# (2 vCPUs, 2.1 GHz Xeon).
 _BLOCK_RECORDS = 50_000
 
 _UINT64_MASK = (1 << 64) - 1
@@ -148,9 +148,15 @@ class StudyRow:
     failure_count: int
 
 
-def _float_key(x: float) -> int:
-    """Bit pattern of a float, for building exact stream keys."""
-    return int.from_bytes(struct.pack("<d", float(x)), "little")
+def _group_words(master_seed: int, cell: StudyCell) -> List[int]:
+    """The entropy words every stream of a sample group starts with.
+
+    The exact bit patterns of (master seed, gamma1, p, n, eta); a
+    replicate's stream appends its index.
+    """
+    floats = np.array([cell.gamma1, cell.p, cell.eta], dtype=np.float64)
+    gamma1, p, eta = floats.view(np.uint64).tolist()
+    return [int(master_seed) & _UINT64_MASK, gamma1, p, int(cell.n), eta]
 
 
 def replicate_stream(
@@ -166,15 +172,24 @@ def replicate_stream(
             f"replicate_index must be >= 0, got {replicate_index!r}"
         )
     return np.random.SeedSequence(
-        [
-            int(master_seed) & _UINT64_MASK,
-            _float_key(cell.gamma1),
-            _float_key(cell.p),
-            int(cell.n),
-            _float_key(cell.eta),
-            int(replicate_index),
-        ]
+        [*_group_words(master_seed, cell), int(replicate_index)]
     )
+
+
+def _block_draws(master_seed: int, cell: StudyCell, indices: range) -> np.ndarray:
+    """Uniforms of the replicates in ``indices``, shape ``(len(indices), 2, n)``.
+
+    Row ``b`` holds, bit for bit, ``CensoringScheme.draw(n, rng)`` with
+    ``rng = np.random.default_rng(replicate_stream(master_seed, cell, i))``
+    for the ``b``-th index ``i``: each replicate's generator fills its row
+    of one buffer, and the group's entropy words are built once.
+    """
+    words = _group_words(master_seed, cell)
+    uniforms = np.empty((len(indices), 2, cell.n))
+    for row, i in zip(uniforms, indices):
+        stream = np.random.SeedSequence([*words, i])
+        np.random.Generator(np.random.PCG64(stream)).random(out=row)
+    return uniforms
 
 
 def _replicate_block(
@@ -184,26 +199,26 @@ def _replicate_block(
     master_seed: int,
     beta: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns ``(pi_true, pi_hat, failed)`` of the replicates in ``indices``.
+    """Columns ``(retention, pi_hat, failed)`` of the replicates in ``indices``.
 
-    Each column is a ``(len(indices), len(rho_values))`` array: the exact
-    and the estimated premium (float64, NaN where the entry failed) and
-    the failure reason (object, a string or None).  Each replicate draws
-    from its own stream; the samples are then transformed, sorted, checked
-    and threshold-selected as one ``(len(indices), n)`` array pass.  Per
-    rho, the estimate is one call of the closed form of
-    :func:`php_estimate` over the rows it holds for, and the exact premium
-    (at the selected retention) one array call, repeated row by row when
-    it fails.  A failed threshold choice fails every rho alike; an
-    estimate or exact-premium failure fails its rho only.  Every kernel
+    ``retention`` holds each replicate's selected order statistic, NaN
+    where the threshold choice failed.  ``pi_hat`` and ``failed`` are
+    ``(len(indices), len(rho_values))`` arrays: the estimated premium
+    (NaN where the entry failed) and the failure reason (object, a
+    string or None).  Each replicate draws from its own stream
+    (:func:`_block_draws`); the samples are then transformed, sorted,
+    checked and threshold-selected as one ``(len(indices), n)`` array
+    pass.  Per rho, the estimate is one call of the closed form of
+    :func:`php_estimate` over the rows it holds for.  A failed threshold
+    choice fails every rho alike; an estimate failure fails its rho only.
+    The exact premium is left to :func:`_price_exact`.  Every kernel
     treats rows independently, so a replicate's values, failures
     included, are bitwise the same in any block.  Settings are those a
     :class:`StudyConfig` accepts.
     """
     n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
-    streams = (replicate_stream(master_seed, cell, i) for i in indices)
-    uniforms = np.stack([scheme.draw(n, np.random.default_rng(s)) for s in streams])
+    uniforms = _block_draws(master_seed, cell, indices)
     z, delta = _sort_rows(*scheme.records(uniforms))
     _check_rows(z, delta)
     choices = _choose_rows(z, delta, beta)
@@ -211,10 +226,10 @@ def _replicate_block(
     k = choices.k_star[chosen]
     gamma1 = choices.gamma1[chosen, k - 1]
     threshold = z[chosen, n - k - 1]
+    retention = np.full(len(indices), np.nan)
+    retention[chosen] = threshold
     anchor = _km_anchor(delta, choices.k_star)[chosen]
-    shape = (len(indices), len(rho_values))
-    pi_true = np.full(shape, np.nan)
-    pi_hat = np.full(shape, np.nan)
+    pi_hat = np.full((len(indices), len(rho_values)), np.nan)
     failed = np.array(choices.failed, dtype=object)[:, None].repeat(
         len(rho_values), axis=1
     )
@@ -222,22 +237,60 @@ def _replicate_block(
         reasons = _php_failures(gamma1, rho)
         failed[chosen, j] = reasons
         fit = np.equal(reasons, None)
-        rows, retention = chosen[fit], threshold[fit]
-        pi_hat[rows, j] = _php_value(gamma1[fit], rho, retention, retention, anchor[fit])
-        if not rows.size:
-            continue
+        at = threshold[fit]
+        pi_hat[chosen[fit], j] = _php_value(gamma1[fit], rho, at, at, anchor[fit])
+    return retention, pi_hat, failed
+
+
+def _price_exact(
+    loss_model: HeavyTailModel,
+    rho_values: Sequence[float],
+    retention: np.ndarray,
+    pi_hat: np.ndarray,
+    failed: np.ndarray,
+) -> np.ndarray:
+    """The exact premium column of joined blocks, beside their estimates.
+
+    Per rho, :func:`_price_rows` prices every row that has not failed
+    there, at its retention; a row it fails takes the reason in ``failed``
+    and NaN in ``pi_hat`` (in place).  Returns ``pi_true``, shaped like
+    ``pi_hat``, NaN where the entry failed.
+    """
+    pi_true = np.full(pi_hat.shape, np.nan)
+    for j, rho in enumerate(rho_values):
+        rows = np.flatnonzero(np.equal(failed[:, j], None))
+        if rows.size:
+            pi_true[rows, j], reasons = _price_rows(loss_model, rho, retention[rows])
+            failed[rows, j] = reasons
+            pi_hat[rows[~np.equal(reasons, None)], j] = np.nan
+    return pi_true
+
+
+def _price_rows(
+    loss_model: HeavyTailModel, rho: float, retention: np.ndarray
+) -> Tuple[np.ndarray, List]:
+    """Premiums of the retentions at ``rho``, and each one's failure reason.
+
+    One array call prices them all.  When it raises, each half is priced
+    again, down to single retentions priced alone, so a row fails for its
+    own retention only (NaN, with the reason) and one failure costs a few
+    calls, not one per row.  Array and scalar calls give the same bits, so
+    a row's value does not depend on the others.
+    """
+    if retention.size == 1:
         try:
-            pi_true[rows, j] = scheme.loss_model.premium(rho, retention)
-        except (DomainError, ValidationError):
-            # Price each row alone, so a row fails for its own retention
-            # only; array and scalar calls give the same bits.
-            for r, at in zip(rows.tolist(), retention.tolist()):
-                try:
-                    pi_true[r, j] = scheme.loss_model.premium(rho, at)
-                except (DomainError, ValidationError) as exc:
-                    failed[r, j] = str(exc)
-                    pi_hat[r, j] = np.nan
-    return pi_true, pi_hat, failed
+            return np.array([loss_model.premium(rho, float(retention[0]))]), [None]
+        except (DomainError, ValidationError) as exc:
+            return np.array([np.nan]), [str(exc)]
+    try:
+        return loss_model.premium(rho, retention), [None] * retention.size
+    except (DomainError, ValidationError):
+        half = retention.size // 2
+        (low, low_reasons), (high, high_reasons) = (
+            _price_rows(loss_model, rho, part)
+            for part in (retention[:half], retention[half:])
+        )
+        return np.concatenate([low, high]), low_reasons + high_reasons
 
 
 def aggregate(
@@ -285,12 +338,14 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     The unit of work is a block of replicates of a distinct (p, n) group,
     ``max(1, _BLOCK_RECORDS // n)`` of them (the last block of a group may
     be shorter): each replicate is drawn and threshold-selected once and
-    evaluated at every distinct rho.  Rows come p-major, then rho, then n,
-    and read their results by value, so repeated grid values give repeated
-    rows computed once.  ``workers`` only controls process-level
-    parallelism; outputs are bitwise identical for any worker count and
-    any block size.  A cell whose replicates all failed is logged and
-    dropped; the run only errors out when every cell is in that state.
+    evaluated at every distinct rho.  The exact premium is then priced
+    once per distinct rho over the joined blocks (:func:`_price_exact`).
+    Rows come p-major, then rho, then n, and read their results by value,
+    so repeated grid values give repeated rows computed once.  ``workers``
+    only controls process-level parallelism; outputs are bitwise identical
+    for any worker count and any block size.  A cell whose replicates all
+    failed is logged and dropped; the run only errors out when every cell
+    is in that state.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
@@ -320,9 +375,14 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     if workers == 1:
         outcomes = list(map(_replicate_block, *args))
     else:
+        # Imported here: serial runs never pay for the process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate_block, *args))
-    pi_true, pi_hat, failed = map(np.concatenate, zip(*outcomes))
+    retention, pi_hat, failed = map(np.concatenate, zip(*outcomes))
+    loss_model = BurrModel(gamma=config.gamma1, eta=config.eta)
+    pi_true = _price_exact(loss_model, rhos, retention, pi_hat, failed)
     group_rows = {
         group: slice(g * count, (g + 1) * count) for g, group in enumerate(groups)
     }

@@ -648,14 +648,15 @@ class TestSimulateCommand:
         assert code == 4
 
 
-def _scipy_modules_after(probe):
+def _modules_after(probe, package="scipy"):
+    """The loaded modules of ``package`` after ``probe`` runs in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe += (
         "\nimport sys"
         "\nprint(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))"
+        f" if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     process = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
@@ -670,7 +671,7 @@ def _scipy_modules_after(probe):
 def test_import_leaves_out_integrate_and_optimize():
     # scipy costs every CLI start a few hundred milliseconds, and nothing
     # in the package needs it: numpy is the only runtime dependency.
-    assert _scipy_modules_after("import tailpremium.cli") == "[]"
+    assert _modules_after("import tailpremium.cli") == "[]"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -686,7 +687,23 @@ def test_simulate_and_h_threshold_leave_out_scipy(tmp_path, workers):
         f" '--workers', {workers!r}]) == 0\n"
         "h_threshold(burr_scheme(0.1, 0.4, 0.25), 100, 1000)"
     )
-    assert _scipy_modules_after(probe) == "[]"
+    assert _modules_after(probe) == "[]"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_serial_runs_leave_out_the_process_pool(tmp_path, workers):
+    # Importing concurrent.futures.process costs every CLI start about
+    # 20 ms; only a run that starts a pool may pay it.
+    pool = "concurrent.futures.process"
+    assert _modules_after("import tailpremium.cli", pool) == "[]"
+    config = write_config(tmp_path / "study.cfg")
+    probe = (
+        "from tailpremium.cli import main\n"
+        f"assert main(['simulate', {config!r}, '--out',"
+        f" {str(tmp_path / 'rows.csv')!r}, '--workers', {workers!r}]) == 0"
+    )
+    loaded = "[]" if workers == "1" else repr([pool])
+    assert _modules_after(probe, pool) == loaded
 
 
 def test_claims_commands_leave_out_scipy(tmp_path):
@@ -704,4 +721,4 @@ def test_claims_commands_leave_out_scipy(tmp_path):
         "assert main(['asymptotics', '--gamma1', '0.2', '--p', '0.5',"
         " '--rho', '1']) == 0"
     )
-    assert _scipy_modules_after(probe) == "[]"
+    assert _modules_after(probe) == "[]"

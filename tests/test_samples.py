@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_sorted, sample_from_pairs
 from tailpremium import (
@@ -11,8 +13,45 @@ from tailpremium import (
     ValidationError,
     validate_settings,
 )
+from tailpremium.samples import _check_rows, _sort_rows
 
 NAN = float("nan")
+INF = float("inf")
+
+# A few values drawn often, so rows tie heavily: both zeros, subnormals,
+# the smallest normal and the largest double among them.
+TIE_VALUES = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 3.0, 1e300,
+    1.7976931348623157e308,
+]
+values = st.one_of(
+    st.sampled_from(TIE_VALUES),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def record_rows(draw, bad_values=()):
+    """``(z, delta)`` of shape ``(n,)`` or ``(rows, n)``, with heavy ties."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 40)),
+            st.tuples(st.integers(1, 4), st.integers(1, 25)),
+        )
+    )
+    size = int(np.prod(shape))
+    z = draw(st.lists(values, min_size=size, max_size=size))
+    delta = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    z, delta = np.array(z, dtype=np.float64), np.array(delta)
+    if bad_values:
+        z[draw(st.integers(0, size - 1))] = draw(st.sampled_from(bad_values))
+    return z.reshape(shape), delta.reshape(shape)
+
+
+def lexsorted_rows(z, delta):
+    """Each row sorted by z, then uncensored first: the stable lexsort reference."""
+    order = np.lexsort((1 - delta, z), axis=-1)
+    return np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
 
 
 class TestCensoredObservation:
@@ -88,6 +127,42 @@ class TestBuildSortedSample:
         assert sorted(zip(sample.z_sorted, sample.delta_concomitant)) == sorted(
             records
         )
+
+
+class TestSortRows:
+    """The row sort behind ``from_unsorted`` and the study's blocks."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(records=record_rows())
+    def test_matches_lexsort_bitwise(self, records):
+        z, delta = records
+        # The reversed rows put each tie's records in the other input order.
+        for z_in, delta_in in ((z, delta), (z[..., ::-1], delta[..., ::-1])):
+            got_z, got_delta = _sort_rows(z_in, delta_in)
+            want_z, want_delta = lexsorted_rows(z_in, delta_in)
+            np.testing.assert_array_equal(
+                got_z.view(np.uint64), want_z.view(np.uint64), strict=True
+            )
+            np.testing.assert_array_equal(got_delta, want_delta, strict=True)
+            np.testing.assert_array_equal(
+                _check_rows(got_z, got_delta), want_delta, strict=True
+            )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(records=record_rows(bad_values=(-1.0, -5e-324, NAN, INF, -INF)))
+    def test_bad_values_still_fail_their_check(self, records):
+        z, delta = records
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            _check_rows(*_sort_rows(z, delta))
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            SortedCensoredSample.from_unsorted(z.ravel(), delta.ravel())
+        # A bad flag is reported first.
+        delta = delta.copy()
+        delta.flat[-1] = 2
+        with pytest.raises(ValidationError, match="0 or 1"):
+            _sort_rows(z, delta)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            SortedCensoredSample.from_unsorted(z.ravel(), delta.ravel())
 
 
 class TestSortedCensoredSample:

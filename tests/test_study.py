@@ -1,5 +1,6 @@
 """Monte Carlo engine: seeding, replicates, aggregation, scheduling."""
 
+import concurrent.futures
 import dataclasses
 import logging
 import struct
@@ -42,14 +43,33 @@ REFERENCE_CSV = (
 )
 
 
+def priced(cell, rho_values, block):
+    """``(pi_true, pi_hat, failed)`` of a block, priced as ``run_study`` does.
+
+    ``block`` is ``(retention, pi_hat, failed)`` of one or more joined
+    blocks of ``cell``'s group; the exact premium is taken under the
+    group's loss model.
+    """
+    retention, pi_hat, failed = block
+    loss_model = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta).loss_model
+    pi_true = study_module._price_exact(
+        loss_model, rho_values, retention, pi_hat, failed
+    )
+    return pi_true, pi_hat, failed
+
+
 def one_replicate(cell, rho_values, replicate_index, master_seed, beta=0.3):
     """The study's columns for one replicate of ``cell``: its block of one."""
-    return study_module._replicate_block(
+    return priced(
         cell,
         rho_values,
-        range(replicate_index, replicate_index + 1),
-        master_seed,
-        beta,
+        study_module._replicate_block(
+            cell,
+            rho_values,
+            range(replicate_index, replicate_index + 1),
+            master_seed,
+            beta,
+        ),
     )
 
 
@@ -99,10 +119,10 @@ def columns(pairs, failures=()):
 
 
 def failed_columns(rho_values, indices, reason):
-    """A block whose every entry failed for ``reason``."""
+    """A block whose every threshold choice failed for ``reason``."""
     shape = (len(indices), len(rho_values))
     return (
-        np.full(shape, np.nan),
+        np.full(len(indices), np.nan),
         np.full(shape, np.nan),
         np.full(shape, reason, dtype=object),
     )
@@ -157,6 +177,39 @@ class TestReplicateStream:
     def test_rejects_negative_index(self):
         with pytest.raises(ValidationError, match="replicate_index"):
             replicate_stream(42, CELL, -1)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize(
+        "master_seed, cell, indices",
+        [
+            (777, CELL, range(0, 5)),
+            (4242, StudyCell(gamma1=0.25, p=0.8, n=500, eta=0.5), range(97, 100)),
+            (
+                (1 << 64) - 1,
+                StudyCell(gamma1=0.1, p=0.4, n=1500, eta=0.25),
+                range(7, 8),
+            ),
+        ],
+    )
+    def test_rows_equal_the_public_streams(self, master_seed, cell, indices):
+        # The buffer is filled from one group key, yet each row is the
+        # replicate's own draw from replicate_stream, bit for bit.
+        draws = study_module._block_draws(master_seed, cell, indices)
+        scheme = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta)
+        assert draws.shape == (len(indices), 2, cell.n)
+        for row, i in zip(draws, indices):
+            rng = np.random.default_rng(replicate_stream(master_seed, cell, i))
+            np.testing.assert_array_equal(row, scheme.draw(cell.n, rng), strict=True)
+
+    def test_block_retentions_come_from_the_public_streams(self):
+        retention, _, failed = study_module._replicate_block(
+            CELL, (1.0,), range(2, 6), 777, 0.3
+        )
+        assert np.equal(failed, None).all()
+        np.testing.assert_array_equal(
+            retention, [chosen_threshold(CELL, i, 777)[1] for i in range(2, 6)]
+        )
 
 
 class TestOneReplicate:
@@ -369,7 +422,7 @@ class TestRunStudy:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(study_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         config = small_config(replicates=3)
         expected = run_study(config)
         # One block: no pool at all, however many workers are asked for.
@@ -410,12 +463,17 @@ class TestRunStudy:
         assert [r.args[:3] for r in debug] == [(r.p, r.rho, r.n) for r in rows]
         for record, row in zip(debug, rows):
             assert "error quantiles" in record.getMessage()
-            pi_true, pi_hat, failed = real(
-                StudyCell(config.gamma1, row.p, row.n, config.eta),
+            cell = StudyCell(config.gamma1, row.p, row.n, config.eta)
+            pi_true, pi_hat, failed = priced(
+                cell,
                 (row.rho,),
-                range(config.replicates),
-                config.master_seed,
-                config.beta,
+                real(
+                    cell,
+                    (row.rho,),
+                    range(config.replicates),
+                    config.master_seed,
+                    config.beta,
+                ),
             )
             errors = (pi_hat - pi_true)[np.equal(failed, None)]
             assert errors.size == config.replicates - row.failure_count
@@ -446,11 +504,11 @@ class TestRunStudy:
         real = study_module._replicate_block
 
         def failing_first_replicate(cell, rho_values, indices, seed, beta=0.3):
-            pi_true, pi_hat, failed = real(cell, rho_values, indices, seed, beta)
+            retention, pi_hat, failed = real(cell, rho_values, indices, seed, beta)
             first = np.equal(indices, 0)
-            pi_true[first] = pi_hat[first] = np.nan
+            retention[first] = pi_hat[first] = np.nan
             failed[first] = "synthetic failure"
-            return pi_true, pi_hat, failed
+            return retention, pi_hat, failed
 
         monkeypatch.setattr(
             study_module, "_replicate_block", failing_first_replicate
@@ -715,7 +773,7 @@ class TestReplicateBlocks:
                 )
                 for start in range(0, count, size)
             ]
-            assert_columns_equal(join(blocks), expected)
+            assert_columns_equal(priced(cell, rhos, join(blocks)), expected)
             assert_columns_equal(
                 join(
                     one_replicate(
@@ -769,14 +827,20 @@ class TestReplicateBlocks:
         rhos = tuple(dict.fromkeys(config.rho_values))
         threshold_failures = rho_only_failures = 0
         for cell in study_groups(config):
-            pi_true, pi_hat, failed = study_module._replicate_block(
+            block = study_module._replicate_block(
                 cell,
                 rhos,
                 range(config.replicates),
                 config.master_seed,
                 config.beta,
             )
+            retention = block[0]
+            pi_true, pi_hat, failed = priced(cell, rhos, block)
             failures = ~np.equal(failed, None)
+            # The retention is missing exactly where the threshold failed,
+            # which fails every rho alike.
+            assert failures[np.isnan(retention)].all()
+            assert (retention[~np.isnan(retention)] > 0.0).all()
             np.testing.assert_array_equal(np.isnan(pi_hat), failures)
             np.testing.assert_array_equal(np.isnan(pi_true), failures)
             assert np.isfinite(pi_hat[~failures]).all()
@@ -797,7 +861,9 @@ class TestReplicateBlocks:
         monkeypatch.setattr(study_module, "burr_scheme", capped_scheme)
         cell = StudyCell(gamma1=0.5, p=0.6, n=400, eta=0.25)
         rhos = (1.0, 1.1)
-        block = study_module._replicate_block(cell, rhos, range(4), 77, 0.3)
+        block = priced(
+            cell, rhos, study_module._replicate_block(cell, rhos, range(4), 77, 0.3)
+        )
         expected = join(scalar_replicate(cell, rhos, i, 77, 0.3) for i in range(4))
         assert_columns_equal(block, expected)
         assert all(
@@ -823,6 +889,91 @@ class TestReplicateBlocks:
             budget // 1500, budget // 1500, 1
         ]
         assert {n for n, _ in blocks} == {500, 1500}
+
+
+def study_blocks(config):
+    """``(retention, pi_hat, failed)`` of every group, joined as ``run_study`` does."""
+    rhos = tuple(dict.fromkeys(config.rho_values))
+    return join(
+        study_module._replicate_block(
+            cell, rhos, range(config.replicates), config.master_seed, config.beta
+        )
+        for cell in study_groups(config)
+    )
+
+
+class TestExactPremiumPricing:
+    """The exact premium is priced once per rho, after every block."""
+
+    def test_one_call_per_distinct_rho(self, monkeypatch):
+        config = small_config(
+            p_values=(0.4, 0.6), rho_values=(1.0, 1.1, 1.0), n_values=(150, 200),
+            replicates=5,
+        )
+        # One replicate per block: 20 blocks, still one call per rho.
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 150)
+        real = BurrModel.premium
+        calls = []
+
+        def counting(self, rho, retention):
+            calls.append((rho, np.size(retention)))
+            return real(self, rho, retention)
+
+        monkeypatch.setattr(BurrModel, "premium", counting)
+        rows = run_study(config)
+        assert [row.failure_count for row in rows] == [0] * len(rows)
+        assert calls == [(1.0, 20), (1.1, 20)]
+
+    def test_a_failing_retention_fails_its_entry_only(self, monkeypatch):
+        config = MATCHED
+        rhos = config.rho_values
+        groups = study_groups(config)
+        retention = study_blocks(config)[0]
+        before = priced(groups[0], rhos, study_blocks(config))
+        alive = np.argwhere(np.equal(before[2], None))
+        r, j = alive[len(alive) // 2]
+        assert np.count_nonzero(retention == retention[r]) == 1
+        target = (rhos[j], retention[r])
+        real = BurrModel.premium
+        calls = []
+
+        def failing(self, rho, at):
+            calls.append((rho, np.size(at)))
+            if rho == target[0] and np.any(np.asarray(at) == target[1]):
+                raise DomainError("synthetic failure")
+            return real(self, rho, at)
+
+        expected_rows = run_study(config)
+        monkeypatch.setattr(BurrModel, "premium", failing)
+        after = priced(groups[0], rhos, study_blocks(config))
+        pi_true, pi_hat, failed = (column.copy() for column in before)
+        pi_true[r, j] = pi_hat[r, j] = np.nan
+        failed[r, j] = "synthetic failure"
+        assert_columns_equal(after, (pi_true, pi_hat, failed))
+        # Halving the failed call finds the row in two calls per level,
+        # not one call per row; the other rho is priced in one call.
+        alive_at = int(np.count_nonzero(alive[:, 1] == j))
+        at_target = [size for rho, size in calls if rho == target[0]]
+        assert at_target[0] == alive_at
+        assert len(at_target) <= 2 * (alive_at - 1).bit_length() + 1
+        assert [size for rho, size in calls if rho != target[0]] == [
+            np.count_nonzero(alive[:, 1] != j)
+        ]
+
+        # The run counts that one failure in its own cell, whatever the
+        # block size and worker count.
+        cell = groups[r // config.replicates]
+        keys = [(row.p, row.rho, row.n) for row in expected_rows]
+        t = keys.index((cell.p, target[0], cell.n))
+        counts = [row.failure_count for row in expected_rows]
+        counts[t] += 1
+        for budget in (150, study_module._BLOCK_RECORDS):
+            monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
+            for workers in (1, 2):
+                rows = run_study(config, workers=workers)
+                assert [row.failure_count for row in rows] == counts
+                others = rows[:t] + rows[t + 1 :]
+                assert others == expected_rows[:t] + expected_rows[t + 1 :]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
