@@ -83,7 +83,7 @@ class BurrModel:
 
     def survival(self, x: ArrayLike) -> ArrayLike:
         xs = np.asarray(x, dtype=np.float64)
-        if np.any(xs < 0.0):
+        if not np.all(xs >= 0.0):
             raise DomainError("Burr survival requires x >= 0")
         big, log_t = self._log_t(xs)
         power = np.where(big, 0.0, xs) ** (self.eta / self.gamma)
@@ -102,7 +102,7 @@ class BurrModel:
 
     def quantile_of_survival(self, s: ArrayLike) -> ArrayLike:
         ss = np.asarray(s, dtype=np.float64)
-        if np.any(ss <= 0.0) or np.any(ss > 1.0):
+        if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
             raise DomainError("survival level must lie in (0, 1]")
         out = (ss ** (-self.eta) - 1.0) ** (self.gamma / self.eta)
         return _match(s, out)
@@ -110,7 +110,7 @@ class BurrModel:
     def second_order_rate(self, t: ArrayLike) -> ArrayLike:
         """Rate function ``gamma * t**(-eta/gamma)`` of the tail expansion."""
         ts = np.asarray(t, dtype=np.float64)
-        if np.any(ts <= 0.0):
+        if not np.all(ts > 0.0):
             raise DomainError("second-order rate requires t > 0")
         out = self.gamma * ts ** (-self.eta / self.gamma)
         return _match(t, out)
@@ -126,7 +126,21 @@ class BurrModel:
         ``R**(eta/gamma) * t``, exact even below the knee, where ``t``
         rounds to 1.  Where ``t < 1e-300`` the leading term
         ``b/(a-b) * t**(a-b)``, taken in log space, is exact to double
-        precision, and the fraction is not run.
+        precision, and the fraction is not run.  Raises ``DomainError``
+        when the fraction of any retention has not converged.
+        """
+        out, reason = self._premium_entries(rho, retention)
+        if np.isnan(out).any():
+            raise DomainError(reason)
+        return _match(retention, out)
+
+    def _premium_entries(
+        self, rho: float, retention: ArrayLike
+    ) -> Tuple[np.ndarray, str]:
+        """:meth:`premium` as an array, NaN where the fraction did not converge.
+
+        Checks the parameters as :meth:`premium` does; also returns the
+        reason a NaN entry failed.
         """
         _check_premium_params(self, rho, retention)
         a = 1.0 / (self.eta * rho)
@@ -137,7 +151,11 @@ class BurrModel:
         power = rs[~big] ** (self.eta / self.gamma)
         t = 1.0 / (1.0 + power)
         out[~big] = b * _lower_beta(a - b, b, t, power * t)
-        return _match(retention, out.reshape(np.shape(retention)))
+        reason = (
+            f"incomplete beta B_t({a - b:g}, {b:g}) did not converge in "
+            f"{_BETA_TERMS} continued-fraction terms"
+        )
+        return out.reshape(np.shape(retention)), reason
 
 
 # Continued-fraction terms _lower_beta evaluates before giving up.  The
@@ -159,7 +177,7 @@ def _lower_beta(p: float, q: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     ``B(p, q)``.  Both sides share the front ``t**p * s**q``.  Each element
     stops at its own first step within 2**-53 of 1, which only 1.0 itself
     is, so its value does not depend on the other elements of the array;
-    one still running after ``_BETA_TERMS`` terms raises ``DomainError``.
+    one still running after ``_BETA_TERMS`` terms is NaN.
     """
     mirror = t * (p + q + 2.0) >= p + 1.0
     sides = ((p, q), (q, p))  # (a, b) of the fraction each side runs
@@ -172,14 +190,9 @@ def _lower_beta(p: float, q: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     dc = np.ones((2, x.size))
     dc[0] = h
     live = np.arange(x.size)
-    cf = np.empty_like(x)
+    cf = np.full_like(x, np.nan)
     m = 0
-    while live.size:
-        if m == _BETA_TERMS:
-            raise DomainError(
-                f"incomplete beta B_t({p:g}, {q:g}) did not converge in "
-                f"{_BETA_TERMS} continued-fraction terms"
-            )
+    while live.size and m < _BETA_TERMS:
         m += 1
         for num in (
             [m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m)) for a, b in sides],
@@ -240,7 +253,7 @@ class ParetoModel:
 
     def survival(self, x: ArrayLike) -> ArrayLike:
         xs = np.asarray(x, dtype=np.float64)
-        if np.any(xs < self.x_min):
+        if not np.all(xs >= self.x_min):
             raise DomainError(
                 f"Pareto survival requires x >= x_min ({self.x_min:g})"
             )
@@ -249,14 +262,14 @@ class ParetoModel:
 
     def quantile_of_survival(self, s: ArrayLike) -> ArrayLike:
         ss = np.asarray(s, dtype=np.float64)
-        if np.any(ss <= 0.0) or np.any(ss > 1.0):
+        if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
             raise DomainError("survival level must lie in (0, 1]")
         out = self.x_min * ss ** (-self.gamma)
         return _match(s, out)
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike:
         ts = np.asarray(t, dtype=np.float64)
-        if np.any(ts <= 0.0):
+        if not np.all(ts > 0.0):
             raise DomainError("second-order rate requires t > 0")
         return _match(t, np.zeros_like(ts))
 

@@ -24,7 +24,8 @@ choice failed) and (replicate x distortion parameter) columns: the
 estimated premium, NaN where that entry failed, and the failure reason or
 None.  The run joins the blocks and, since every group shares the loss
 model, prices the exact premium in one call per distortion parameter over
-every replicate still alive there; each cell then aggregates its slice.
+every replicate still alive there; a failure there is its entry's own.
+Each cell then aggregates its slice.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .estimators import _km_anchor, _php_failures, _php_value
-from .models import BurrModel, HeavyTailModel, burr_scheme
+from .models import BurrModel, burr_scheme
 from .samples import _check_rows, _sort_rows
 from .threshold import _choose_rows
 
@@ -243,7 +244,7 @@ def _replicate_block(
 
 
 def _price_exact(
-    loss_model: HeavyTailModel,
+    loss_model: BurrModel,
     rho_values: Sequence[float],
     retention: np.ndarray,
     pi_hat: np.ndarray,
@@ -251,46 +252,25 @@ def _price_exact(
 ) -> np.ndarray:
     """The exact premium column of joined blocks, beside their estimates.
 
-    Per rho, :func:`_price_rows` prices every row that has not failed
-    there, at its retention; a row it fails takes the reason in ``failed``
-    and NaN in ``pi_hat`` (in place).  Returns ``pi_true``, shaped like
-    ``pi_hat``, NaN where the entry failed.
+    Per rho, one call prices every row that has not failed there, if any,
+    at its retention.  A divergent premium fails every such row; one that
+    did not converge fails its own row only.  A failed row takes the
+    reason in ``failed`` and NaN in ``pi_hat`` (in place).  Returns
+    ``pi_true``, shaped like ``pi_hat``, NaN where the entry failed.
     """
     pi_true = np.full(pi_hat.shape, np.nan)
     for j, rho in enumerate(rho_values):
         rows = np.flatnonzero(np.equal(failed[:, j], None))
-        if rows.size:
-            pi_true[rows, j], reasons = _price_rows(loss_model, rho, retention[rows])
-            failed[rows, j] = reasons
-            pi_hat[rows[~np.equal(reasons, None)], j] = np.nan
-    return pi_true
-
-
-def _price_rows(
-    loss_model: HeavyTailModel, rho: float, retention: np.ndarray
-) -> Tuple[np.ndarray, List]:
-    """Premiums of the retentions at ``rho``, and each one's failure reason.
-
-    One array call prices them all.  When it raises, each half is priced
-    again, down to single retentions priced alone, so a row fails for its
-    own retention only (NaN, with the reason) and one failure costs a few
-    calls, not one per row.  Array and scalar calls give the same bits, so
-    a row's value does not depend on the others.
-    """
-    if retention.size == 1:
+        if not rows.size:
+            continue
         try:
-            return np.array([loss_model.premium(rho, float(retention[0]))]), [None]
-        except (DomainError, ValidationError) as exc:
-            return np.array([np.nan]), [str(exc)]
-    try:
-        return loss_model.premium(rho, retention), [None] * retention.size
-    except (DomainError, ValidationError):
-        half = retention.size // 2
-        (low, low_reasons), (high, high_reasons) = (
-            _price_rows(loss_model, rho, part)
-            for part in (retention[:half], retention[half:])
-        )
-        return np.concatenate([low, high]), low_reasons + high_reasons
+            pi_true[rows, j], reason = loss_model._premium_entries(rho, retention[rows])
+        except DomainError as exc:
+            reason = str(exc)
+        lost = rows[np.isnan(pi_true[rows, j])]
+        failed[lost, j] = reason
+        pi_hat[lost, j] = np.nan
+    return pi_true
 
 
 def aggregate(

@@ -310,6 +310,45 @@ class TestTheoreticalPremium:
         with pytest.raises(DomainError, match="did not converge"):
             BurrModel(0.1, 0.25).premium(1.0, np.array([1.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "model, terms",
+        [(BurrModel(0.05, 1.0), 8), (BurrModel(0.3, 0.002), 9)],
+        ids=["one-slow-entry", "mixed"],
+    )
+    def test_the_term_cap_fails_each_entry_on_its_own(
+        self, monkeypatch, model, terms
+    ):
+        # The entries need from 1 to 31 terms (see the array test above);
+        # the cap falls between them, so some converge and some do not.
+        retentions = np.array(
+            [1e-80, 1e-55, 1e-20, 0.05, 0.5, 0.8, 1.0, 2.0, 7.5, 1e3, 1e30]
+        )
+        monkeypatch.setattr(models, "_BETA_TERMS", terms)
+        for rho in (1.0, 1.1):
+            scalars, reasons = [], []
+            for r in retentions:
+                try:
+                    scalars.append(model.premium(rho, float(r)))
+                except DomainError as exc:
+                    scalars.append(np.nan)
+                    reasons.append(str(exc))
+            assert 0 < len(reasons) < retentions.size
+            [message] = set(reasons)
+            assert message.startswith("incomplete beta B_t(")
+            assert message.endswith(
+                f"did not converge in {terms} continued-fraction terms"
+            )
+            with pytest.raises(DomainError) as raised:
+                model.premium(rho, retentions)
+            assert str(raised.value) == message
+            out, reason = model._premium_entries(rho, retentions)
+            np.testing.assert_array_equal(out, scalars, strict=True)
+            assert reason == message
+            converged = ~np.isnan(scalars)
+            assert model.premium(rho, retentions[converged]).tolist() == [
+                value for value, ok in zip(scalars, converged) if ok
+            ]
+
     def test_burr_premium_runs_the_fraction_short_of_the_far_tail_only(
         self, monkeypatch
     ):
@@ -436,3 +475,23 @@ class TestSecondOrderRate:
             assert BurrModel(0.1, 0.25).second_order_rate(1e6) == pytest.approx(
                 float(a1), rel=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
+)
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("survival", "survival requires x"),
+        ("quantile_of_survival", "survival level"),
+        ("second_order_rate", "second-order rate"),
+    ],
+)
+@pytest.mark.parametrize(
+    "model", [BurrModel(0.1, 0.25), ParetoModel(0.2)], ids=["burr", "pareto"]
+)
+def test_nan_fails_the_model_guards(model, method, message, value):
+    # 1.0 passes every guard on its own, so only the NaN can trip it.
+    with pytest.raises(DomainError, match=message):
+        getattr(model, method)(value)

@@ -902,8 +902,48 @@ def study_blocks(config):
     )
 
 
+def count_pricing_calls(monkeypatch):
+    """``(rho, size)`` of every call of the exact-premium kernel, as made."""
+    real = BurrModel._premium_entries
+    calls = []
+
+    def counting(self, rho, retention):
+        calls.append((rho, np.size(retention)))
+        return real(self, rho, retention)
+
+    monkeypatch.setattr(BurrModel, "_premium_entries", counting)
+    return calls
+
+
 class TestExactPremiumPricing:
     """The exact premium is priced once per rho, after every block."""
+
+    @staticmethod
+    def assert_one_call_per_rho(monkeypatch, config, expected_calls):
+        """Run ``config``: one kernel call per rho, failing divergent rhos only."""
+        real = study_module._price_exact
+        seen = []
+
+        def spy(loss_model, rho_values, retention, pi_hat, failed):
+            seen.append(failed.copy())
+            pi_true = real(loss_model, rho_values, retention, pi_hat, failed)
+            seen.append(failed)
+            return pi_true
+
+        monkeypatch.setattr(study_module, "_price_exact", spy)
+        calls = count_pricing_calls(monkeypatch)
+        rows = run_study(config)
+        assert calls == expected_calls
+        # Pricing fails every row alive at a divergent rho, and none elsewhere.
+        before, after = seen
+        for j, (rho, alive) in enumerate(expected_calls):
+            reasons = after[np.equal(before[:, j], None), j].tolist()
+            assert len(reasons) == alive
+            if rho * config.gamma1 < 1.0:
+                assert reasons == [None] * alive
+            else:
+                assert all(r.startswith("premium integral diverges") for r in reasons)
+        return rows
 
     def test_one_call_per_distinct_rho(self, monkeypatch):
         config = small_config(
@@ -912,68 +952,60 @@ class TestExactPremiumPricing:
         )
         # One replicate per block: 20 blocks, still one call per rho.
         monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 150)
-        real = BurrModel.premium
-        calls = []
-
-        def counting(self, rho, retention):
-            calls.append((rho, np.size(retention)))
-            return real(self, rho, retention)
-
-        monkeypatch.setattr(BurrModel, "premium", counting)
-        rows = run_study(config)
+        rows = self.assert_one_call_per_rho(
+            monkeypatch, config, [(1.0, 20), (1.1, 20)]
+        )
         assert [row.failure_count for row in rows] == [0] * len(rows)
-        assert calls == [(1.0, 20), (1.1, 20)]
+
+    def test_one_call_per_distinct_rho_when_the_premium_diverges(
+        self, monkeypatch
+    ):
+        # rho * gamma1 = 1.125 at rho = 2.5: the one call there fails every
+        # row still alive at that rho, and the cell is dropped.
+        config = small_config(
+            gamma1=0.45, p_values=(0.9,), rho_values=(1.0, 2.5),
+            n_values=(1000,), replicates=1000, master_seed=3,
+        )
+        rows = self.assert_one_call_per_rho(
+            monkeypatch, config, [(1.0, 343), (2.5, 265)]
+        )
+        assert [row.rho for row in rows] == [1.0]
 
     def test_a_failing_retention_fails_its_entry_only(self, monkeypatch):
+        # Nine continued-fraction terms price most, but not all, of the
+        # retentions at either rho.
         config = MATCHED
         rhos = config.rho_values
         groups = study_groups(config)
         retention = study_blocks(config)[0]
         before = priced(groups[0], rhos, study_blocks(config))
-        alive = np.argwhere(np.equal(before[2], None))
-        r, j = alive[len(alive) // 2]
-        assert np.count_nonzero(retention == retention[r]) == 1
-        target = (rhos[j], retention[r])
-        real = BurrModel.premium
-        calls = []
-
-        def failing(self, rho, at):
-            calls.append((rho, np.size(at)))
-            if rho == target[0] and np.any(np.asarray(at) == target[1]):
-                raise DomainError("synthetic failure")
-            return real(self, rho, at)
-
-        expected_rows = run_study(config)
-        monkeypatch.setattr(BurrModel, "premium", failing)
-        after = priced(groups[0], rhos, study_blocks(config))
+        loss_model = BurrModel(config.gamma1, config.eta)
+        monkeypatch.setattr(models_module, "_BETA_TERMS", 9)
         pi_true, pi_hat, failed = (column.copy() for column in before)
-        pi_true[r, j] = pi_hat[r, j] = np.nan
-        failed[r, j] = "synthetic failure"
+        lost = 0
+        for r, j in np.argwhere(np.equal(before[2], None)):
+            try:
+                assert loss_model.premium(rhos[j], retention[r]) == pi_true[r, j]
+            except DomainError as exc:
+                pi_true[r, j] = pi_hat[r, j] = np.nan
+                failed[r, j] = str(exc)
+                lost += 1
+        assert 0 < lost < np.count_nonzero(np.equal(before[2], None))
+        calls = count_pricing_calls(monkeypatch)
+        after = priced(groups[0], rhos, study_blocks(config))
         assert_columns_equal(after, (pi_true, pi_hat, failed))
-        # Halving the failed call finds the row in two calls per level,
-        # not one call per row; the other rho is priced in one call.
-        alive_at = int(np.count_nonzero(alive[:, 1] == j))
-        at_target = [size for rho, size in calls if rho == target[0]]
-        assert at_target[0] == alive_at
-        assert len(at_target) <= 2 * (alive_at - 1).bit_length() + 1
-        assert [size for rho, size in calls if rho != target[0]] == [
-            np.count_nonzero(alive[:, 1] != j)
-        ]
+        assert [rho for rho, _ in calls] == list(rhos)
 
-        # The run counts that one failure in its own cell, whatever the
+        # The run counts those failures in their own cells, whatever the
         # block size and worker count.
-        cell = groups[r // config.replicates]
-        keys = [(row.p, row.rho, row.n) for row in expected_rows]
-        t = keys.index((cell.p, target[0], cell.n))
-        counts = [row.failure_count for row in expected_rows]
-        counts[t] += 1
+        expected_rows = scalar_rows(config)
+        assert sum(row.failure_count for row in expected_rows) == np.count_nonzero(
+            ~np.equal(failed, None)
+        )
         for budget in (150, study_module._BLOCK_RECORDS):
             monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
             for workers in (1, 2):
-                rows = run_study(config, workers=workers)
-                assert [row.failure_count for row in rows] == counts
-                others = rows[:t] + rows[t + 1 :]
-                assert others == expected_rows[:t] + expected_rows[t + 1 :]
+                assert run_study(config, workers=workers) == expected_rows
 
 
 @pytest.mark.parametrize("workers", [1, 2])
