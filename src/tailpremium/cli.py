@@ -19,6 +19,7 @@ import dataclasses
 import io
 import logging
 import math
+import os
 import sys
 import warnings
 from typing import Iterable, List, Optional, Sequence, Union
@@ -72,19 +73,25 @@ def _fmt(value: float) -> str:
 def read_claims(path: str) -> SortedCensoredSample:
     """Parse a claims CSV with exact header ``z,delta``.
 
-    After the header the body is parsed in one pass of ``np.loadtxt``
-    into ``(z, delta)`` records and checked with array masks.  When that
-    pass rejects the file (a field fails to parse, a value or flag breaks
-    its rule, or the records do not match the body's lines one to one,
-    as with a blank line, which ``loadtxt`` would skip), the text is parsed
-    again row by row.  That loop names the line of the first offending
-    row, or accepts what only Python's ``float`` and ``int`` parse, such
-    as ``1_5``.  ``loadtxt`` converts floats with the routine behind
-    ``float``, so both passes read the same values.  A file that does not
-    decode fails at the line of its first undecodable byte.
+    The file is read and decoded whole.  Then ``np.loadtxt`` reads it a
+    second time, by its absolute path, so numpy parses it in C chunks, into
+    ``(z, delta)`` records checked with array masks.  numpy opens a path
+    through ``DataSource``, which never takes an absolute path for a URL
+    but would decompress a name ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma``, and reads with universal newlines, which would split a row
+    at a lone ``\\r``; such names and bodies skip that pass.  When the pass
+    is skipped or rejects the file (it fails or warns, a value or flag
+    breaks its rule, or the records do not match the body's lines one to
+    one, as with a blank line, which ``loadtxt`` would skip), the text read
+    first is parsed row by row.  That loop names the line of the first
+    offending row, or accepts what only Python's ``float`` and ``int``
+    parse, such as ``1_5``.  ``loadtxt`` converts floats with the routine
+    behind ``float``, so both passes read the same values.  A file that
+    does not decode fails at the line of its first undecodable byte.
     """
     try:
         with open(path, newline="") as handle:
+            encoding = handle.encoding
             text = handle.read()
     except UnicodeDecodeError as exc:
         # A whole-file read decodes all bytes in one call, so the offset
@@ -95,13 +102,15 @@ def read_claims(path: str) -> SortedCensoredSample:
             f"0x{exc.object[exc.start]:02x} as {exc.encoding}"
         ) from exc
     header, _, body = text.partition("\n")
-    # Left to the row loop: any other header form, an empty body, and the
+    # Left to the row loop: any other header form, an empty body, the
     # separators \x1c-\x1f, which loadtxt strips as whitespace and float
-    # and int reject.
+    # and int reject, a lone \r and a name numpy would decompress.
     if (
         header not in ("z,delta", "z,delta\r")
         or not body
         or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
+        or ("\r" in body and body.count("\r") != body.count("\r\n"))
+        or path.endswith((".gz", ".bz2", ".xz", ".lzma"))
     ):
         return _read_claims_rows(path, text)
     try:
@@ -109,14 +118,16 @@ def read_claims(path: str) -> SortedCensoredSample:
             # loadtxt warns rather than fails on a body of blank lines.
             warnings.simplefilter("error")
             records = np.loadtxt(
-                io.StringIO(body),
+                os.path.abspath(path),
                 dtype=_CLAIMS_DTYPE,
                 delimiter=",",
                 comments=None,
+                skiprows=1,
                 quotechar='"',
                 ndmin=1,
+                encoding=encoding,
             )
-    except (ValueError, Warning):
+    except (OSError, ValueError, Warning):
         return _read_claims_rows(path, text)
     z, delta = records["z"], records["delta"]
     if (
@@ -312,7 +323,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_km(args: argparse.Namespace) -> int:
     sample = read_claims(args.input)
-    x = np.unique(sample.z_sorted)[:-1]
+    # The distinct values below the maximum are the run ends of the sorted
+    # column (np.unique would import numpy.ma and sort again); adding 0.0
+    # prints a zero run as 0 whatever the sign of its last entry.
+    z = sample.z_sorted
+    x = z[:-1][z[1:] != z[:-1]] + 0.0
     curve = zip(x.tolist(), kaplan_meier_survival(sample, x).tolist())
     _write_lines(args.out, "x,survival", f"{_FLOAT},{_FLOAT}", curve)
     return EXIT_OK

@@ -94,7 +94,8 @@ def _window_scores(
     """
     width = ks // 2 + 1
     scores = np.full(ks.shape, np.nan)
-    for w in np.unique(width[valid]).tolist():
+    # bincount, not np.unique, which imports numpy.ma on its first call.
+    for w in np.flatnonzero(np.bincount(width[valid])).tolist():
         rows, cols = np.nonzero(valid & (width == w))
         k = ks[rows, cols]
         index = (k - w)[:, None] + np.arange(w)

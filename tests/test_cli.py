@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -53,6 +54,17 @@ def read_rows(path):
 
 
 QUAD = [(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)]
+
+# Claims bodies that Python's float and int read, with the z and delta
+# columns they sort to.
+READ_BODIES = [
+    pytest.param("1_5,1\n2,0\n", [2.0, 15.0], [0, 1], id="underscore"),
+    pytest.param('"1.5",1\n2,"0"\n', [1.5, 2.0], [1, 0], id="quoted"),
+    pytest.param("1.5,1\r\n2,0\r\n", [1.5, 2.0], [1, 0], id="crlf"),
+    pytest.param(" 1.5 , 1\n2\t,0 \n", [1.5, 2.0], [1, 0], id="spaces"),
+    pytest.param("1.5,1\n2,0", [1.5, 2.0], [1, 0], id="no-final-newline"),
+    pytest.param("-0.0,1\n1e-320,0\n", [-0.0, 1e-320], [1, 0], id="tiny"),
+]
 
 
 def interval_rows(n=200, k=50):
@@ -182,17 +194,7 @@ class TestReadClaims:
             assert caught == []
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize(
-        "body, z, delta",
-        [
-            pytest.param("1_5,1\n2,0\n", [2.0, 15.0], [0, 1], id="underscore"),
-            pytest.param('"1.5",1\n2,"0"\n', [1.5, 2.0], [1, 0], id="quoted"),
-            pytest.param("1.5,1\r\n2,0\r\n", [1.5, 2.0], [1, 0], id="crlf"),
-            pytest.param(" 1.5 , 1\n2\t,0 \n", [1.5, 2.0], [1, 0], id="spaces"),
-            pytest.param("1.5,1\n2,0", [1.5, 2.0], [1, 0], id="no-final-newline"),
-            pytest.param("-0.0,1\n1e-320,0\n", [-0.0, 1e-320], [1, 0], id="tiny"),
-        ],
-    )
+    @pytest.mark.parametrize("body, z, delta", READ_BODIES)
     def test_reads_what_float_and_int_read(self, tmp_path, body, z, delta):
         path = tmp_path / "c.csv"
         path.write_text("z,delta\n" + body, newline="")
@@ -227,6 +229,63 @@ class TestReadClaims:
         rows = _read_claims_rows(str(path), text)
         assert fast.z_sorted.tobytes() == rows.z_sorted.tobytes()
         assert fast.delta_concomitant.tobytes() == rows.delta_concomitant.tobytes()
+
+
+def _read_outcome(read):
+    """The z bits and flags that ``read()`` returns, or its error message."""
+    try:
+        sample = read()
+    except FileFormatError as exc:
+        return str(exc)
+    return sample.z_sorted.tobytes(), sample.delta_concomitant.tobytes()
+
+
+def assert_reads_like_the_row_loop(path):
+    with open(path, newline="") as handle:
+        text = handle.read()
+    rows = _read_outcome(lambda: _read_claims_rows(path, text))
+    assert _read_outcome(lambda: read_claims(path)) == rows
+    return rows
+
+
+class TestReadClaimsRoutes:
+    """read_claims hands numpy the file's path; every route reads like the rows."""
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffixes_are_read_as_text(self, tmp_path, suffix):
+        # numpy would decompress these names; they hold plain claims rows
+        path = write_claims(tmp_path / f"c.csv{suffix}", [(3.0, 1), (1.5, 0)])
+        assert isinstance(assert_reads_like_the_row_loop(path), tuple)
+
+    def test_url_shaped_relative_path_is_not_fetched(
+        self, tmp_path, monkeypatch
+    ):
+        def no_network(*args, **kwargs):
+            raise AssertionError("read_claims tried to fetch a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        (tmp_path / "http:" / "x").mkdir(parents=True)
+        write_claims(tmp_path / "http:" / "x" / "c.csv", [(3.0, 1), (1.5, 0)])
+        monkeypatch.chdir(tmp_path)
+        rows = assert_reads_like_the_row_loop("http://x/c.csv")
+        assert rows[0] == np.array([1.5, 3.0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("1,1\r2,0\n", id="lone-cr"),
+            pytest.param("1,1\r2,0\n\n", id="lone-cr-then-blank"),
+            pytest.param("1.5\r,1\n2,0\n", id="lone-cr-in-field"),
+            pytest.param('"1\r",1\n2,0\n', id="lone-cr-quoted"),
+            pytest.param("1,1\r\n\r\n2,0\r\n", id="crlf-blank-inside"),
+            pytest.param("1,1\r\n2,0\r\n\r\n", id="crlf-blank-last"),
+        ]
+        + [pytest.param(p.values[0], id=p.id) for p in READ_BODIES],
+    )
+    def test_body_reads_like_the_row_loop(self, tmp_path, body):
+        path = tmp_path / "c.csv"
+        path.write_text("z,delta\n" + body, newline="")
+        assert_reads_like_the_row_loop(str(path))
 
 
 class TestEstimateCommand:
@@ -479,6 +538,18 @@ class TestKmCommand:
         assert len(lines) > 6 and "e-07" in lines[0] and "e+15" in lines[-1]
         assert out.read_bytes() == ("x,survival\n" + "".join(lines)).encode()
 
+    def test_zero_prints_without_sign_in_any_row_order(self, tmp_path):
+        # -0.0 and 0.0 tie; the printed x must not depend on which sorts last
+        out = tmp_path / "km.csv"
+        for body, want in [
+            ("-0.0,1\n0.0,1\n5,1\n7,0\n", "0,0.5\n5,0.25\n"),
+            ("0.0,1\n-0.0,1\n5,1\n7,0\n", "0,0.5\n5,0.25\n"),
+            ("-0.0,1\n5,0\n", "0,0.5\n"),
+        ]:
+            (tmp_path / "c.csv").write_text("z,delta\n" + body)
+            assert main(["km", str(tmp_path / "c.csv"), "--out", str(out)]) == 0
+            assert out.read_bytes() == ("x,survival\n" + want).encode()
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         path = write_claims(tmp_path / "c.csv", QUAD)
         code = main(["km", path, "--out", str(tmp_path / "missing" / "km.csv")])
@@ -722,3 +793,23 @@ def test_claims_commands_leave_out_scipy(tmp_path):
         " '--rho', '1']) == 0"
     )
     assert _modules_after(probe) == "[]"
+
+
+@pytest.mark.parametrize("command", ["estimate", "km", "simulate-1", "simulate-2"])
+def test_commands_leave_out_numpy_ma(tmp_path, command):
+    # numpy's np.unique imports numpy.ma on its first call, which costs a
+    # fresh process about 16 ms (median of 9 on 2 vCPUs); no command needs it.
+    rng = np.random.default_rng(21)
+    z = (1.0 - rng.random(300)) ** -0.15
+    rows = [(float(v), i % 2) for i, v in enumerate(z)]
+    claims = write_claims(tmp_path / "c.csv", rows)
+    config = write_config(tmp_path / "study.cfg")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "estimate": ["estimate", claims, "--rho", "1.1", "--auto-k"],
+        "km": ["km", claims, "--out", out],
+        "simulate-1": ["simulate", config, "--out", out],
+        "simulate-2": ["simulate", config, "--out", out, "--workers", "2"],
+    }[command]
+    probe = f"from tailpremium.cli import main\nassert main({argv!r}) == 0"
+    assert _modules_after(probe, "numpy.ma") == "[]"
