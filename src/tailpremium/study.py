@@ -29,9 +29,12 @@ Each cell then aggregates its slice.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
-n, eta), and the replicate index, and every kernel treats the rows of a
-block independently, so results are bitwise identical no matter how
-replicates are grouped into blocks or scheduled across processes.  Across
+n, eta), and the replicate index (:func:`replicate_stream`), and every
+kernel treats the rows of a block independently, so results are bitwise
+identical no matter how replicates are grouped into blocks or scheduled
+across processes.  A block computes its replicates' PCG64 states in one
+array pass, bit for bit those ``SeedSequence`` and ``PCG64`` give, rather
+than building the two objects per replicate.  Across
 machines that holds on one numpy build and CPU family: numpy dispatches
 ``log`` and ``power`` to SIMD routines by CPU, which can move last bits.
 """
@@ -63,6 +66,15 @@ logger = logging.getLogger(__name__)
 _BLOCK_RECORDS = 50_000
 
 _UINT64_MASK = (1 << 64) - 1
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_UINT128_MASK = (1 << 128) - 1
+_MAX_REPLICATES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -117,9 +129,13 @@ class StudyConfig:
             raise ValidationError(
                 f"every n must be an integer >= 100, got {self.n_values!r}"
             )
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+        # A replicate index is one 32-bit entropy word (_pcg64_states).
+        if not isinstance(self.replicates, (int, np.integer)) or not (
+            1 <= self.replicates <= _MAX_REPLICATES
+        ):
             raise ValidationError(
-                f"replicates must be an integer >= 1, got {self.replicates!r}"
+                f"replicates must be an integer in [1, 2**32], "
+                f"got {self.replicates!r}"
             )
         if not isinstance(self.master_seed, (int, np.integer)) or not (
             0 <= self.master_seed <= _UINT64_MASK
@@ -177,19 +193,106 @@ def replicate_stream(
     )
 
 
+def _hashmix(value, const, mult=_MULT_A):
+    """One hash step of numpy's ``SeedSequence``: ``(hashed value, next const)``.
+
+    ``value`` is a word (int) or a ``uint32`` array, ``const`` an int or a
+    ``uint32`` column of one constant per row of the result;
+    ``generate_state`` hashes with ``_MULT_B``.
+    """
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """``SeedSequence``'s pool mix of two words (ints or ``uint32`` arrays).
+
+    The first product is reduced before the subtraction, so an int ``x``
+    stays within ``uint32`` beside an array ``y``.
+    """
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _chain(const: int, count: int, mult: int) -> np.ndarray:
+    """``count`` successive hash constants from ``const``, as a ``uint32`` column."""
+    consts = [const]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _pcg64_states(words: List[int], indices: range) -> Tuple[List[int], List[int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence([*words, i]))`` for each ``i``.
+
+    The seed sequence's pool is mixed from the group words once, in Python
+    ints: the five group values give at least five 32-bit entropy words,
+    more than the 4-word pool holds, so the index word comes after the
+    pool is full and only mixes into it.  Its hash into each of the four
+    pool words takes the next constant of one chain, so the four hashes
+    are one ``(4, len(indices))`` array pass, and so are the eight words
+    of ``generate_state(4, uint64)``; PCG64's seeding step (O'Neill 2014)
+    follows.  One entropy word per index: the caller keeps every index
+    below ``2**32``.
+    """
+    entropy = []
+    for value in words:
+        entropy.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            entropy.append(value & _MASK32)
+    const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    index = np.arange(indices.start, indices.stop, dtype=np.uint32)
+    hashed, _ = _hashmix(index, _chain(const, 4, _MULT_A))
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
+    halves, _ = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, 8, _MULT_B), _MULT_B)
+    halves = halves.astype(np.uint64)
+    w0, w1, w2, w3 = (halves[0::2] | halves[1::2] << np.uint64(32)).tolist()
+    states, incs = [], []
+    for a, b, c, d in zip(w0, w1, w2, w3):
+        inc = ((c << 64 | d) << 1 | 1) & _UINT128_MASK
+        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _UINT128_MASK)
+        incs.append(inc)
+    return states, incs
+
+
 def _block_draws(master_seed: int, cell: StudyCell, indices: range) -> np.ndarray:
     """Uniforms of the replicates in ``indices``, shape ``(len(indices), 2, n)``.
 
     Row ``b`` holds, bit for bit, ``CensoringScheme.draw(n, rng)`` with
     ``rng = np.random.default_rng(replicate_stream(master_seed, cell, i))``
-    for the ``b``-th index ``i``: each replicate's generator fills its row
-    of one buffer, and the group's entropy words are built once.
+    for the ``b``-th index ``i``.  The block's PCG64 states come from one
+    array pass (:func:`_pcg64_states`), not one ``SeedSequence`` each; one
+    reused generator is set to each state in turn and fills its row of one
+    buffer.  Indices stay below ``2**32`` (:class:`StudyConfig`).
     """
-    words = _group_words(master_seed, cell)
+    states, incs = _pcg64_states(_group_words(master_seed, cell), indices)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
     uniforms = np.empty((len(indices), 2, cell.n))
-    for row, i in zip(uniforms, indices):
-        stream = np.random.SeedSequence([*words, i])
-        np.random.Generator(np.random.PCG64(stream)).random(out=row)
+    for row, state, inc in zip(uniforms, states, incs):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.random(out=row)
     return uniforms
 
 

@@ -77,6 +77,27 @@ def tail_index_path(
     return _corrected_path(sample.z_sorted, sample.delta_concomitant, k_max)
 
 
+def _open_windows(
+    z_sorted: np.ndarray, delta: np.ndarray, k_limit: np.ndarray, k_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's corrected path up to ``k_max`` and which windows are open.
+
+    Returns ``(gamma1, opened)``: ``opened[:, j]`` says whether the window of
+    candidate ``k = j + 2`` holds only defined entries below the cap and
+    within the row's limit ``k_limit``.
+    """
+    gamma1, _ = _corrected_path(z_sorted, delta, k_max)
+    # blocked[:, j] counts the undefined (NaN), out-of-cap or out-of-limit
+    # entries among the first j of the path; a window is open when it
+    # holds none of them.
+    bad = ~(gamma1 < _INDEX_CAP) | (np.arange(1, k_max + 1) > k_limit[:, None])
+    blocked = np.concatenate(
+        (np.zeros((len(bad), 1), np.int64), np.cumsum(bad, axis=-1)), axis=-1
+    )
+    ks = np.arange(2, k_max + 1)
+    return gamma1, blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
+
+
 def _window_scores(
     gamma1: np.ndarray, ks: np.ndarray, valid: np.ndarray, beta: float
 ) -> np.ndarray:
@@ -111,11 +132,14 @@ class _RowChoices:
     """The threshold rule applied to each row of a block of samples.
 
     ``failed[r]`` is the reason row ``r`` has no choice, else None;
-    ``k_star`` is 0 there.  ``gamma1`` holds each row's corrected path,
-    valid up to the row's own candidate limit; ``candidates`` and
-    ``scores`` hold the objective curve, NaN-scored where a column is not
-    a candidate of its row.  Each score reads its own window only, so it is
-    bitwise the score of that window scored alone.
+    ``k_star`` is 0 there.  ``gamma1`` holds each row's corrected path up
+    to the candidate ceiling (or the block's largest limit, if smaller);
+    a widened row's path runs on to its own limit, and the other rows are
+    NaN past the ceiling, so the entry at ``k_star`` is always the path's.
+    ``candidates`` and ``scores`` hold the objective curve, NaN-scored
+    where a column is not a candidate of its row.  Each score reads its
+    own window only, so it is bitwise the score of that window scored
+    alone.
     """
 
     k_star: np.ndarray
@@ -132,7 +156,9 @@ def _choose_rows(
 
     Rows are sorted samples of one size.  Every step is an array pass over
     the block, so each row's choice, curve and failure message are those
-    of :func:`reiss_thomas_k` on that row alone.
+    of :func:`reiss_thomas_k` on that row alone.  The path is built up to
+    the candidate ceiling for every row, and on to the row's limit only for
+    the rows that widen: most rows never read past the ceiling.
     """
     n = z_sorted.shape[-1]
     if n < _MIN_SAMPLE:
@@ -145,31 +171,31 @@ def _choose_rows(
     # threshold (and everything above it) has a logarithm.
     positive = np.count_nonzero(z_sorted > 0.0, axis=-1)
     k_limit = np.minimum(n // 2, positive - 1)
-    k_max = max(int(k_limit.max()), 2)
-    gamma1, _ = _corrected_path(z_sorted, delta, k_max)
-    # blocked[:, j] counts the undefined (NaN), out-of-cap or out-of-limit
-    # entries among the first j of the path; a window is open when it
-    # holds none of them.
-    path_k = np.arange(1, k_max + 1)
-    bad = ~(gamma1 < _INDEX_CAP) | (path_k > k_limit[:, None])
-    n_rows = z_sorted.shape[0]
-    blocked = np.concatenate(
-        (np.zeros((n_rows, 1), np.int64), np.cumsum(bad, axis=-1)), axis=-1
-    )
-    ks = np.arange(2, k_max + 1)
-    admissible = blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
     ceiling = round(_CANDIDATE_SCALE * n ** (1.0 / 3.0))
-    primary = ks[ks <= ceiling]
-    valid = admissible[:, : primary.size].copy()
-    any_open = admissible.any(axis=-1)
-    # A row whose whole primary range is blocked has one candidate: the
-    # smallest admissible k up to its limit, held in every column and
-    # scored in column 0.
-    widened = ~valid.any(axis=-1) & any_open
-    candidates = np.where(
-        widened[:, None], ks[np.argmax(admissible, axis=-1)][:, None], primary
+    gamma1, valid = _open_windows(
+        z_sorted, delta, k_limit, min(max(int(k_limit.max()), 2), ceiling)
     )
-    valid[widened, 0] = True
+    primary = np.arange(2, gamma1.shape[-1] + 1)
+    candidates = np.repeat(primary[None], len(valid), axis=0)
+    any_open = valid.any(axis=-1)
+    # A row whose whole primary range is blocked, with its limit past the
+    # ceiling, widens the search: only its path is extended, to its limit,
+    # and its one candidate, the smallest admissible k, is held in every
+    # column and scored in column 0.
+    wide = np.flatnonzero(~any_open & (k_limit > ceiling))
+    if wide.size:
+        path, opened = _open_windows(
+            z_sorted[wide], delta[wide], k_limit[wide], int(k_limit[wide].max())
+        )
+        reach = opened.any(axis=-1)
+        wide = wide[reach]
+        short = gamma1
+        gamma1 = np.full((len(short), path.shape[-1]), np.nan)
+        gamma1[:, : short.shape[-1]] = short
+        gamma1[wide] = path[reach]
+        candidates[wide] = 2 + np.argmax(opened[reach], axis=-1)[:, None]
+        valid[wide, 0] = True
+        any_open[wide] = True
     scores = _window_scores(gamma1, candidates, valid, beta)
     best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
     k_star = np.take_along_axis(candidates, best[:, None], -1)[:, 0]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailpremium import (
     BurrModel,
@@ -202,6 +204,46 @@ class TestBlockDraws:
             rng = np.random.default_rng(replicate_stream(master_seed, cell, i))
             np.testing.assert_array_equal(row, scheme.draw(cell.n, rng), strict=True)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        master_seed=st.one_of(
+            st.just(0),
+            st.integers(1, (1 << 32) - 1),
+            st.integers(1 << 32, (1 << 64) - 1),
+        ),
+        gamma1=st.floats(0.0, 10.0, exclude_min=True),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eta=st.floats(0.0, 10.0, exclude_min=True),
+        n=st.integers(1, 300),
+        count=st.integers(1, 6),
+        start=st.one_of(
+            st.just(0), st.just(None), st.integers(0, (1 << 32) - 6)
+        ),
+    )
+    @example(
+        master_seed=0, gamma1=5e-324, p=0.5, eta=0.25, n=100, count=3, start=None
+    )
+    @example(
+        master_seed=(1 << 64) - 1, gamma1=0.1, p=1e-320, eta=3.0, n=1, count=6,
+        start=0,
+    )
+    def test_block_states_equal_seed_sequences(
+        self, master_seed, gamma1, p, eta, n, count, start
+    ):
+        # The block's PCG64 states come from one array pass; each row must
+        # still be, bit for bit, what SeedSequence and PCG64 give the
+        # replicate.  Subnormal floats and small seeds take one entropy
+        # word, others two; start=None ends the range at 2**32.
+        cell = StudyCell(gamma1=gamma1, p=p, n=n, eta=eta)
+        if start is None:
+            start = (1 << 32) - count
+        indices = range(start, start + count)
+        draws = study_module._block_draws(master_seed, cell, indices)
+        assert draws.shape == (count, 2, n)
+        for row, i in zip(draws, indices):
+            rng = np.random.default_rng(replicate_stream(master_seed, cell, i))
+            assert row.tobytes() == rng.random((2, n)).tobytes()
+
     def test_block_retentions_come_from_the_public_streams(self):
         retention, _, failed = study_module._replicate_block(
             CELL, (1.0,), range(2, 6), 777, 0.3
@@ -343,6 +385,16 @@ class TestStudyConfig:
         config = small_config(replicates=np.int64(4), n_values=[150, 200])
         assert config.replicates == 4
         assert config.n_values == (150, 200)
+
+    def test_replicates_up_to_two_to_the_32(self):
+        # Every index then fits one 32-bit entropy word, the only case the
+        # block seeding hashes; one more replicate is refused.
+        assert small_config(replicates=1 << 32).replicates == 1 << 32
+        with pytest.raises(ValidationError) as caught:
+            small_config(replicates=np.uint64((1 << 32) + 1))
+        assert str(caught.value) == (
+            "replicates must be an integer in [1, 2**32], got np.uint64(4294967297)"
+        )
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -299,6 +299,44 @@ class TestRowKernel:
         r = list(samples).index("zero index")
         assert block.gamma1[r, zero.k_star - 1] == 0.0
 
+    def test_widened_row_extends_only_its_own_path(self):
+        # Only a widened row builds its path past the ceiling (10 at
+        # n = 120); beside it, ordinary, limited and failing rows keep their
+        # own choice, and every row's path at k* is the public path.
+        samples = self.rows()
+        names = ["ordinary", "limit 4", "widened", "no admissible k", "zero index"]
+        z = np.stack([samples[name].z_sorted for name in names])
+        delta = np.stack([samples[name].delta_concomitant for name in names])
+        block = _choose_rows(z, delta, 0.3)
+        assert block.gamma1.shape[1] == self.N // 2
+        for r, name in enumerate(names):
+            alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
+            assert block.failed[r] == alone.failed[0]
+            assert block.k_star[r] == alone.k_star[0]
+            curve = ~np.isnan(block.scores[r])
+            alone_curve = ~np.isnan(alone.scores[0])
+            assert (
+                block.candidates[r][curve].tolist()
+                == alone.candidates[0][alone_curve].tolist()
+            )
+            assert (
+                block.scores[r][curve].tobytes()
+                == alone.scores[0][alone_curve].tobytes()
+            )
+            if name != "widened":
+                assert np.isnan(block.gamma1[r, 10:]).all()
+            if block.failed[r] is not None:
+                continue
+            k = int(block.k_star[r])
+            own = block.gamma1[r, k - 1].tobytes()
+            assert own == alone.gamma1[0, k - 1].tobytes()
+            # The public path at n/2, or at the row's limit where fewer of
+            # its order statistics are positive.
+            k_max = min(self.N // 2, int(np.count_nonzero(z[r] > 0.0)) - 1)
+            path, _ = tail_index_path(samples[name], k_max)
+            assert own == path[k - 1].tobytes()
+        assert block.k_star.tolist() == [4, 3, 25, 0, 2]
+        assert block.failed[3].startswith("no admissible k")
 
     def test_random_block_rows_score_as_alone(self):
         # n = 600 puts the ceiling at 17: rows whose widest open window is
