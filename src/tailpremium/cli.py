@@ -426,7 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("config", help="flat key = value study configuration")
     simulate.add_argument("--out", required=True, help="output CSV path")
     simulate.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
+        "--workers",
+        type=int,
+        default=1,
+        help=(
+            "processes that compute the study, this one included; the rest "
+            "are forked, and without os.fork all run here (default 1)"
+        ),
     )
     simulate.add_argument(
         "--seed", type=int, default=None, help="override the config master_seed"

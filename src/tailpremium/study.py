@@ -27,6 +27,11 @@ model, prices the exact premium in one call per distortion parameter over
 every replicate still alive there; a failure there is its entry's own.
 Each cell then aggregates its slice.
 
+With more than one worker, the blocks are split into shares by records;
+this process computes one share and forked children the others, each
+child sending its columns back through its own pipe.  Without
+``os.fork`` every block runs in this process.
+
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
 n, eta), and the replicate index (:func:`replicate_stream`), and every
@@ -34,16 +39,18 @@ kernel treats the rows of a block independently, so results are bitwise
 identical no matter how replicates are grouped into blocks or scheduled
 across processes.  A block computes its replicates' PCG64 states in one
 array pass, bit for bit those ``SeedSequence`` and ``PCG64`` give, rather
-than building the two objects per replicate.  Across
-machines that holds on one numpy build and CPU family: numpy dispatches
-``log`` and ``power`` to SIMD routines by CPU, which can move last bits.
+than building the two objects per replicate.  Across machines that holds
+on one numpy build and CPU family: numpy dispatches ``log`` and ``power``
+to SIMD routines by CPU, which can move last bits.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import pickle
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +82,20 @@ _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _UINT128_MASK = (1 << 128) - 1
 _MAX_REPLICATES = 1 << 32
+
+
+def _check_master_seed(master_seed) -> None:
+    """Reject a master seed that is not a 64-bit unsigned integer.
+
+    The seed enters every stream as one 64-bit word, so a seed outside
+    ``[0, 2**64)`` would alias one inside it.
+    """
+    if not isinstance(master_seed, (int, np.integer)) or not (
+        0 <= master_seed <= _UINT64_MASK
+    ):
+        raise ValidationError(
+            f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -137,13 +158,7 @@ class StudyConfig:
                 f"replicates must be an integer in [1, 2**32], "
                 f"got {self.replicates!r}"
             )
-        if not isinstance(self.master_seed, (int, np.integer)) or not (
-            0 <= self.master_seed <= _UINT64_MASK
-        ):
-            raise ValidationError(
-                f"master_seed must be a 64-bit unsigned integer, "
-                f"got {self.master_seed!r}"
-            )
+        _check_master_seed(self.master_seed)
         if not 0.0 <= self.beta <= 0.5:
             raise ValidationError(f"beta must lie in [0, 0.5], got {self.beta!r}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -173,7 +188,7 @@ def _group_words(master_seed: int, cell: StudyCell) -> List[int]:
     """
     floats = np.array([cell.gamma1, cell.p, cell.eta], dtype=np.float64)
     gamma1, p, eta = floats.view(np.uint64).tolist()
-    return [int(master_seed) & _UINT64_MASK, gamma1, p, int(cell.n), eta]
+    return [int(master_seed), gamma1, p, int(cell.n), eta]
 
 
 def replicate_stream(
@@ -182,8 +197,10 @@ def replicate_stream(
     """Seed sequence owned by one replicate.
 
     The entropy is the exact bit patterns of (master seed, gamma1, p, n,
-    eta, replicate index).
+    eta, replicate index).  The master seed must lie in ``[0, 2**64)`` and
+    the index be non-negative; anything else raises ``ValidationError``.
     """
+    _check_master_seed(master_seed)
     if replicate_index < 0:
         raise ValidationError(
             f"replicate_index must be >= 0, got {replicate_index!r}"
@@ -415,6 +432,100 @@ def aggregate(
     )
 
 
+def _split_shares(weights: Sequence[int], count: int) -> List[List[int]]:
+    """The indices of ``weights`` split into ``count`` shares of near-equal weight.
+
+    Largest weight first, each index joins the share that is lightest so
+    far (the first of equals): Graham's (1969) rule, under which the
+    heaviest share exceeds the lightest by at most the largest weight.
+    With positive weights and ``count <= len(weights)`` no share is empty.
+    """
+    shares: List[List[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for index in sorted(range(len(weights)), key=weights.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(index)
+        loads[lightest] += weights[index]
+    return shares
+
+
+def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
+    """``[_replicate_block(*task) for task in tasks]``, over ``workers`` processes.
+
+    The tasks are split by records (replicates x n) into
+    ``min(workers, len(tasks))`` shares (:func:`_split_shares`).  This
+    process forks one child per share after the first, runs the first
+    share itself, and then reads each child's pipe to EOF; a child that
+    finished early just waits on its full pipe.  A child pickles
+    ``(True, outcomes)`` or ``(False, exception)`` into its pipe and always
+    leaves through ``os._exit``, so it never returns into the caller,
+    runs exit handlers or flushes inherited buffers; it exits 0 only
+    once the payload is written.  A child's exception is raised here
+    again with its type and message; a child that ends any other way
+    raises ``ChildProcessError`` (an ``OSError``).
+    If anything here fails, the children are killed; every child is
+    reaped before this returns or raises.  Where ``os.fork`` does not
+    exist, every task runs in this process.
+    """
+    count = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    shares = _split_shares([len(task[2]) * task[0].n for task in tasks], count)
+    outcomes: list = [None] * len(tasks)
+    children = {}  # pid -> (read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        payload = True, [_replicate_block(*tasks[i]) for i in share]
+                    except BaseException as exc:
+                        payload = False, exc
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb"), share
+        for i in shares[0]:
+            outcomes[i] = _replicate_block(*tasks[i])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            # A child exits 0 only after writing its whole payload.
+            if status:
+                raise ChildProcessError(
+                    f"study worker {pid} ended without its results "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            for i, outcome in zip(share, result):
+                outcomes[i] = outcome
+    except BaseException:
+        import signal  # only a failed parallel run pays for it
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the full grid and aggregate each cell.
 
@@ -425,8 +536,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     once per distinct rho over the joined blocks (:func:`_price_exact`).
     Rows come p-major, then rho, then n, and read their results by value,
     so repeated grid values give repeated rows computed once.  ``workers``
-    only controls process-level parallelism; outputs are bitwise identical
-    for any worker count and any block size.  A cell whose replicates all
+    counts the processes that compute blocks, this one included: it keeps
+    one share of the blocks and forks a child for each other share
+    (:func:`_map_blocks`), never more processes than blocks, and none
+    without ``os.fork``.  Outputs are bitwise identical for any worker
+    count and any block size.  A cell whose replicates all
     failed is logged and dropped; the run only errors out when every cell
     is in that state.
     """
@@ -439,31 +553,16 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         for n in config.n_values
     }
     count = config.replicates
-    cells, blocks = zip(
-        *[
-            (cell, range(start, min(start + size, count)))
-            for cell in groups.values()
-            for size in (max(1, _BLOCK_RECORDS // cell.n),)
-            for start in range(0, count, size)
-        ]
+    seed, beta = config.master_seed, config.beta
+    tasks = [
+        (cell, rhos, range(start, min(start + size, count)), seed, beta)
+        for cell in groups.values()
+        for size in (max(1, _BLOCK_RECORDS // cell.n),)
+        for start in range(0, count, size)
+    ]
+    retention, pi_hat, failed = map(
+        np.concatenate, zip(*_map_blocks(tasks, workers))
     )
-    args = (
-        cells,
-        repeat(rhos),
-        blocks,
-        repeat(config.master_seed),
-        repeat(config.beta),
-    )
-    workers = min(workers, len(blocks))
-    if workers == 1:
-        outcomes = list(map(_replicate_block, *args))
-    else:
-        # Imported here: serial runs never pay for the process machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_block, *args))
-    retention, pi_hat, failed = map(np.concatenate, zip(*outcomes))
     loss_model = BurrModel(gamma=config.gamma1, eta=config.eta)
     pi_true = _price_exact(loss_model, rhos, retention, pi_hat, failed)
     group_rows = {

@@ -719,15 +719,15 @@ class TestSimulateCommand:
         assert code == 4
 
 
-def _modules_after(probe, package="scipy"):
-    """The loaded modules of ``package`` after ``probe`` runs in a fresh process."""
+def _modules_after(probe, packages=("scipy",)):
+    """The loaded modules of ``packages`` after ``probe`` runs in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe += (
         "\nimport sys"
         "\nprint(sorted(m for m in sys.modules"
-        f" if m == {package!r} or m.startswith({package + '.'!r})))"
+        f" if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
     )
     process = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
@@ -762,19 +762,19 @@ def test_simulate_and_h_threshold_leave_out_scipy(tmp_path, workers):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_serial_runs_leave_out_the_process_pool(tmp_path, workers):
+def test_simulate_leaves_out_the_process_pool(tmp_path, workers):
     # Importing concurrent.futures.process costs every CLI start about
-    # 20 ms; only a run that starts a pool may pay it.
-    pool = "concurrent.futures.process"
-    assert _modules_after("import tailpremium.cli", pool) == "[]"
+    # 20 ms; a parallel run forks its workers itself and needs neither it
+    # nor multiprocessing.
+    packages = ("concurrent", "multiprocessing")
+    assert _modules_after("import tailpremium.cli", packages) == "[]"
     config = write_config(tmp_path / "study.cfg")
     probe = (
         "from tailpremium.cli import main\n"
         f"assert main(['simulate', {config!r}, '--out',"
         f" {str(tmp_path / 'rows.csv')!r}, '--workers', {workers!r}]) == 0"
     )
-    loaded = "[]" if workers == "1" else repr([pool])
-    assert _modules_after(probe, pool) == loaded
+    assert _modules_after(probe, packages) == "[]"
 
 
 def test_claims_commands_leave_out_scipy(tmp_path):
@@ -812,4 +812,4 @@ def test_commands_leave_out_numpy_ma(tmp_path, command):
         "simulate-2": ["simulate", config, "--out", out, "--workers", "2"],
     }[command]
     probe = f"from tailpremium.cli import main\nassert main({argv!r}) == 0"
-    assert _modules_after(probe, "numpy.ma") == "[]"
+    assert _modules_after(probe, ("numpy.ma",)) == "[]"

@@ -1,9 +1,10 @@
 """Monte Carlo engine: seeding, replicates, aggregation, scheduling."""
 
-import concurrent.futures
 import dataclasses
 import logging
+import os
 import struct
+import time
 from itertools import product
 from pathlib import Path
 
@@ -179,6 +180,18 @@ class TestReplicateStream:
     def test_rejects_negative_index(self):
         with pytest.raises(ValidationError, match="replicate_index"):
             replicate_stream(42, CELL, -1)
+
+    @pytest.mark.parametrize("master_seed", [-1, (1 << 64) + 5])
+    def test_rejects_a_seed_outside_64_bits(self, master_seed):
+        # Folded into 64 bits, -1 would alias 2**64 - 1 and 2**64 + 5 alias 5.
+        with pytest.raises(ValidationError) as caught:
+            replicate_stream(master_seed, CELL, 3)
+        assert str(caught.value) == (
+            f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}"
+        )
+        with pytest.raises(ValidationError) as from_config:
+            small_config(master_seed=master_seed)
+        assert str(from_config.value) == str(caught.value)
 
 
 class TestBlockDraws:
@@ -380,6 +393,29 @@ def small_config(**overrides):
     return StudyConfig(**settings)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Each pid was a child of this process and has been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestStudyConfig:
     def test_accepts_and_normalizes(self):
         config = small_config(replicates=np.int64(4), n_values=[150, 200])
@@ -456,35 +492,25 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="workers"):
             run_study(small_config(), workers=0)
 
-    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Runs the pool's tasks in this process, recording its size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_is_capped_at_the_block_count(self, forks, monkeypatch):
+        # The pool is this process and one forked child per other share.
         config = small_config(replicates=3)
         expected = run_study(config)
-        # One block: no pool at all, however many workers are asked for.
+        # One block: no child at all, however many workers are asked for.
         assert run_study(config, workers=8) == expected
-        assert sizes == []
-        # One replicate per block: three blocks, so at most three workers.
+        assert forks == []
+        # One replicate per block: three blocks, so at most two children.
         monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 150)
+        assert run_study(config, workers=1) == expected
+        assert forks == []
         assert run_study(config, workers=8) == expected
+        assert len(forks) == 2
         assert run_study(config, workers=2) == expected
-        assert sizes == [3, 2]
+        assert len(forks) == 3
+        assert_reaped(forks)
+        # Without os.fork, every block runs in this process.
+        monkeypatch.delattr(os, "fork")
+        assert run_study(config, workers=8) == expected
 
     def test_debug_logs_error_quantiles_of_each_kept_cell(
         self, monkeypatch, caplog
@@ -630,6 +656,111 @@ MATCHED = small_config(
     replicates=12,
     beta=0.2,
 )
+
+
+class TestWorkerProcesses:
+    """The blocks split between this process and forked children."""
+
+    @pytest.fixture
+    def patch_blocks(self, monkeypatch):
+        """Replace ``_replicate_block`` with ``fake(in_child, task, real)``.
+
+        Every study block holds one replicate, so a 4-replicate run has
+        four blocks and ``workers=2`` leaves two of them to one child.
+        """
+        parent = os.getpid()
+        real = study_module._replicate_block
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 150)
+
+        def patch(fake):
+            monkeypatch.setattr(
+                study_module,
+                "_replicate_block",
+                lambda *task: fake(os.getpid() != parent, task, real),
+            )
+
+        return patch
+
+    def test_child_error_surfaces_with_its_type_and_message(
+        self, forks, patch_blocks
+    ):
+        def fail_in_child(in_child, task, real):
+            if in_child:
+                raise DomainError(f"synthetic failure at {task[2]}")
+            return real(*task)
+
+        patch_blocks(fail_in_child)
+        with pytest.raises(DomainError) as caught:
+            run_study(small_config(), workers=2)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) in (
+            "synthetic failure at range(1, 2)",
+            "synthetic failure at range(3, 4)",
+        )
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_child_that_dies_mid_share_raises(
+        self, forks, patch_blocks, tmp_path, capsys
+    ):
+        calls = []
+
+        def exit_mid_share(in_child, task, real):
+            if in_child:
+                calls.append(task)
+                if len(calls) == 2:
+                    os._exit(3)
+            return real(*task)
+
+        patch_blocks(exit_mid_share)
+        with pytest.raises(ChildProcessError, match=r"exit status 3\)$") as caught:
+            run_study(small_config(), workers=2)
+        assert str(forks[0]) in str(caught.value)
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            "gamma1 = 0.1\neta = 0.25\np_values = 0.6\nrho_values = 1.0\n"
+            "n_values = 150\nreplicates = 4\nmaster_seed = 777\n"
+        )
+        argv = ["simulate", str(config), "--out", str(tmp_path / "rows.csv")]
+        assert cli.main(argv + ["--workers", "2"]) == cli.EXIT_IO
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: study worker ")
+        assert stderr.endswith("ended without its results (exit status 3)\n")
+        assert not (tmp_path / "rows.csv").exists()
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
+    def test_parent_failure_kills_its_children(self, forks, patch_blocks, error):
+        def stall_in_child(in_child, task, real):
+            if in_child:
+                time.sleep(60)
+                return real(*task)
+            raise error("parent share failed")
+
+        patch_blocks(stall_in_child)
+        start = time.monotonic()
+        with pytest.raises(error, match="parent share failed"):
+            run_study(small_config(), workers=2)
+        # The child would sleep a minute; it was killed, not waited out.
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 10**6), min_size=1, max_size=40),
+        workers=st.integers(1, 12),
+    )
+    def test_shares_are_balanced_by_records(self, weights, workers):
+        count = min(workers, len(weights))
+        shares = study_module._split_shares(weights, count)
+        assert len(shares) == count
+        assert sorted(i for share in shares for i in share) == list(
+            range(len(weights))
+        )
+        loads = [sum(weights[i] for i in share) for share in shares]
+        assert max(loads) - min(loads) <= max(weights)
 
 
 class TestEveryRhoSharesOneDraw:
