@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -192,6 +191,9 @@ def confidence_interval(
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k!r}")
+    # Imported here, its only use: it costs every CLI start 5-7 ms.
+    from statistics import NormalDist
+
     tail = (1.0 + level) / 2.0
     # The largest level below 1 rounds the tail level up to 1.
     z = math.inf if tail == 1.0 else NormalDist().inv_cdf(tail)

@@ -66,20 +66,24 @@ def _km_curve(delta: np.ndarray) -> np.ndarray:
     with ``m < n`` is at least ``(n - m) / n``, so no underflow guard is
     needed.
     """
-    n = delta.shape[-1]
-    factors = 1.0 - delta / (n - np.arange(n, dtype=np.float64))
     ones = np.ones(delta.shape[:-1] + (1,))
-    return np.concatenate((ones, np.cumprod(factors, axis=-1)), axis=-1)
+    return np.concatenate((ones, _km_products(delta)), axis=-1)
+
+
+def _km_products(delta: np.ndarray) -> np.ndarray:
+    """``_km_curve(delta)[..., 1:]``, built without the copy."""
+    n = delta.shape[-1]
+    return np.cumprod(1.0 - delta / (n - np.arange(n, dtype=np.float64)), axis=-1)
 
 
 def _km_anchor(delta: np.ndarray, k: Union[int, np.ndarray]) -> np.ndarray:
     """Product-limit survival just below the k-th upper order statistic.
 
     One ``k`` per row of ``delta`` ``(..., n)``; the caller checks
-    ``1 <= k < n``.
+    ``1 <= k < n``, so index ``n - k - 1`` of the products is at least 0.
     """
-    at = delta.shape[-1] - np.asarray(k)
-    return np.take_along_axis(_km_curve(delta), at[..., None], -1)[..., 0]
+    at = delta.shape[-1] - np.asarray(k) - 1
+    return np.take_along_axis(_km_products(delta), at[..., None], -1)[..., 0]
 
 
 def kaplan_meier_survival(

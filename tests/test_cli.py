@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -719,22 +720,132 @@ class TestSimulateCommand:
         assert code == 4
 
 
-def _modules_after(probe, packages=("scipy",)):
-    """The loaded modules of ``packages`` after ``probe`` runs in a fresh process."""
+def _package_env():
+    """Environment in which a fresh process imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_fresh(args):
+    """``python <args>`` in a fresh process that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_package_env()
+    )
+
+
+# Entry-path runs: placeholders name the files of the ``entry_files`` fixture.
+ENTRY_ARGV = {
+    "estimate": ["estimate", "{claims}", "--rho", "1.1", "--auto-k", "--out", "{out}"],
+    "estimate-interval": [
+        "estimate", "{interval}", "--rho", "1", "--k", "50", *INTERVAL_FLAGS,
+        "--out", "{out}",
+    ],
+    "km": ["km", "{claims}", "--out", "{out}"],
+    "simulate-1": ["simulate", "{config}", "--out", "{out}"],
+    "simulate-2": ["simulate", "{config}", "--out", "{out}", "--workers", "2"],
+    "asymptotics": [
+        "asymptotics", "--gamma1", "0.1", "--p", "0.4", "--rho", "1",
+        "--tau1", "-0.25", "--lambda1", "1",
+    ],
+}
+
+
+@pytest.fixture
+def entry_files(tmp_path):
+    rng = np.random.default_rng(21)
+    z = (1.0 - rng.random(300)) ** -0.15
+    claims = write_claims(
+        tmp_path / "c.csv", [(float(v), i % 2) for i, v in enumerate(z)]
+    )
+    bad = tmp_path / "bad.csv"
+    bad.write_text("z,censored\n1,1\n")
+    return {
+        "claims": claims,
+        "interval": write_claims(tmp_path / "interval.csv", interval_rows()),
+        "config": write_config(tmp_path / "study.cfg"),
+        "bad": str(bad),
+        "missing": str(tmp_path / "missing" / "out.csv"),
+    }
+
+
+def _entry_argv(template, files, out):
+    return [arg.format(out=out, **files) for arg in template]
+
+
+class TestEntryPath:
+    """``python -m tailpremium.cli`` prints and writes what ``main()`` does."""
+
+    @pytest.mark.parametrize("command", list(ENTRY_ARGV))
+    def test_fresh_process_equals_main(
+        self, tmp_path, capsys, entry_files, command
+    ):
+        entry_out, main_out = tmp_path / "entry.out", tmp_path / "main.out"
+        argv = _entry_argv(ENTRY_ARGV[command], entry_files, str(entry_out))
+        process = _run_fresh(["-m", "tailpremium.cli", *argv])
+        assert process.returncode == 0, process.stderr
+        argv = _entry_argv(ENTRY_ARGV[command], entry_files, str(main_out))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert process.stdout == captured.out
+        assert process.stderr == captured.err == ""
+        assert entry_out.exists() == main_out.exists() == (command != "asymptotics")
+        if main_out.exists():
+            assert entry_out.read_bytes() == main_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "code, template, message",
+        [
+            (2, ["estimate", "{bad}", "--rho", "1", "--k", "2"], "bad.csv:1: expected"),
+            (2, ["estimate", "{claims}", "--k", "2"], "required: --rho"),
+            (3, ["estimate", "{claims}", "--rho", "1", "--k", "0"], "k must satisfy"),
+            (4, ["km", "{claims}", "--out", "{missing}"], "No such file or directory"),
+        ],
+    )
+    def test_failure_exit_code_and_message(
+        self, entry_files, code, template, message
+    ):
+        argv = _entry_argv(template, entry_files, "")
+        process = _run_fresh(["-m", "tailpremium.cli", *argv])
+        assert process.returncode == code
+        assert process.stdout == ""
+        assert message in process.stderr
+        assert process.stderr.endswith("\n")
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys, entry_files):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        for template in ENTRY_ARGV.values():
+            assert main(_entry_argv(template, entry_files, str(tmp_path / "o"))) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_entrypoint_freezes_the_collector_before_exit(
+        self, tmp_path, entry_files
+    ):
+        # atexit handlers run before finalization and its collections.
+        argv = ["tailpremium", *ENTRY_ARGV["km"]]
+        argv = _entry_argv(argv, entry_files, str(tmp_path / "o"))
+        probe = (
+            "import atexit, gc, sys\n"
+            "print('start', gc.get_freeze_count())\n"
+            "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
+            "from tailpremium.cli import entrypoint\n"
+            f"sys.argv = {argv!r}\n"
+            "entrypoint()"
+        )
+        process = _run_fresh(["-c", probe])
+        assert process.returncode == 0, process.stderr
+        assert process.stdout == "start 0\nexit True\n"
+
+
+def _modules_after(probe, packages=("scipy",)):
+    """The loaded modules of ``packages`` after ``probe`` runs in a fresh process."""
     probe += (
         "\nimport sys"
         "\nprint(sorted(m for m in sys.modules"
         f" if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
     )
-    process = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    process = _run_fresh(["-W", "error::RuntimeWarning", "-c", probe])
     assert process.returncode == 0, process.stderr
     return process.stdout.strip().splitlines()[-1]
 
@@ -795,21 +906,28 @@ def test_claims_commands_leave_out_scipy(tmp_path):
     assert _modules_after(probe) == "[]"
 
 
+def _command_probe(files, out, command):
+    """A fresh-process probe that imports the CLI and runs ``command``."""
+    probe = "from tailpremium.cli import main"
+    if command == "import":
+        return probe
+    argv = _entry_argv(ENTRY_ARGV[command], files, out)
+    return f"{probe}\nassert main({argv!r}) == 0"
+
+
 @pytest.mark.parametrize("command", ["estimate", "km", "simulate-1", "simulate-2"])
-def test_commands_leave_out_numpy_ma(tmp_path, command):
+def test_commands_leave_out_numpy_ma(tmp_path, entry_files, command):
     # numpy's np.unique imports numpy.ma on its first call, which costs a
     # fresh process about 16 ms (median of 9 on 2 vCPUs); no command needs it.
-    rng = np.random.default_rng(21)
-    z = (1.0 - rng.random(300)) ** -0.15
-    rows = [(float(v), i % 2) for i, v in enumerate(z)]
-    claims = write_claims(tmp_path / "c.csv", rows)
-    config = write_config(tmp_path / "study.cfg")
-    out = str(tmp_path / "out.csv")
-    argv = {
-        "estimate": ["estimate", claims, "--rho", "1.1", "--auto-k"],
-        "km": ["km", claims, "--out", out],
-        "simulate-1": ["simulate", config, "--out", out],
-        "simulate-2": ["simulate", config, "--out", out, "--workers", "2"],
-    }[command]
-    probe = f"from tailpremium.cli import main\nassert main({argv!r}) == 0"
+    probe = _command_probe(entry_files, str(tmp_path / "out.csv"), command)
     assert _modules_after(probe, ("numpy.ma",)) == "[]"
+
+
+@pytest.mark.parametrize(
+    "command", ["import", "estimate", "km", "simulate-1", "simulate-2"]
+)
+def test_commands_leave_out_statistics_and_csv(tmp_path, entry_files, command):
+    # Importing statistics costs every CLI start 5-7 ms and csv 1.4 ms; only
+    # the confidence interval and the claims row loop need them.
+    probe = _command_probe(entry_files, str(tmp_path / "out.csv"), command)
+    assert _modules_after(probe, ("statistics", "csv")) == "[]"

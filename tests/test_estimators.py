@@ -28,7 +28,7 @@ from tailpremium import (
     uncensored_proportion,
     weissman_tail,
 )
-from tailpremium.estimators import _php_value
+from tailpremium.estimators import _km_anchor, _km_curve, _php_value
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 from tailpremium.threshold import tail_index_path
 
@@ -165,6 +165,20 @@ class TestKmAtThreshold:
             assert km_survival_at_threshold(sample, k) == kaplan_meier_survival(
                 sample, x
             )
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_block_anchor_reads_the_curve_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 57
+        delta = rng.integers(0, 2, size=(6, n))
+        curve = _km_curve(delta)
+        for k in range(1, n):
+            got = _km_anchor(delta, np.full(6, k))
+            assert got.tobytes() == curve[:, n - k].tobytes()
+            assert _km_anchor(delta[0], k).tobytes() == curve[0, n - k].tobytes()
+        ks = rng.integers(1, n, size=6)
+        want = curve[np.arange(6), n - ks]
+        assert _km_anchor(delta, ks).tobytes() == want.tobytes()
 
     def test_matches_sequential_oracle(self):
         sample = random_sample(29)
