@@ -6,96 +6,76 @@ the data, and prices the layer above a retention with the proportional
 hazard transform.  Parametric Burr and Pareto models, the normal limit of
 the premium estimator, a data-driven threshold choice, and a reproducible
 Monte Carlo study round out the toolkit.
+
+Names resolve on first use (PEP 562): ``tailpremium.X`` and ``from
+tailpremium import X`` import the submodule that defines ``X`` then, so
+``import tailpremium`` loads no submodule and each CLI command loads only
+its own.  A resolved name is not stored here: every read goes to the
+submodule.  A submodule itself is an attribute of the package only once
+it has been imported.
 """
 
-from .asymptotics import (
-    AsymptoticParams,
-    NormalLimit,
-    asym_mean,
-    asym_variance,
-    confidence_interval,
-    normalization_factor,
-)
-from .errors import (
-    DomainError,
-    FileFormatError,
-    TailPremiumError,
-    ValidationError,
-)
-from .estimators import (
-    PremiumEstimate,
-    TailEstimates,
-    censored_hill,
-    hill_estimator,
-    kaplan_meier_survival,
-    km_survival_at_threshold,
-    php_estimate,
-    uncensored_proportion,
-    weissman_tail,
-)
-from .models import (
-    BurrModel,
-    CensoringScheme,
-    ParetoModel,
-    burr_scheme,
-    gamma2_from_p,
-    h_threshold,
-)
-from .samples import (
-    THRESHOLD,
-    EstimationSettings,
-    SortedCensoredSample,
-    validate_settings,
-)
-from .study import (
-    StudyCell,
-    StudyConfig,
-    StudyRow,
-    aggregate,
-    replicate_stream,
-    run_study,
-)
-from .threshold import ThresholdChoice, reiss_thomas_k, tail_index_path
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticParams",
-    "BurrModel",
-    "CensoringScheme",
-    "DomainError",
-    "EstimationSettings",
-    "FileFormatError",
-    "NormalLimit",
-    "ParetoModel",
-    "PremiumEstimate",
-    "SortedCensoredSample",
-    "StudyCell",
-    "StudyConfig",
-    "StudyRow",
-    "THRESHOLD",
-    "TailEstimates",
-    "TailPremiumError",
-    "ThresholdChoice",
-    "ValidationError",
-    "aggregate",
-    "asym_mean",
-    "asym_variance",
-    "burr_scheme",
-    "censored_hill",
-    "confidence_interval",
-    "gamma2_from_p",
-    "h_threshold",
-    "hill_estimator",
-    "kaplan_meier_survival",
-    "km_survival_at_threshold",
-    "normalization_factor",
-    "php_estimate",
-    "reiss_thomas_k",
-    "replicate_stream",
-    "run_study",
-    "tail_index_path",
-    "uncensored_proportion",
-    "validate_settings",
-    "weissman_tail",
-]
+# Each submodule and the public names it defines: the package's exports.
+_EXPORTS = {
+    "asymptotics": (
+        "AsymptoticParams",
+        "NormalLimit",
+        "asym_mean",
+        "asym_variance",
+        "confidence_interval",
+        "normalization_factor",
+    ),
+    "errors": ("DomainError", "FileFormatError", "TailPremiumError", "ValidationError"),
+    "estimators": (
+        "PremiumEstimate",
+        "TailEstimates",
+        "censored_hill",
+        "hill_estimator",
+        "kaplan_meier_survival",
+        "km_survival_at_threshold",
+        "php_estimate",
+        "uncensored_proportion",
+        "weissman_tail",
+    ),
+    "models": (
+        "BurrModel",
+        "CensoringScheme",
+        "ParetoModel",
+        "burr_scheme",
+        "gamma2_from_p",
+        "h_threshold",
+    ),
+    "samples": (
+        "THRESHOLD",
+        "EstimationSettings",
+        "SortedCensoredSample",
+        "validate_settings",
+    ),
+    "study": (
+        "StudyCell",
+        "StudyConfig",
+        "StudyRow",
+        "aggregate",
+        "replicate_stream",
+        "run_study",
+    ),
+    "threshold": ("ThresholdChoice", "reiss_thomas_k", "tail_index_path"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -5,6 +5,11 @@ CSV, ``km`` exports the product-limit survival curve, ``asymptotics``
 evaluates the normal-limit mean and variance, and ``simulate`` runs a
 replicated study from a config file.
 
+Each command imports the package modules it uses when it runs, so a
+fresh process loads only those: ``import tailpremium.cli`` loads ``cli``,
+``errors`` and ``samples``, and only ``simulate`` loads ``study``,
+``models`` and ``logging``.
+
 Exit codes: 0 success, 2 malformed input (bad flags, bad CSV or config),
 3 violated mathematical precondition, 4 input/output failure.  Numbers are
 serialized with 12 significant digits, so emitted files reparse to full
@@ -16,28 +21,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import logging
 import math
 import os
 import sys
 import warnings
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .asymptotics import (
-    AsymptoticParams,
-    NormalLimit,
-    asym_mean,
-    asym_variance,
-    confidence_interval,
-    normalization_factor,
-)
 from .errors import DomainError, FileFormatError, ValidationError
-from .estimators import censored_hill, kaplan_meier_survival, php_estimate
 from .samples import THRESHOLD, EstimationSettings, SortedCensoredSample
-from .study import StudyConfig, run_study
-from .threshold import reiss_thomas_k
+
+if TYPE_CHECKING:
+    from .study import StudyConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -207,6 +203,8 @@ def read_study_config(path: str) -> StudyConfig:
     Lists are comma-separated.  Unknown and duplicate keys are rejected;
     ``beta`` is optional and defaults to the package default of 0.3.
     """
+    from .study import StudyConfig
+
     raw: dict = {}
     lines: dict = {}
     with open(path) as handle:
@@ -259,16 +257,20 @@ def _retention_flag(value: str) -> Union[float, str]:
         ) from None
 
 
-def _write_lines(path: str, header: str, line: str, rows: Iterable) -> None:
-    """Write ``header``, then ``line % row`` per row, as unquoted lines."""
+def _write_text(path: str, header: str, body: str) -> None:
+    """Write the ``header`` line, then ``body``, a run of unquoted lines."""
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
-        handle.writelines(map((line + "\n").__mod__, rows))
+        handle.write(body)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .estimators import censored_hill, php_estimate
+
     sample = read_claims(args.input)
     if args.auto_k:
+        from .threshold import reiss_thomas_k
+
         k = reiss_thomas_k(sample).k_star
     else:
         k = args.k
@@ -286,6 +288,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "premium": _fmt(estimate.value),
     }
     if args.tau1 is not None or args.lambda1 is not None:
+        from .asymptotics import (
+            AsymptoticParams,
+            NormalLimit,
+            asym_mean,
+            asym_variance,
+            confidence_interval,
+            normalization_factor,
+        )
+
         tau1 = args.tau1 if args.tau1 is not None else 0.0
         lambda1 = args.lambda1 if args.lambda1 is not None else 0.0
         params = AsymptoticParams(
@@ -320,23 +331,28 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for key, value in report.items():
         print(f"{key} {value}")
     if args.out is not None:
-        _write_lines(args.out, ",".join(report), "%s", [",".join(report.values())])
+        _write_text(args.out, ",".join(report), ",".join(report.values()) + "\n")
     return EXIT_OK
 
 
 def cmd_km(args: argparse.Namespace) -> int:
+    from .estimators import kaplan_meier_survival
+
     sample = read_claims(args.input)
     # The distinct values below the maximum are the run ends of the sorted
     # column (np.unique would import numpy.ma and sort again); adding 0.0
     # prints a zero run as 0 whatever the sign of its last entry.
     z = sample.z_sorted
     x = z[:-1][z[1:] != z[:-1]] + 0.0
-    curve = zip(x.tolist(), kaplan_meier_survival(sample, x).tolist())
-    _write_lines(args.out, "x,survival", f"{_FLOAT},{_FLOAT}", curve)
+    # One format call over the interleaved (x, S(x)) pairs.
+    curve = np.column_stack((x, kaplan_meier_survival(sample, x))).ravel().tolist()
+    _write_text(args.out, "x,survival", f"{_FLOAT},{_FLOAT}\n" * x.size % tuple(curve))
     return EXIT_OK
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
+    from .asymptotics import AsymptoticParams, asym_mean, asym_variance
+
     params = AsymptoticParams(
         gamma1=args.gamma1,
         p=args.p,
@@ -357,6 +373,12 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # The study reports dropped replicates through logging.
+    import logging
+
+    from .study import run_study
+
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     config = read_study_config(args.config)
     if args.seed is not None:
         try:
@@ -364,7 +386,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"--seed: {exc}") from exc
     rows = run_study(config, workers=args.workers)
-    _write_lines(args.out, _STUDY_HEADER, _STUDY_LINE, map(dataclasses.astuple, rows))
+    _write_text(
+        args.out,
+        _STUDY_HEADER,
+        "".join(_STUDY_LINE % dataclasses.astuple(row) + "\n" for row in rows),
+    )
     return EXIT_OK
 
 
@@ -445,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

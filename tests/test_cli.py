@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import logging
 import os
 import subprocess
 import sys
@@ -77,6 +78,17 @@ def interval_rows(n=200, k=50):
 
 
 INTERVAL_FLAGS = ["--tau1", "-0.25", "--lambda1", "0.5", "--level", "0.9"]
+
+# gamma1 = 0.25 at n = 150: most samples have no admissible k.
+DROPS_CONFIG_TEXT = """\
+gamma1 = 0.25
+eta = 0.25
+p_values = 0.4, 0.6
+rho_values = 1.0
+n_values = 150
+replicates = 8
+master_seed = 5
+"""
 
 CONFIG_TEXT = """\
 # two-cell smoke study
@@ -551,6 +563,33 @@ class TestKmCommand:
             assert main(["km", str(tmp_path / "c.csv"), "--out", str(out)]) == 0
             assert out.read_bytes() == ("x,survival\n" + want).encode()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("random", id="random"),
+            pytest.param("-0.0,1\n-0.0,0\n0.0,1\n-0.0,1\n2,1\n2,0\n3,1\n", id="signed-zero-runs"),
+            pytest.param("1e-300,1\n2.5e-7,0\n1e15,1\n3e300,1\n", id="exponents"),
+            pytest.param("1,1\n2,0\n", id="one-row"),
+            pytest.param("4,1\n4,0\n", id="empty"),
+        ],
+    )
+    def test_curve_bytes_equal_the_per_row_form(self, tmp_path, body):
+        if body == "random":
+            rng = np.random.default_rng(41)
+            z = np.round(rng.pareto(1.5, 500), 2) * 10.0 ** rng.integers(-8, 9, 500)
+            flags = rng.integers(0, 2, 500)
+            body = "".join(f"{v!r},{d}\n" for v, d in zip(z.tolist(), flags.tolist()))
+        path = tmp_path / "c.csv"
+        path.write_text("z,delta\n" + body)
+        out = tmp_path / "km.csv"
+        assert main(["km", str(path), "--out", str(out)]) == 0
+        sample = read_claims(str(path))
+        x = np.unique(sample.z_sorted)[:-1] + 0.0
+        survival = kaplan_meier_survival(sample, x)
+        rows = zip(x.tolist(), survival.tolist())
+        want = "x,survival\n" + "".join("%.12g,%.12g\n" % row for row in rows)
+        assert out.read_bytes() == want.encode()
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         path = write_claims(tmp_path / "c.csv", QUAD)
         code = main(["km", path, "--out", str(tmp_path / "missing" / "km.csv")])
@@ -764,6 +803,10 @@ def entry_files(tmp_path):
     return {
         "claims": claims,
         "interval": write_claims(tmp_path / "interval.csv", interval_rows()),
+        # Every record uncensored: at rho = 1 the printed variance is not positive.
+        "flat": write_claims(
+            tmp_path / "flat.csv", [(v, 1) for v in np.geomspace(1.0, 50.0, 20).tolist()]
+        ),
         "config": write_config(tmp_path / "study.cfg"),
         "bad": str(bad),
         "missing": str(tmp_path / "missing" / "out.csv"),
@@ -801,6 +844,13 @@ class TestEntryPath:
             (2, ["estimate", "{claims}", "--k", "2"], "required: --rho"),
             (3, ["estimate", "{claims}", "--rho", "1", "--k", "0"], "k must satisfy"),
             (4, ["km", "{claims}", "--out", "{missing}"], "No such file or directory"),
+            (2, ["km", "{bad}", "--out", "{missing}"], "bad.csv:1: expected"),
+            (
+                3,
+                ["asymptotics", "--gamma1", "0.1", "--p", "0.4", "--rho", "1.9",
+                 "--lambda1", "1"],
+                "vanishes",
+            ),
         ],
     )
     def test_failure_exit_code_and_message(
@@ -812,6 +862,41 @@ class TestEntryPath:
         assert process.stdout == ""
         assert message in process.stderr
         assert process.stderr.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A non-positive variance: the interval is omitted with a
+            # warning on stderr.
+            ["estimate", "{flat}", "--rho", "1", "--k", "5", "--tau1", "0"],
+            # A negative variance: the warning is part of the report.
+            ["asymptotics", "--gamma1", "0.1", "--p", "0.8", "--rho", "1"],
+        ],
+    )
+    def test_fresh_process_warns_like_main(self, capsys, entry_files, argv):
+        argv = _entry_argv(argv, entry_files, "")
+        process = _run_fresh(["-m", "tailpremium.cli", *argv])
+        assert process.returncode == 0, process.stderr
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "warning" in captured.out + captured.err
+        assert (process.stdout, process.stderr) == (captured.out, captured.err)
+
+    def test_simulate_logs_dropped_replicates_on_stderr(self, tmp_path, caplog):
+        # ``simulate`` configures logging itself, so the study's drop
+        # warnings reach stderr as "LEVEL: message" lines.
+        config = write_config(tmp_path / "drops.cfg", DROPS_CONFIG_TEXT)
+        out = str(tmp_path / "rows.csv")
+        process = _run_fresh(["-m", "tailpremium.cli", "simulate", config, "--out", out])
+        assert process.returncode == 0, process.stderr
+        with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
+            rows = run_study(read_study_config(config))
+        assert process.stdout == ""
+        assert process.stderr == "".join(
+            f"{record.levelname}: {record.getMessage()}\n" for record in caplog.records
+        )
+        assert process.stderr.startswith("WARNING: cell (p=0.4, rho=1, n=150): ")
+        assert sum(row.failure_count for row in rows) > 0
 
     def test_main_leaves_the_collector_alone(self, tmp_path, capsys, entry_files):
         before = (gc.get_freeze_count(), gc.isenabled())
@@ -931,3 +1016,36 @@ def test_commands_leave_out_statistics_and_csv(tmp_path, entry_files, command):
     # the confidence interval and the claims row loop need them.
     probe = _command_probe(entry_files, str(tmp_path / "out.csv"), command)
     assert _modules_after(probe, ("statistics", "csv")) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    # The package namespace resolves names on first use.
+    assert _modules_after("import tailpremium", ("tailpremium",)) == "['tailpremium']"
+
+
+def test_cli_import_loads_only_its_own_modules():
+    # Each command imports its modules when it runs.
+    loaded = _modules_after("import tailpremium.cli", ("tailpremium",))
+    assert loaded == str(
+        ["tailpremium", "tailpremium.cli", "tailpremium.errors", "tailpremium.samples"]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("estimate", []),
+        ("km", []),
+        ("estimate-interval", ["tailpremium.asymptotics"]),
+    ],
+)
+def test_claims_commands_leave_out_the_study(tmp_path, entry_files, command, loaded):
+    # The study, the models and logging cost a fresh process about 20 ms
+    # to compile and run; the claims commands use none of them, and only
+    # the interval needs the asymptotics.  (pickle is no test: numpy
+    # imports it.)
+    packages = (
+        "tailpremium.study", "tailpremium.models", "tailpremium.asymptotics", "logging",
+    )
+    probe = _command_probe(entry_files, str(tmp_path / "out.csv"), command)
+    assert _modules_after(probe, packages) == str(loaded)

@@ -1,9 +1,11 @@
-"""The package namespace: ``__all__`` matches what the submodules define."""
+"""The package namespace: ``__all__`` matches what the submodules define,
+and names resolve lazily without being stored in the package."""
 
-import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import tailpremium
 
@@ -14,13 +16,17 @@ NOT_EXPORTED = {
 
 
 def reexported_modules():
-    """Submodules that ``tailpremium/__init__.py`` imports names from."""
-    tree = ast.parse(Path(tailpremium.__file__).read_text())
-    return sorted(
-        node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-    )
+    """Submodules whose names the package's lazy table exports."""
+    return sorted(tailpremium._EXPORTS)
+
+
+def exported_pairs():
+    """``(submodule, name)`` for every entry of the lazy table."""
+    return [
+        (module, name)
+        for module, names in tailpremium._EXPORTS.items()
+        for name in names
+    ]
 
 
 def test_every_export_resolves():
@@ -34,6 +40,15 @@ def test_no_export_is_listed_twice():
 
 def test_reexported_modules_found():
     assert "study" in reexported_modules()
+    # Every submodule but the CLI: all seven.
+    package = Path(tailpremium.__file__).parent
+    submodules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
+    assert reexported_modules() == sorted(submodules)
+    assert len(submodules) == 7
+
+
+def test_all_is_the_lazy_table():
+    assert sorted(tailpremium.__all__) == sorted(name for _, name in exported_pairs())
 
 
 def test_every_public_definition_is_exported():
@@ -61,3 +76,44 @@ def test_allow_list_names_live_definitions():
         for name in vars(importlib.import_module(f"tailpremium.{module_name}"))
     }
     assert NOT_EXPORTED <= defined
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from tailpremium import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tailpremium.__all__)
+
+
+@pytest.mark.parametrize("module, name", exported_pairs())
+def test_name_is_the_submodule_definition(module, name):
+    submodule = importlib.import_module(f"tailpremium.{module}")
+    assert getattr(tailpremium, name) is getattr(submodule, name)
+
+
+def test_unknown_name_is_a_plain_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        tailpremium.no_such_name
+    assert str(info.value) == "module 'tailpremium' has no attribute 'no_such_name'"
+    assert not hasattr(tailpremium, "no_such_name")
+    # A private name of a submodule is not exported either.
+    assert not hasattr(tailpremium, "_km_curve")
+
+
+def test_dir_covers_all():
+    listed = dir(tailpremium)
+    assert set(tailpremium.__all__) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_reading_names_leaves_the_namespace_unchanged():
+    # Importing a submodule binds it in the package; do that first, so
+    # what is left to compare is what the lazy hook itself would store.
+    for module in reexported_modules():
+        importlib.import_module(f"tailpremium.{module}")
+    before = dict(vars(tailpremium))
+    for name in tailpremium.__all__:
+        getattr(tailpremium, name)
+    exec("from tailpremium import *", {})
+    assert vars(tailpremium) == before
+    assert not set(tailpremium.__all__) & set(vars(tailpremium))
