@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import PremiumEstimate, _finite_scale
+from .estimators import PremiumEstimate, _fit_message
 
 
 def _check_index_and_rho(gamma1: float, rho: float) -> None:
@@ -161,7 +161,10 @@ def normalization_factor(
             * retention
             * np.float64(survival_at_h) ** (1.0 / rho)
         )
-    return _finite_scale(value, retention, h, rho * gamma1)
+    if not np.isfinite(value):
+        # Stage 4 of the fit's failure table: the premium overflows.
+        raise DomainError(_fit_message(4, None, h, gamma1, rho, retention))
+    return value
 
 
 def confidence_interval(

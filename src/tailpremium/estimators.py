@@ -11,7 +11,7 @@ of an excess-of-loss layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,28 +50,35 @@ class PremiumEstimate:
     km_at_threshold: float
 
 
+# Why a fit at k fails, one entry per check in the order the chain runs
+# them; ``_fit_rows`` reports the index of an entry's first failure.
+_FIT_FAILURES = (
+    "the k-th upper order statistic must be > 0, got {threshold:g}",
+    "all of the top k={k} observations are censored; the "
+    "censoring-corrected tail index is undefined",
+    "tail index estimate is not positive; the top k observations are degenerate",
+    "estimated tail is too heavy for a finite premium: "
+    "rho * gamma1 = {rho_gamma1:g} >= 1 (gamma1={gamma1:g}, rho={rho:g})",
+    "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
+    "with R={retention:g}, h={threshold:g}, rho * gamma1={rho_gamma1:g}",
+)
+
+
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k < n:
         raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
 
 
-def _km_curve(delta: np.ndarray) -> np.ndarray:
-    """Product-limit survival after each prefix of the order statistics.
+def _km_products(delta: np.ndarray) -> np.ndarray:
+    """Product-limit survival after each order statistic.
 
     ``delta`` holds the sorted flags of one sample, or of one sample per
-    row ``(..., n)``.  ``curve[..., m] = prod_{i=1}^{m} (1 - delta_[i] /
-    (n - i + 1))``, so ``curve[..., 0] = 1``.  Because ties list uncensored
-    records first, the value at the end of a run of ties equals the
-    grouped factor ``1 - d_t / r_t`` of Kaplan and Meier.  Every prefix
-    with ``m < n`` is at least ``(n - m) / n``, so no underflow guard is
-    needed.
+    row ``(..., n)``.  ``products[..., m - 1] = prod_{i=1}^{m} (1 - delta_[i]
+    / (n - i + 1))``.  Because ties list uncensored records first, the
+    value at the end of a run of ties equals the grouped factor
+    ``1 - d_t / r_t`` of Kaplan and Meier.  Every product with ``m < n`` is
+    at least ``(n - m) / n``, so no underflow guard is needed.
     """
-    ones = np.ones(delta.shape[:-1] + (1,))
-    return np.concatenate((ones, _km_products(delta)), axis=-1)
-
-
-def _km_products(delta: np.ndarray) -> np.ndarray:
-    """``_km_curve(delta)[..., 1:]``, built without the copy."""
     n = delta.shape[-1]
     return np.cumprod(1.0 - delta / (n - np.arange(n, dtype=np.float64)), axis=-1)
 
@@ -118,7 +125,8 @@ def kaplan_meier_survival(
             "product-limit survival is undefined at or above the largest "
             f"observation ({z[-1]:g}), got x={float(np.max(xs)):g}"
         )
-    out = _km_curve(sample.delta_concomitant)[np.searchsorted(z, xs, side="right")]
+    curve = np.append(1.0, _km_products(sample.delta_concomitant))
+    out = curve[np.searchsorted(z, xs, side="right")]
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -159,14 +167,20 @@ def _tail_path(
     return hill, p_hat
 
 
+def _corrected_path(
+    z_sorted: np.ndarray, delta: np.ndarray, k_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gamma1, p_hat)`` of :func:`_tail_path`, NaN where p_hat is 0."""
+    hill, p_hat = _tail_path(z_sorted, delta, k_max)
+    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
+
+
 def _path_at(sample: SortedCensoredSample, k: int) -> Tuple[float, float]:
     """Guarded read of :func:`_tail_path` at one ``k``: ``(hill, p_hat)``."""
     _check_k(k, sample.n)
     threshold = sample.z_sorted[sample.n - k - 1]
     if threshold <= 0.0:
-        raise DomainError(
-            f"the k-th upper order statistic must be > 0, got {threshold:g}"
-        )
+        raise DomainError(_FIT_FAILURES[0].format(threshold=threshold))
     hill, p_hat = _tail_path(sample.z_sorted, sample.delta_concomitant, k)
     return float(hill[-1]), float(p_hat[-1])
 
@@ -206,10 +220,7 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     """
     gamma_hill, p_hat = _path_at(sample, k)
     if p_hat == 0.0:
-        raise DomainError(
-            f"all of the top k={k} observations are censored; the "
-            "censoring-corrected tail index is undefined"
-        )
+        raise DomainError(_FIT_FAILURES[1].format(k=k))
     return TailEstimates(
         k=k,
         gamma_hill=gamma_hill,
@@ -218,41 +229,75 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     )
 
 
-def _php_failures(gamma1: np.ndarray, rho: float) -> np.ndarray:
-    """Why the closed form of :func:`php_estimate` fails at each index.
+def _fit_rows(
+    z_sorted: np.ndarray,
+    delta: np.ndarray,
+    k: np.ndarray,
+    gamma1: np.ndarray,
+    rhos: Sequence[float],
+    retention=None,
+) -> Tuple[np.ndarray, ...]:
+    """The fit at one ``k`` per row of sorted samples ``(B, n)``.
 
-    ``gamma1`` is a 1-D array of corrected indices.  Returns an object
-    array of its shape: the reason where an index is not positive or
-    ``rho * gamma1 >= 1`` (the premium integral diverges), else None.
-    At ``rho = 0`` only the sign is checked.
+    ``gamma1`` is each row's corrected index at its ``1 <= k < n``, NaN
+    where the top ``k`` are all censored (as :func:`_corrected_path` has
+    it); ``retention`` defaults to the threshold ``z_(n-k)``.  Returns
+    ``(threshold, anchor, retention)``, each ``(B,)``, and ``(pi_hat,
+    stage)``, each ``(B, len(rhos))``: the premium of :func:`php_estimate`
+    and the index in ``_FIT_FAILURES`` of the first check the entry fails
+    (-1 where it fits, else ``pi_hat`` is NaN).  At ``rho = 0`` only the
+    index's sign is checked and ``pi_hat`` is NaN.  Every value is computed
+    entry by entry, so a row's results are bitwise those of the row alone.
     """
-    reasons = np.full(gamma1.shape, None, dtype=object)
-    reasons[gamma1 <= 0.0] = (
-        "tail index estimate is not positive; the top k observations "
-        "are degenerate"
+    threshold = z_sorted[np.arange(len(k)), z_sorted.shape[-1] - k - 1]
+    anchor = _km_anchor(delta, k)
+    retention = np.full(len(k), threshold if retention is None else retention)
+    stage = np.full((len(k), len(rhos)), -1)
+    # The row checks, last first, so that a row keeps its first failure.
+    stage[gamma1 <= 0.0] = 2
+    stage[np.isnan(gamma1)] = 1
+    stage[threshold <= 0.0] = 0
+    pi_hat = np.full(stage.shape, np.nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j, rho in enumerate(rhos):
+            if rho == 0.0:
+                continue
+            rho_gamma1 = rho * gamma1
+            value = (
+                rho_gamma1 / (1.0 - rho_gamma1)
+                * retention
+                * (retention / threshold) ** (-1.0 / rho_gamma1)
+                * anchor ** (1.0 / rho)
+            )
+            column = stage[:, j]
+            column[(column < 0) & (rho_gamma1 >= 1.0)] = 3
+            column[(column < 0) & ~np.isfinite(value)] = 4
+            pi_hat[:, j] = np.where(column < 0, value, np.nan)
+    return threshold, anchor, retention, pi_hat, stage
+
+
+def _fit_message(stage: int, k, threshold, gamma1, rho, retention) -> str:
+    """``_FIT_FAILURES[stage]`` filled in with one entry's values."""
+    return _FIT_FAILURES[stage].format(
+        k=k, threshold=threshold, gamma1=gamma1, rho=rho,
+        rho_gamma1=rho * float(gamma1), retention=retention,
     )
-    for i in np.flatnonzero(rho * gamma1 >= 1.0):
-        reasons[i] = (
-            "estimated tail is too heavy for a finite premium: "
-            f"rho * gamma1 = {rho * gamma1[i]:g} >= 1 "
-            f"(gamma1={gamma1[i]:g}, rho={rho:g})"
-        )
-    return reasons
 
 
-def _anchored_fit(
-    sample: SortedCensoredSample, k: int, rho: float
-) -> Tuple[float, float, float]:
-    """Corrected index, threshold ``z_(n-k)`` and its product-limit anchor.
+def _fit_sample(sample: SortedCensoredSample, k: int, rho: float, retention=None):
+    """:func:`_fit_rows` on one sample, its failure raised as a DomainError.
 
-    Raises the reason :func:`_php_failures` gives the index at ``rho``.
+    Returns ``(gamma1, threshold, anchor, retention, pi_hat)``.
     """
-    gamma1 = censored_hill(sample, k).gamma1_hat
-    reason = _php_failures(np.array([gamma1]), rho)[0]
-    if reason is not None:
-        raise DomainError(reason)
-    z_threshold = sample.z_sorted[sample.n - k - 1]
-    return gamma1, z_threshold, float(_km_anchor(sample.delta_concomitant, k))
+    _check_k(k, sample.n)
+    z, delta = sample.z_sorted, sample.delta_concomitant
+    gamma1 = _corrected_path(z, delta, k)[0][-1:]
+    fit = _fit_rows(z[None], delta[None], np.array([k]), gamma1, (rho,), retention)
+    threshold, anchor, retention, pi_hat, stage = (column[0] for column in fit)
+    if stage[0] >= 0:
+        message = _fit_message(stage[0], k, threshold, gamma1[0], rho, retention)
+        raise DomainError(message)
+    return gamma1[0], threshold, anchor, retention, pi_hat[0]
 
 
 def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
@@ -270,7 +315,7 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     x : float
         Evaluation point, at or above the k-th upper order statistic.
     """
-    gamma1, z_threshold, anchor = _anchored_fit(sample, k, 0.0)
+    gamma1, z_threshold, anchor, _, _ = _fit_sample(sample, k, 0.0)
     x = float(x)
     if not x >= z_threshold:
         raise DomainError(
@@ -278,38 +323,6 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
             f"order statistic ({z_threshold:g}), got x={x:g}"
         )
     return float((x / z_threshold) ** (-1.0 / gamma1) * anchor)
-
-
-def _finite_scale(value: float, retention: float, h: float, rho_gamma1: float) -> float:
-    """``value``, unless ``(R / h) ** (-1 / (rho * gamma1))`` overflowed it."""
-    if not np.isfinite(value):
-        raise DomainError(
-            "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
-            f"with R={retention:g}, h={h:g}, rho * gamma1={rho_gamma1:g}"
-        )
-    return value
-
-
-def _php_value(
-    gamma1: np.ndarray,
-    rho: float,
-    retention: np.ndarray,
-    z_threshold: np.ndarray,
-    anchor: np.ndarray,
-) -> np.ndarray:
-    """The closed form of :func:`php_estimate`, entry by entry.
-
-    Every entry needs ``gamma1 > 0`` and ``rho * gamma1 < 1`` (see
-    :func:`_php_failures`).  numpy's ``power`` gives an entry the same
-    bits whatever the array's length, so a study block and the one-sample
-    API, which reads this on 1-element arrays, agree bit for bit.
-    """
-    return (
-        rho * gamma1 / (1.0 - rho * gamma1)
-        * retention
-        * (retention / z_threshold) ** (-1.0 / (rho * gamma1))
-        * anchor ** (1.0 / rho)
-    )
 
 
 def php_estimate(
@@ -331,25 +344,19 @@ def php_estimate(
     ValidationError
         If the settings violate their bounds for this sample size.
     DomainError
-        If the censoring correction is undefined, the tail estimate is not
-        positive, ``rho * gamma1 >= 1`` so the premium integral diverges,
-        or the premium overflows the float range.
+        If the threshold or the tail estimate is not positive, the
+        censoring correction is undefined, ``rho * gamma1 >= 1`` so the
+        premium integral diverges, or the premium overflows the float range.
     """
     settings = validate_settings(settings, sample.n)
-    k = settings.k
-    rho = settings.rho
-    gamma1, z_threshold, anchor = _anchored_fit(sample, k, rho)
-    if settings.retention_is_threshold:
-        retention = float(z_threshold)
-    else:
-        retention = float(settings.retention)
-    fit = np.array([[gamma1], [retention], [z_threshold], [anchor]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_php_value(fit[0], rho, *fit[1:])[0])
+    retention = None if settings.retention_is_threshold else settings.retention
+    _, _, anchor, retention, value = _fit_sample(
+        sample, settings.k, settings.rho, retention
+    )
     return PremiumEstimate(
-        value=_finite_scale(value, retention, z_threshold, rho * gamma1),
-        rho=rho,
-        retention=retention,
-        k=k,
-        km_at_threshold=anchor,
+        value=float(value),
+        rho=settings.rho,
+        retention=float(retention),
+        k=settings.k,
+        km_at_threshold=float(anchor),
     )

@@ -29,6 +29,11 @@ THRESHOLD = "threshold"
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _int_flags(delta: np.ndarray) -> np.ndarray:
     """Censoring flags as a new int64 array.
 
@@ -154,7 +159,7 @@ class EstimationSettings:
     retention: Union[float, str] = THRESHOLD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+        if not _is_integer(self.k):
             raise ValidationError(f"k must be an integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "rho", float(self.rho))

@@ -12,12 +12,13 @@ difference of those means, and the root mean squared per-replicate error.
 
 The engine works one block of a group's replicates at a time, as
 ``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
-one pass of the threshold rule and the Kaplan-Meier anchor over the block,
-and one premium-estimate call per distortion parameter.  These are the
-kernels behind the one-sample API (``reiss_thomas_k``,
-``tail_index_path``, ``km_survival_at_threshold``, ``php_estimate``),
-read there on a single row.  A block holds at most ``_BLOCK_RECORDS``
-records (at least one replicate), so its memory does not grow with n.
+one pass of the threshold rule, and one call of the fit-at-k kernel
+``estimators._fit_rows`` (threshold, Kaplan-Meier anchor and premium at
+every distortion parameter, failures named from one table).  The
+one-sample API runs the same kernels on one row: ``reiss_thomas_k`` and
+``tail_index_path`` the rule, ``php_estimate`` and ``weissman_tail`` the
+fit.  A block holds at most ``_BLOCK_RECORDS`` records (at least one
+replicate), so its memory does not grow with n.
 
 A block returns each replicate's retention (NaN where the threshold
 choice failed) and (replicate x distortion parameter) columns: the
@@ -56,9 +57,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import _km_anchor, _php_failures, _php_value
+from .estimators import _fit_message, _fit_rows
 from .models import BurrModel, burr_scheme
-from .samples import _check_rows, _sort_rows
+from .samples import _check_rows, _is_integer, _sort_rows
 from .threshold import _choose_rows
 
 logger = logging.getLogger(__name__)
@@ -90,9 +91,7 @@ def _check_master_seed(master_seed) -> None:
     The seed enters every stream as one 64-bit word, so a seed outside
     ``[0, 2**64)`` would alias one inside it.
     """
-    if not isinstance(master_seed, (int, np.integer)) or not (
-        0 <= master_seed <= _UINT64_MASK
-    ):
+    if not _is_integer(master_seed) or not 0 <= master_seed <= _UINT64_MASK:
         raise ValidationError(
             f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}"
         )
@@ -145,13 +144,13 @@ class StudyConfig:
                 f"every rho must be >= 1, got {self.rho_values!r}"
             )
         if not self.n_values or any(
-            not isinstance(n, (int, np.integer)) or n < 100 for n in self.n_values
+            not _is_integer(n) or n < 100 for n in self.n_values
         ):
             raise ValidationError(
                 f"every n must be an integer >= 100, got {self.n_values!r}"
             )
         # A replicate index is one 32-bit entropy word (_pcg64_states).
-        if not isinstance(self.replicates, (int, np.integer)) or not (
+        if not _is_integer(self.replicates) or not (
             1 <= self.replicates <= _MAX_REPLICATES
         ):
             raise ValidationError(
@@ -198,12 +197,13 @@ def replicate_stream(
 
     The entropy is the exact bit patterns of (master seed, gamma1, p, n,
     eta, replicate index).  The master seed must lie in ``[0, 2**64)`` and
-    the index be non-negative; anything else raises ``ValidationError``.
+    the index be a non-negative integer; anything else raises
+    ``ValidationError``.
     """
     _check_master_seed(master_seed)
-    if replicate_index < 0:
+    if not _is_integer(replicate_index) or replicate_index < 0:
         raise ValidationError(
-            f"replicate_index must be >= 0, got {replicate_index!r}"
+            f"replicate_index must be an integer >= 0, got {replicate_index!r}"
         )
     return np.random.SeedSequence(
         [*_group_words(master_seed, cell), int(replicate_index)]
@@ -327,40 +327,32 @@ def _replicate_block(
     ``(len(indices), len(rho_values))`` arrays: the estimated premium
     (NaN where the entry failed) and the failure reason (object, a
     string or None).  Each replicate draws from its own stream
-    (:func:`_block_draws`); the samples are then transformed, sorted,
-    checked and threshold-selected as one ``(len(indices), n)`` array
-    pass.  Per rho, the estimate is one call of the closed form of
-    :func:`php_estimate` over the rows it holds for.  A failed threshold
-    choice fails every rho alike; an estimate failure fails its rho only.
-    The exact premium is left to :func:`_price_exact`.  Every kernel
-    treats rows independently, so a replicate's values, failures
+    (:func:`_block_draws`); the block is transformed, sorted, checked,
+    threshold-selected and fitted at every rho (:func:`_fit_rows`, on the
+    rule's own index) in ``(len(indices), n)`` array passes.  A failed
+    threshold choice fails every rho alike; a fit failure fails its rho
+    only.  The exact premium is left to :func:`_price_exact`.  Every
+    kernel treats rows independently, so a replicate's values, failures
     included, are bitwise the same in any block.  Settings are those a
     :class:`StudyConfig` accepts.
     """
-    n = cell.n
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
     uniforms = _block_draws(master_seed, cell, indices)
     z, delta = _sort_rows(*scheme.records(uniforms))
     _check_rows(z, delta)
     choices = _choose_rows(z, delta, beta)
-    chosen = np.flatnonzero(np.equal(choices.failed, None))
-    k = choices.k_star[chosen]
-    gamma1 = choices.gamma1[chosen, k - 1]
-    threshold = z[chosen, n - k - 1]
-    retention = np.full(len(indices), np.nan)
-    retention[chosen] = threshold
-    anchor = _km_anchor(delta, choices.k_star)[chosen]
-    pi_hat = np.full((len(indices), len(rho_values)), np.nan)
-    failed = np.array(choices.failed, dtype=object)[:, None].repeat(
-        len(rho_values), axis=1
-    )
-    for j, rho in enumerate(rho_values):
-        reasons = _php_failures(gamma1, rho)
-        failed[chosen, j] = reasons
-        fit = np.equal(reasons, None)
-        at = threshold[fit]
-        pi_hat[chosen[fit], j] = _php_value(gamma1[fit], rho, at, at, anchor[fit])
-    return retention, pi_hat, failed
+    # Rows the rule failed (k* = 0) are fitted at the top, then replaced.
+    k = choices.k_star
+    gamma1 = choices.gamma1[np.arange(len(k)), k - 1]
+    threshold, _, _, pi_hat, stage = _fit_rows(z, delta, k, gamma1, rho_values)
+    chosen = np.equal(choices.failed, None)
+    pi_hat[~chosen] = np.nan
+    failed = np.array(choices.failed, dtype=object)[:, None].repeat(len(rho_values), 1)
+    for b, j in zip(*np.nonzero(chosen[:, None] & (stage >= 0))):
+        failed[b, j] = _fit_message(
+            stage[b, j], k[b], threshold[b], gamma1[b], rho_values[j], threshold[b]
+        )
+    return np.where(chosen, threshold, np.nan), pi_hat, failed
 
 
 def _price_exact(
@@ -544,8 +536,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     failed is logged and dropped; the run only errors out when every cell
     is in that state.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    if not _is_integer(workers) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     rhos = tuple(dict.fromkeys(config.rho_values))
     groups = {
         (p, n): StudyCell(config.gamma1, p, n, config.eta)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimators import _tail_path
+from .estimators import _corrected_path
 from .samples import SortedCensoredSample
 
 _MIN_SAMPLE = 10
@@ -45,14 +45,6 @@ class ThresholdChoice:
     k_star: int
     retention: float
     objective_curve: Tuple[Tuple[int, float], ...]
-
-
-def _corrected_path(
-    z_sorted: np.ndarray, delta: np.ndarray, k_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(gamma1, p_hat)`` of :func:`estimators._tail_path`, NaN where p_hat is 0."""
-    hill, p_hat = _tail_path(z_sorted, delta, k_max)
-    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
 
 
 def tail_index_path(

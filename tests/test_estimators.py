@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     naive_hill,
@@ -28,9 +31,44 @@ from tailpremium import (
     uncensored_proportion,
     weissman_tail,
 )
-from tailpremium.estimators import _km_anchor, _km_curve, _php_value
+from tailpremium.asymptotics import normalization_factor
+from tailpremium.estimators import (
+    _corrected_path,
+    _fit_message,
+    _fit_rows,
+    _km_anchor,
+    _km_products,
+)
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 from tailpremium.threshold import tail_index_path
+
+
+@st.composite
+def fit_blocks(draw):
+    """``(z, delta, k, retention)`` lists of a block of 1-12 sorted samples.
+
+    Values come partly from a small set with 0, so tops tie and
+    thresholds can be 0, and short rows often have an all-censored top;
+    ``retention`` is None (the threshold) or one level per row, down to
+    1e-300, where the premium overflows.
+    """
+    n = draw(st.integers(3, 9))
+    count = draw(st.integers(1, 12))
+    value = st.sampled_from([0.0, 1.0, 2.0, 1e3]) | st.floats(0.0, 1e4)
+    samples = [
+        SortedCensoredSample.from_unsorted(
+            draw(st.lists(value, min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        )
+        for _ in range(count)
+    ]
+    level = st.sampled_from([1e-300, 0.5]) | st.floats(1e-3, 1e4)
+    return (
+        [sample.z_sorted.tolist() for sample in samples],
+        [sample.delta_concomitant.tolist() for sample in samples],
+        [draw(st.integers(1, n - 1)) for _ in range(count)],
+        draw(st.none() | st.lists(level, min_size=count, max_size=count)),
+    )
 
 
 @pytest.fixture
@@ -171,13 +209,15 @@ class TestKmAtThreshold:
         rng = np.random.default_rng(seed)
         n = 57
         delta = rng.integers(0, 2, size=(6, n))
-        curve = _km_curve(delta)
+        products = _km_products(delta)
         for k in range(1, n):
             got = _km_anchor(delta, np.full(6, k))
-            assert got.tobytes() == curve[:, n - k].tobytes()
-            assert _km_anchor(delta[0], k).tobytes() == curve[0, n - k].tobytes()
+            assert got.tobytes() == products[:, n - k - 1].tobytes()
+            alone = _km_anchor(delta[0], k).tobytes()
+            assert alone == products[0, n - k - 1].tobytes()
+            assert alone == _km_products(delta[0])[n - k - 1].tobytes()
         ks = rng.integers(1, n, size=6)
-        want = curve[np.arange(6), n - ks]
+        want = products[np.arange(6), n - ks - 1]
         assert _km_anchor(delta, ks).tobytes() == want.tobytes()
 
     def test_matches_sequential_oracle(self):
@@ -400,32 +440,194 @@ class TestPhpEstimate:
                 php_estimate(sample, settings)
 
     @pytest.mark.parametrize("rho", [1.0, 1.1, 1.7])
-    def test_closed_form_entries_equal_one_element_calls(self, rho):
-        # The study evaluates the closed form on whole blocks with R = Z,
-        # where the power (R/Z)**(-1/(rho*gamma1)) is exactly 1;
-        # php_estimate reads it on 1-element arrays with any R.  With
-        # R != Z every entry of a 50-entry call must still be bitwise that
-        # entry alone.
-        rng = np.random.default_rng(14)
-        gamma1 = rng.uniform(0.02, 0.55, 50)
-        z_threshold = np.exp(rng.uniform(0.0, 8.0, 50))
-        retention = z_threshold * np.exp(rng.uniform(-1.0, 3.0, 50))
-        anchor = rng.uniform(0.01, 0.3, 50)
-        assert np.all(retention != z_threshold)
-        out = _php_value(gamma1, rho, retention, z_threshold, anchor)
-        assert np.all(np.isfinite(out) & (out > 0.0))
-        for i in range(50):
-            one = slice(i, i + 1)
-            alone = _php_value(
-                gamma1[one], rho, retention[one], z_threshold[one], anchor[one]
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(block=fit_blocks())
+    # Tied tops (index 0), an all-censored top and a zero threshold.
+    @example(
+        block=(
+            [[1, 2, 2, 2], [1, 2, 3, 3], [0, 0, 1, 5]],
+            [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1]],
+            [2, 2, 2],
+            None,
+        )
+    )
+    # An explicit retention that overflows, beside one that does not.
+    @example(
+        block=(
+            [[1000, 1001, 1002, 1003], [1, 2, 4, 8]],
+            [[1, 1, 1, 1], [1, 1, 1, 1]],
+            [3, 3],
+            [1e-300, 3.0],
+        )
+    )
+    def test_closed_form_entries_equal_one_element_calls(self, rho, block):
+        # _fit_rows is the one fit behind php_estimate, weissman_tail (at
+        # rho = 0) and a study block.  Each row of a block must come out
+        # bitwise as that row alone, failure stage included, and as the
+        # one-sample chain: its value, or its failure message verbatim.
+        z, delta, k, retention = (
+            None if part is None else np.array(part) for part in block
+        )
+        z = z.astype(np.float64)
+        rows = np.arange(len(k))
+        gamma1 = _corrected_path(z, delta, z.shape[-1] - 1)[0][rows, k - 1]
+        rhos = (rho, 0.0, 2.5)
+        fit = _fit_rows(z, delta, k, gamma1, rhos, retention)
+        threshold, _, levels, pi_hat, stage = fit
+        assert np.array_equal(np.isnan(pi_hat), (stage >= 0) | (np.array(rhos) == 0))
+        assert np.all(stage[:, 1] <= 2)  # rho = 0 checks only the index's sign
+        for r in rows:
+            one = slice(r, r + 1)
+            alone = _fit_rows(
+                z[one].copy(),
+                delta[one].copy(),
+                k[one],
+                gamma1[one],
+                rhos,
+                None if retention is None else retention[one],
             )
-            assert alone.tobytes() == out[one].tobytes(), i
+            for got, want in zip(alone, fit):
+                assert got.tobytes() == want[one].tobytes(), r
+            sample = SortedCensoredSample(z[r], delta[r])
+            if stage[r, 0] in (0, 1):
+                # The guarded path read fails first in the same place.
+                with pytest.raises(DomainError) as caught:
+                    censored_hill(sample, int(k[r]))
+                assert str(caught.value) == _fit_message(
+                    stage[r, 0], int(k[r]), threshold[r], gamma1[r], rho, levels[r]
+                )
+            else:
+                alone = np.float64(censored_hill(sample, int(k[r])).gamma1_hat)
+                assert alone.tobytes() == gamma1[r].tobytes()
+            level = THRESHOLD if retention is None else float(retention[r])
+            for j, rho_j in enumerate(rhos):
+                if rho_j:
+                    chain = EstimationSettings(k=int(k[r]), rho=rho_j, retention=level)
+                    run = partial(php_estimate, sample, chain)
+                else:
+                    run = partial(weissman_tail, sample, int(k[r]), threshold[r])
+                if stage[r, j] < 0:
+                    out = run()
+                    if rho_j:
+                        assert np.float64(out.value).tobytes() == pi_hat[r, j].tobytes()
+                    continue
+                with pytest.raises(DomainError) as caught:
+                    run()
+                assert str(caught.value) == _fit_message(
+                    stage[r, j], int(k[r]), threshold[r], gamma1[r], rho_j, levels[r]
+                )
 
     def test_settings_validation_propagates(self, uncensored_quad):
         from tailpremium import ValidationError
 
         with pytest.raises(ValidationError, match="k must"):
             php_estimate(uncensored_quad, EstimationSettings(k=0, rho=1.0))
+
+
+# The failure messages of the one-sample chain, verbatim: the CLI prints
+# them, so not a character of the fit's failure table may move.
+ZERO_THRESHOLD = [(0.0, 1), (0.0, 0), (1.0, 1), (2.0, 1)]
+ZERO_THRESHOLD_CENSORED_TOP = [(0.0, 1), (0.0, 0), (1.0, 0), (2.0, 0)]
+CENSORED_TOP = [(1.0, 1), (2.0, 1), (3.0, 0), (4.0, 0)]
+TIED_TOP = [(1.0, 1), (2.0, 1), (2.0, 0), (2.0, 1)]
+THRESHOLD_MESSAGE = "the k-th upper order statistic must be > 0, got 0"
+CENSORED_MESSAGE = (
+    "all of the top k=2 observations are censored; the "
+    "censoring-corrected tail index is undefined"
+)
+NOT_POSITIVE_MESSAGE = (
+    "tail index estimate is not positive; the top k observations are degenerate"
+)
+
+
+def overflowing_sample():
+    z = np.random.default_rng(3).uniform(1000.0, 1010.0, 300)
+    return [(v, 1) for v in z.tolist()]
+
+
+@pytest.mark.parametrize(
+    "call, records, args, message",
+    [
+        (hill_estimator, ZERO_THRESHOLD, (3,), THRESHOLD_MESSAGE),
+        (hill_estimator, ZERO_THRESHOLD, (2,), THRESHOLD_MESSAGE),
+        (censored_hill, ZERO_THRESHOLD, (3,), THRESHOLD_MESSAGE),
+        (censored_hill, CENSORED_TOP, (2,), CENSORED_MESSAGE),
+        (censored_hill, ZERO_THRESHOLD_CENSORED_TOP, (2,), THRESHOLD_MESSAGE),
+        (weissman_tail, TIED_TOP, (2, 5.0), NOT_POSITIVE_MESSAGE),
+        (weissman_tail, ZERO_THRESHOLD, (2, 5.0), THRESHOLD_MESSAGE),
+        (weissman_tail, CENSORED_TOP, (2, 5.0), CENSORED_MESSAGE),
+        (weissman_tail, ZERO_THRESHOLD_CENSORED_TOP, (2, 5.0), THRESHOLD_MESSAGE),
+        (
+            php_estimate,
+            [(1.0, 1), (math.exp(0.95), 1)],
+            (EstimationSettings(k=1, rho=1.1),),
+            "estimated tail is too heavy for a finite premium: "
+            "rho * gamma1 = 1.045 >= 1 (gamma1=0.95, rho=1.1)",
+        ),
+        (
+            php_estimate,
+            overflowing_sample(),
+            (EstimationSettings(k=20, rho=1.0, retention=1e-3),),
+            "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
+            "with R=0.001, h=1009.09, rho * gamma1=0.000397781",
+        ),
+        (
+            php_estimate,
+            ZERO_THRESHOLD,
+            (EstimationSettings(k=2, rho=1.0),),
+            THRESHOLD_MESSAGE,
+        ),
+        (
+            php_estimate,
+            ZERO_THRESHOLD_CENSORED_TOP,
+            (EstimationSettings(k=2, rho=1.0),),
+            THRESHOLD_MESSAGE,
+        ),
+        (
+            php_estimate,
+            CENSORED_TOP,
+            (EstimationSettings(k=2, rho=1.0),),
+            CENSORED_MESSAGE,
+        ),
+        (
+            php_estimate,
+            TIED_TOP,
+            (EstimationSettings(k=2, rho=1.0),),
+            NOT_POSITIVE_MESSAGE,
+        ),
+        (
+            normalization_factor,
+            None,
+            (1e-3, 1005.0, 1.0, 3.98e-4, 1.0),
+            "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
+            "with R=0.001, h=1005, rho * gamma1=0.000398",
+        ),
+    ],
+    ids=[
+        "hill-threshold-k3",
+        "hill-threshold-k2",
+        "censored_hill-threshold",
+        "censored_hill-censored",
+        "censored_hill-threshold-before-censored",
+        "weissman-not-positive",
+        "weissman-threshold",
+        "weissman-censored",
+        "weissman-threshold-before-censored",
+        "php-heavy",
+        "php-overflow",
+        "php-threshold",
+        "php-threshold-before-censored",
+        "php-censored",
+        "php-not-positive",
+        "normalization-overflow",
+    ],
+)
+def test_one_sample_failure_messages_are_verbatim(call, records, args, message):
+    if records is not None:
+        args = (sample_from_pairs(records), *args)
+    with pytest.raises(DomainError) as caught:
+        call(*args)
+    assert str(caught.value) == message
 
 
 @pytest.mark.slow

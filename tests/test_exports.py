@@ -97,7 +97,8 @@ def test_unknown_name_is_a_plain_attribute_error():
     assert str(info.value) == "module 'tailpremium' has no attribute 'no_such_name'"
     assert not hasattr(tailpremium, "no_such_name")
     # A private name of a submodule is not exported either.
-    assert not hasattr(tailpremium, "_km_curve")
+    assert not hasattr(tailpremium, "_km_products")
+    assert not hasattr(tailpremium, "_fit_rows")
 
 
 def test_dir_covers_all():

@@ -31,6 +31,7 @@ from tailpremium import (
     run_study,
 )
 from tailpremium import cli
+from tailpremium import estimators as estimators_module
 from tailpremium import models as models_module
 from tailpremium import study as study_module
 from tailpremium.samples import _sort_rows
@@ -181,7 +182,16 @@ class TestReplicateStream:
         with pytest.raises(ValidationError, match="replicate_index"):
             replicate_stream(42, CELL, -1)
 
-    @pytest.mark.parametrize("master_seed", [-1, (1 << 64) + 5])
+    @pytest.mark.parametrize("index", [True, 2.0, np.float64(3.0)])
+    def test_rejects_a_non_integer_index(self, index):
+        # A bool or a float would be taken as its integer value.
+        with pytest.raises(ValidationError) as caught:
+            replicate_stream(42, CELL, index)
+        assert str(caught.value) == (
+            f"replicate_index must be an integer >= 0, got {index!r}"
+        )
+
+    @pytest.mark.parametrize("master_seed", [-1, (1 << 64) + 5, True])
     def test_rejects_a_seed_outside_64_bits(self, master_seed):
         # Folded into 64 bits, -1 would alias 2**64 - 1 and 2**64 + 5 alias 5.
         with pytest.raises(ValidationError) as caught:
@@ -450,6 +460,10 @@ class TestStudyConfig:
             (dict(rho_values=(1.0, float("inf"))), "rho must"),
             (dict(n_values=(150.7,)), "n must"),
             (dict(n_values=(150, 200.0)), "n must"),
+            (dict(n_values=(150, True)), "n must"),
+            (dict(replicates=True), "replicates must .* got True"),
+            (dict(master_seed=True), "master_seed must .* got True"),
+            (dict(master_seed=False), "master_seed must .* got False"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -491,6 +505,15 @@ class TestRunStudy:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValidationError, match="workers"):
             run_study(small_config(), workers=0)
+
+    @pytest.mark.parametrize("workers", [True, 2.0])
+    def test_rejects_a_non_integer_worker_count(self, workers):
+        # workers=True used to run one worker.
+        with pytest.raises(ValidationError) as caught:
+            run_study(small_config(), workers=workers)
+        assert str(caught.value) == (
+            f"workers must be an integer >= 1, got {workers!r}"
+        )
 
     def test_pool_is_capped_at_the_block_count(self, forks, monkeypatch):
         # The pool is this process and one forked child per other share.
@@ -1053,6 +1076,42 @@ class TestReplicateBlocks:
             reason.startswith("tail index estimate is not positive")
             for reason in block[2].flat
         )
+
+    @pytest.mark.parametrize(
+        "config",
+        [MATCHED, GAMMA_025, DIVERGENT],
+        ids=["matched", "gamma1=0.25", "divergent"],
+    )
+    def test_fit_builds_no_second_tail_path(self, monkeypatch, config):
+        # The fit reads the index the rule already built, so a block reads
+        # the tail path as often as the rule alone does on the same rows.
+        paths = []
+        real_path = estimators_module._tail_path
+
+        def counting_path(z_sorted, delta, k_max):
+            paths.append(k_max)
+            return real_path(z_sorted, delta, k_max)
+
+        rules = []
+
+        def recording_rule(z_sorted, delta, beta):
+            rules.append((z_sorted.copy(), delta.copy(), beta))
+            return _choose_rows(z_sorted, delta, beta)
+
+        monkeypatch.setattr(estimators_module, "_tail_path", counting_path)
+        monkeypatch.setattr(study_module, "_choose_rows", recording_rule)
+        rhos = tuple(dict.fromkeys(config.rho_values))
+        for cell in study_groups(config):
+            paths.clear()
+            rules.clear()
+            study_module._replicate_block(
+                cell, rhos, range(config.replicates), config.master_seed, config.beta
+            )
+            in_block = len(paths)
+            ((z_sorted, delta, beta),) = rules
+            paths.clear()
+            _choose_rows(z_sorted, delta, beta)
+            assert 1 <= in_block <= len(paths)
 
     def test_no_block_exceeds_the_record_budget(self, monkeypatch):
         real = study_module._replicate_block
