@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .estimators import PremiumEstimate, _fit_message
-
-
-def _check_index_and_rho(gamma1: float, rho: float) -> None:
-    if not (np.isfinite(gamma1) and gamma1 > 0.0):
-        raise ValidationError(f"gamma1 must be > 0, got {gamma1!r}")
-    if not 1.0 <= rho < np.inf:
-        raise ValidationError(f"rho must be >= 1, got {rho!r}")
+from .errors import _CODE, DomainError, ValidationError, _failure
+from .estimators import PremiumEstimate
+from .samples import _check_numbers, _check_positive
 
 
 def _check_finite_premium(gamma1: float, rho: float) -> None:
@@ -53,7 +47,10 @@ class AsymptoticParams:
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_index_and_rho(self.gamma1, self.rho)
+        _check_numbers(p=self.p, rho=self.rho, tau1=self.tau1, lambda1=self.lambda1)
+        _check_positive(gamma1=self.gamma1)
+        if not 1.0 <= self.rho < np.inf:
+            raise ValidationError(f"rho must be >= 1, got {self.rho!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValidationError(f"p must lie in (0, 1], got {self.p!r}")
         if not self.tau1 <= 0.0:
@@ -72,10 +69,7 @@ class NormalLimit:
     normalization: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.normalization) and self.normalization > 0.0):
-            raise ValidationError(
-                f"normalization must be > 0, got {self.normalization!r}"
-            )
+        _check_positive(normalization=self.normalization)
 
 
 def asym_mean(params: AsymptoticParams) -> float:
@@ -116,14 +110,11 @@ def asym_variance(gamma1: float, p: float, rho: float) -> float:
 
     The value can be negative for some parameter sets; the sign is the
     caller's problem, by design.  The parameters obey the bounds of
-    :class:`AsymptoticParams`.
+    :class:`AsymptoticParams`, which checks them.
     """
     if p == 0.0:
         raise DomainError("asymptotic variance is undefined at p = 0")
-    if not 0.0 < p <= 1.0:
-        raise ValidationError(f"p must lie in (0, 1], got {p!r}")
-    _check_index_and_rho(gamma1, rho)
-    _check_finite_premium(gamma1, rho)
+    AsymptoticParams(gamma1=gamma1, p=p, rho=rho)
     one_minus = 1.0 - rho * gamma1
     lead = gamma1**2 / one_minus**2
     inner = (
@@ -144,16 +135,9 @@ def normalization_factor(
     degree 1 when ``R`` and ``h`` are scaled together.  A factor past the
     float range raises :class:`DomainError`.
     """
-    values = {
-        "retention": retention,
-        "h": h,
-        "survival_at_h": survival_at_h,
-        "gamma1": gamma1,
-        "rho": rho,
-    }
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be > 0, got {value!r}")
+    _check_positive(
+        retention=retention, h=h, survival_at_h=survival_at_h, gamma1=gamma1, rho=rho
+    )
     _check_finite_premium(gamma1, rho)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(
@@ -162,8 +146,10 @@ def normalization_factor(
             * np.float64(survival_at_h) ** (1.0 / rho)
         )
     if not np.isfinite(value):
-        # Stage 4 of the fit's failure table: the premium overflows.
-        raise DomainError(_fit_message(4, None, h, gamma1, rho, retention))
+        raise _failure(
+            _CODE["premium_overflow"], retention=retention, threshold=h,
+            rho_gamma1=rho * float(gamma1),
+        )
     return value
 
 

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _CODE, DomainError, _failure
 from .samples import (
     EstimationSettings,
     SortedCensoredSample,
@@ -50,20 +50,6 @@ class PremiumEstimate:
     km_at_threshold: float
 
 
-# Why a fit at k fails, one entry per check in the order the chain runs
-# them; ``_fit_rows`` reports the index of an entry's first failure.
-_FIT_FAILURES = (
-    "the k-th upper order statistic must be > 0, got {threshold:g}",
-    "all of the top k={k} observations are censored; the "
-    "censoring-corrected tail index is undefined",
-    "tail index estimate is not positive; the top k observations are degenerate",
-    "estimated tail is too heavy for a finite premium: "
-    "rho * gamma1 = {rho_gamma1:g} >= 1 (gamma1={gamma1:g}, rho={rho:g})",
-    "premium overflows the float range: (R / h) ** (-1 / (rho * gamma1)) "
-    "with R={retention:g}, h={threshold:g}, rho * gamma1={rho_gamma1:g}",
-)
-
-
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k < n:
         raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
@@ -80,7 +66,10 @@ def _km_products(delta: np.ndarray) -> np.ndarray:
     at least ``(n - m) / n``, so no underflow guard is needed.
     """
     n = delta.shape[-1]
-    return np.cumprod(1.0 - delta / (n - np.arange(n, dtype=np.float64)), axis=-1)
+    # One (..., n) array, worked in place, with the plain expression's bits.
+    factors = delta / (n - np.arange(n, dtype=np.float64))
+    np.subtract(1.0, factors, out=factors)
+    return np.cumprod(factors, axis=-1, out=factors)
 
 
 def _km_anchor(delta: np.ndarray, k: Union[int, np.ndarray]) -> np.ndarray:
@@ -180,7 +169,7 @@ def _path_at(sample: SortedCensoredSample, k: int) -> Tuple[float, float]:
     _check_k(k, sample.n)
     threshold = sample.z_sorted[sample.n - k - 1]
     if threshold <= 0.0:
-        raise DomainError(_FIT_FAILURES[0].format(threshold=threshold))
+        raise _failure(_CODE["nonpositive_threshold"], threshold=threshold)
     hill, p_hat = _tail_path(sample.z_sorted, sample.delta_concomitant, k)
     return float(hill[-1]), float(p_hat[-1])
 
@@ -220,7 +209,7 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
     """
     gamma_hill, p_hat = _path_at(sample, k)
     if p_hat == 0.0:
-        raise DomainError(_FIT_FAILURES[1].format(k=k))
+        raise _failure(_CODE["all_censored"], k=k)
     return TailEstimates(
         k=k,
         gamma_hill=gamma_hill,
@@ -243,8 +232,8 @@ def _fit_rows(
     where the top ``k`` are all censored (as :func:`_corrected_path` has
     it); ``retention`` defaults to the threshold ``z_(n-k)``.  Returns
     ``(threshold, anchor, retention)``, each ``(B,)``, and ``(pi_hat,
-    stage)``, each ``(B, len(rhos))``: the premium of :func:`php_estimate`
-    and the index in ``_FIT_FAILURES`` of the first check the entry fails
+    code)``, each ``(B, len(rhos))``: the premium of :func:`php_estimate`
+    and the code in ``errors.REASONS`` of the first check the entry fails
     (-1 where it fits, else ``pi_hat`` is NaN).  At ``rho = 0`` only the
     index's sign is checked and ``pi_hat`` is NaN.  Every value is computed
     entry by entry, so a row's results are bitwise those of the row alone.
@@ -252,12 +241,12 @@ def _fit_rows(
     threshold = z_sorted[np.arange(len(k)), z_sorted.shape[-1] - k - 1]
     anchor = _km_anchor(delta, k)
     retention = np.full(len(k), threshold if retention is None else retention)
-    stage = np.full((len(k), len(rhos)), -1)
+    code = np.full((len(k), len(rhos)), -1)
     # The row checks, last first, so that a row keeps its first failure.
-    stage[gamma1 <= 0.0] = 2
-    stage[np.isnan(gamma1)] = 1
-    stage[threshold <= 0.0] = 0
-    pi_hat = np.full(stage.shape, np.nan)
+    code[gamma1 <= 0.0] = _CODE["nonpositive_index"]
+    code[np.isnan(gamma1)] = _CODE["all_censored"]
+    code[threshold <= 0.0] = _CODE["nonpositive_threshold"]
+    pi_hat = np.full(code.shape, np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j, rho in enumerate(rhos):
             if rho == 0.0:
@@ -269,19 +258,11 @@ def _fit_rows(
                 * (retention / threshold) ** (-1.0 / rho_gamma1)
                 * anchor ** (1.0 / rho)
             )
-            column = stage[:, j]
-            column[(column < 0) & (rho_gamma1 >= 1.0)] = 3
-            column[(column < 0) & ~np.isfinite(value)] = 4
+            column = code[:, j]
+            column[(column < 0) & (rho_gamma1 >= 1.0)] = _CODE["heavy_tail"]
+            column[(column < 0) & ~np.isfinite(value)] = _CODE["premium_overflow"]
             pi_hat[:, j] = np.where(column < 0, value, np.nan)
-    return threshold, anchor, retention, pi_hat, stage
-
-
-def _fit_message(stage: int, k, threshold, gamma1, rho, retention) -> str:
-    """``_FIT_FAILURES[stage]`` filled in with one entry's values."""
-    return _FIT_FAILURES[stage].format(
-        k=k, threshold=threshold, gamma1=gamma1, rho=rho,
-        rho_gamma1=rho * float(gamma1), retention=retention,
-    )
+    return threshold, anchor, retention, pi_hat, code
 
 
 def _fit_sample(sample: SortedCensoredSample, k: int, rho: float, retention=None):
@@ -293,10 +274,12 @@ def _fit_sample(sample: SortedCensoredSample, k: int, rho: float, retention=None
     z, delta = sample.z_sorted, sample.delta_concomitant
     gamma1 = _corrected_path(z, delta, k)[0][-1:]
     fit = _fit_rows(z[None], delta[None], np.array([k]), gamma1, (rho,), retention)
-    threshold, anchor, retention, pi_hat, stage = (column[0] for column in fit)
-    if stage[0] >= 0:
-        message = _fit_message(stage[0], k, threshold, gamma1[0], rho, retention)
-        raise DomainError(message)
+    threshold, anchor, retention, pi_hat, code = (column[0] for column in fit)
+    if code[0] >= 0:
+        raise _failure(
+            code[0], k=k, threshold=threshold, gamma1=gamma1[0], rho=rho,
+            rho_gamma1=rho * float(gamma1[0]), retention=retention,
+        )
     return gamma1[0], threshold, anchor, retention, pi_hat[0]
 
 

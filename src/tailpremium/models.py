@@ -18,7 +18,8 @@ from typing import Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import _CODE, DomainError, ValidationError, _failure
+from .samples import _check_positive, _is_integer
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -66,10 +67,7 @@ class BurrModel:
     eta: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"gamma must be > 0, got {self.gamma!r}")
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise ValidationError(f"eta must be > 0, got {self.eta!r}")
+        _check_positive(gamma=self.gamma, eta=self.eta)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "eta", float(self.eta))
 
@@ -129,18 +127,17 @@ class BurrModel:
         precision, and the fraction is not run.  Raises ``DomainError``
         when the fraction of any retention has not converged.
         """
-        out, reason = self._premium_entries(rho, retention)
+        out = self._premium_entries(rho, retention)
         if np.isnan(out).any():
-            raise DomainError(reason)
+            b = self.gamma / self.eta
+            p = 1.0 / (self.eta * rho) - b
+            raise _failure(_CODE["premium_not_converged"], p=p, q=b, terms=_BETA_TERMS)
         return _match(retention, out)
 
-    def _premium_entries(
-        self, rho: float, retention: ArrayLike
-    ) -> Tuple[np.ndarray, str]:
+    def _premium_entries(self, rho: float, retention: ArrayLike) -> np.ndarray:
         """:meth:`premium` as an array, NaN where the fraction did not converge.
 
-        Checks the parameters as :meth:`premium` does; also returns the
-        reason a NaN entry failed.
+        Checks the parameters as :meth:`premium` does.
         """
         _check_premium_params(self, rho, retention)
         a = 1.0 / (self.eta * rho)
@@ -151,11 +148,7 @@ class BurrModel:
         power = rs[~big] ** (self.eta / self.gamma)
         t = 1.0 / (1.0 + power)
         out[~big] = b * _lower_beta(a - b, b, t, power * t)
-        reason = (
-            f"incomplete beta B_t({a - b:g}, {b:g}) did not converge in "
-            f"{_BETA_TERMS} continued-fraction terms"
-        )
-        return out.reshape(np.shape(retention)), reason
+        return out.reshape(np.shape(retention))
 
 
 # Continued-fraction terms _lower_beta evaluates before giving up.  The
@@ -236,10 +229,7 @@ class ParetoModel:
     x_min: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"gamma must be > 0, got {self.gamma!r}")
-        if not (np.isfinite(self.x_min) and self.x_min > 0.0):
-            raise ValidationError(f"x_min must be > 0, got {self.x_min!r}")
+        _check_positive(gamma=self.gamma, x_min=self.x_min)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "x_min", float(self.x_min))
 
@@ -300,8 +290,7 @@ def gamma2_from_p(gamma1: float, p: float) -> float:
     Solves ``p = gamma2 / (gamma1 + gamma2)`` for ``gamma2``; plugging the
     result back reproduces ``p`` exactly.
     """
-    if not (np.isfinite(gamma1) and gamma1 > 0.0):
-        raise ValidationError(f"gamma1 must be > 0, got {gamma1!r}")
+    _check_positive(gamma1=gamma1)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly in (0, 1), got {p!r}")
     return p * gamma1 / (1.0 - p)
@@ -351,7 +340,7 @@ class CensoringScheme:
         The first ``n`` uniforms of the stream drive the losses, the next
         ``n`` the censoring variables.
         """
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
         return rng.random((2, int(n)))
 
@@ -383,16 +372,15 @@ def burr_scheme(gamma1: float, p: float, eta: float) -> CensoringScheme:
 def _check_premium_params(
     model: HeavyTailModel, rho: float, retention: ArrayLike
 ) -> None:
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise ValidationError(f"rho must be > 0, got {rho!r}")
+    _check_positive(rho=rho)
     rs = np.asarray(retention, dtype=np.float64)
     if not np.all(np.isfinite(rs) & (rs > 0.0)):
         raise ValidationError(f"retention must be > 0, got {retention!r}")
     product = rho * model.tail_index
     if product >= 1.0:
-        raise DomainError(
-            "premium integral diverges: rho * tail_index = "
-            f"{product:g} >= 1 (tail_index={model.tail_index:g}, rho={rho:g})"
+        raise _failure(
+            _CODE["divergent_premium"],
+            product=product, tail_index=model.tail_index, rho=rho,
         )
 
 
@@ -412,7 +400,7 @@ def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
     root.  The returned root satisfies the defining equation to 1e-10
     relative.
     """
-    if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
+    if not (_is_integer(k) and _is_integer(n)):
         raise ValidationError("k and n must be integers")
     if not 1 <= k < n:
         raise ValidationError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")

@@ -34,6 +34,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_numbers(**values) -> None:
+    """Reject a bool given as a number, or in a list of numbers, by name."""
+    for name, value in values.items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise ValidationError(f"{name} must be a number, not a bool, got {value!r}")
+
+
+def _check_positive(**values) -> None:
+    """Each value must be a finite number > 0, and not a bool, by name."""
+    _check_numbers(**values)
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be > 0, got {value!r}")
+
+
 def _int_flags(delta: np.ndarray) -> np.ndarray:
     """Censoring flags as a new int64 array.
 
@@ -161,6 +177,7 @@ class EstimationSettings:
     def __post_init__(self) -> None:
         if not _is_integer(self.k):
             raise ValidationError(f"k must be an integer, got {self.k!r}")
+        _check_numbers(rho=self.rho, retention=self.retention)
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "rho", float(self.rho))
         if isinstance(self.retention, str):

@@ -14,19 +14,19 @@ The engine works one block of a group's replicates at a time, as
 ``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
 one pass of the threshold rule, and one call of the fit-at-k kernel
 ``estimators._fit_rows`` (threshold, Kaplan-Meier anchor and premium at
-every distortion parameter, failures named from one table).  The
-one-sample API runs the same kernels on one row: ``reiss_thomas_k`` and
-``tail_index_path`` the rule, ``php_estimate`` and ``weissman_tail`` the
-fit.  A block holds at most ``_BLOCK_RECORDS`` records (at least one
-replicate), so its memory does not grow with n.
+every distortion parameter).  The one-sample API runs the same kernels
+on one row: ``reiss_thomas_k`` and ``tail_index_path`` the rule,
+``php_estimate`` and ``weissman_tail`` the fit.  A block holds at most
+``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
+not grow with n.
 
 A block returns each replicate's retention (NaN where the threshold
 choice failed) and (replicate x distortion parameter) columns: the
-estimated premium, NaN where that entry failed, and the failure reason or
-None.  The run joins the blocks and, since every group shares the loss
-model, prices the exact premium in one call per distortion parameter over
-every replicate still alive there; a failure there is its entry's own.
-Each cell then aggregates its slice.
+estimated premium, NaN where that entry failed, and the failure code in
+``errors.REASONS`` (-1 for none).  The run joins the blocks and, since
+every group shares the loss model, prices the exact premium in one call
+per distortion parameter over every replicate still alive there; a
+failure there is its entry's own.  Each cell then aggregates its slice.
 
 With more than one worker, the blocks are split into shares by records;
 this process computes one share and forked children the others, each
@@ -56,10 +56,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .estimators import _fit_message, _fit_rows
+from .errors import _CODE, REASONS, DomainError, ValidationError
+from .estimators import _fit_rows
 from .models import BurrModel, burr_scheme
-from .samples import _check_rows, _is_integer, _sort_rows
+from .samples import (
+    _check_numbers, _check_positive, _check_rows, _is_integer, _sort_rows
+)
 from .threshold import _choose_rows
 
 logger = logging.getLogger(__name__)
@@ -126,13 +128,11 @@ class StudyConfig:
     beta: float = 0.3
 
     def __post_init__(self) -> None:
+        _check_numbers(rho_values=self.rho_values, beta=self.beta)
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         object.__setattr__(self, "n_values", tuple(self.n_values))
-        if not (np.isfinite(self.gamma1) and self.gamma1 > 0.0):
-            raise ValidationError(f"gamma1 must be > 0, got {self.gamma1!r}")
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise ValidationError(f"eta must be > 0, got {self.eta!r}")
+        _check_positive(gamma1=self.gamma1, eta=self.eta)
         if not self.p_values or any(not 0.0 < p < 1.0 for p in self.p_values):
             raise ValidationError(
                 f"every p must lie strictly in (0, 1), got {self.p_values!r}"
@@ -320,21 +320,21 @@ def _replicate_block(
     master_seed: int,
     beta: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns ``(retention, pi_hat, failed)`` of the replicates in ``indices``.
+    """Columns ``(retention, pi_hat, code)`` of the replicates in ``indices``.
 
     ``retention`` holds each replicate's selected order statistic, NaN
-    where the threshold choice failed.  ``pi_hat`` and ``failed`` are
+    where the threshold choice failed.  ``pi_hat`` and ``code`` are
     ``(len(indices), len(rho_values))`` arrays: the estimated premium
-    (NaN where the entry failed) and the failure reason (object, a
-    string or None).  Each replicate draws from its own stream
-    (:func:`_block_draws`); the block is transformed, sorted, checked,
-    threshold-selected and fitted at every rho (:func:`_fit_rows`, on the
-    rule's own index) in ``(len(indices), n)`` array passes.  A failed
-    threshold choice fails every rho alike; a fit failure fails its rho
-    only.  The exact premium is left to :func:`_price_exact`.  Every
-    kernel treats rows independently, so a replicate's values, failures
-    included, are bitwise the same in any block.  Settings are those a
-    :class:`StudyConfig` accepts.
+    (NaN where the entry failed) and the code in ``errors.REASONS`` of
+    why it failed (-1 where it did not).  Each replicate draws from its
+    own stream (:func:`_block_draws`); the block is transformed, sorted,
+    checked, threshold-selected and fitted at every rho
+    (:func:`_fit_rows`, on the rule's own index) in ``(len(indices), n)``
+    array passes.  A failed threshold choice fails every rho alike with
+    its own code; a fit failure fails its rho only.  The exact premium is
+    left to :func:`_price_exact`.  Every kernel treats rows independently,
+    so a replicate's values, failures included, are bitwise the same in
+    any block.  Settings are those a :class:`StudyConfig` accepts.
     """
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
     uniforms = _block_draws(master_seed, cell, indices)
@@ -344,15 +344,11 @@ def _replicate_block(
     # Rows the rule failed (k* = 0) are fitted at the top, then replaced.
     k = choices.k_star
     gamma1 = choices.gamma1[np.arange(len(k)), k - 1]
-    threshold, _, _, pi_hat, stage = _fit_rows(z, delta, k, gamma1, rho_values)
-    chosen = np.equal(choices.failed, None)
+    threshold, _, _, pi_hat, code = _fit_rows(z, delta, k, gamma1, rho_values)
+    chosen = choices.code < 0
     pi_hat[~chosen] = np.nan
-    failed = np.array(choices.failed, dtype=object)[:, None].repeat(len(rho_values), 1)
-    for b, j in zip(*np.nonzero(chosen[:, None] & (stage >= 0))):
-        failed[b, j] = _fit_message(
-            stage[b, j], k[b], threshold[b], gamma1[b], rho_values[j], threshold[b]
-        )
-    return np.where(chosen, threshold, np.nan), pi_hat, failed
+    code = np.where(chosen[:, None], code, choices.code[:, None])
+    return np.where(chosen, threshold, np.nan), pi_hat, code
 
 
 def _price_exact(
@@ -360,35 +356,44 @@ def _price_exact(
     rho_values: Sequence[float],
     retention: np.ndarray,
     pi_hat: np.ndarray,
-    failed: np.ndarray,
+    code: np.ndarray,
 ) -> np.ndarray:
     """The exact premium column of joined blocks, beside their estimates.
 
     Per rho, one call prices every row that has not failed there, if any,
     at its retention.  A divergent premium fails every such row; one that
     did not converge fails its own row only.  A failed row takes the
-    reason in ``failed`` and NaN in ``pi_hat`` (in place).  Returns
+    reason's code in ``code`` and NaN in ``pi_hat`` (in place).  Returns
     ``pi_true``, shaped like ``pi_hat``, NaN where the entry failed.
     """
     pi_true = np.full(pi_hat.shape, np.nan)
     for j, rho in enumerate(rho_values):
-        rows = np.flatnonzero(np.equal(failed[:, j], None))
+        rows = np.flatnonzero(code[:, j] < 0)
         if not rows.size:
             continue
         try:
-            pi_true[rows, j], reason = loss_model._premium_entries(rho, retention[rows])
+            pi_true[rows, j] = loss_model._premium_entries(rho, retention[rows])
+            reason = _CODE["premium_not_converged"]
         except DomainError as exc:
-            reason = str(exc)
+            reason = _CODE[exc.reason]
         lost = rows[np.isnan(pi_true[rows, j])]
-        failed[lost, j] = reason
+        code[lost, j] = reason
         pi_hat[lost, j] = np.nan
     return pi_true
+
+
+def _reason_counts(code: np.ndarray) -> str:
+    """The failures in ``code`` as ``name=count`` pairs, in table order."""
+    counts = np.bincount(code[code >= 0], minlength=len(REASONS))
+    return ", ".join(
+        f"{REASONS[c][0]}={counts[c]}" for c in np.flatnonzero(counts).tolist()
+    )
 
 
 def aggregate(
     pi_true: np.ndarray,
     pi_hat: np.ndarray,
-    failed: np.ndarray,
+    code: np.ndarray,
     *,
     p: float,
     rho: float,
@@ -398,16 +403,16 @@ def aggregate(
 
     The columns are one entry per replicate, as :func:`run_study` slices
     them from its blocks: the exact and the estimated premium, and the
-    failure reason (None for a success).  Means run over successful
-    replicates only; failures are counted.  ``abs_bias`` is the absolute
-    difference of the two means, ``rmse`` the root of the mean squared
-    per-replicate error.
+    failure code, an index into ``errors.REASONS`` (-1 for a success).
+    Means run over successful replicates only; failures are counted.
+    ``abs_bias`` is the absolute difference of the two means, ``rmse`` the
+    root of the mean squared per-replicate error.
     """
-    ok = np.equal(failed, None)
+    ok = code < 0
     if not ok.any():
         raise DomainError(
             f"every replicate failed for cell (p={p:g}, rho={rho:g}, "
-            f"n={n}); reasons: {sorted(set(failed.tolist()))}"
+            f"n={n}); reasons: {_reason_counts(code)}"
         )
     pi_true, pi_hat = pi_true[ok], pi_hat[ok]
     mean_true = float(np.mean(pi_true))
@@ -552,11 +557,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         for size in (max(1, _BLOCK_RECORDS // cell.n),)
         for start in range(0, count, size)
     ]
-    retention, pi_hat, failed = map(
-        np.concatenate, zip(*_map_blocks(tasks, workers))
-    )
+    retention, pi_hat, code = map(np.concatenate, zip(*_map_blocks(tasks, workers)))
     loss_model = BurrModel(gamma=config.gamma1, eta=config.eta)
-    pi_true = _price_exact(loss_model, rhos, retention, pi_hat, failed)
+    pi_true = _price_exact(loss_model, rhos, retention, pi_hat, code)
     group_rows = {
         group: slice(g * count, (g + 1) * count) for g, group in enumerate(groups)
     }
@@ -569,7 +572,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         column = group_rows[p, n], rhos.index(rho)
         try:
             row = aggregate(
-                pi_true[column], pi_hat[column], failed[column], p=p, rho=rho, n=n
+                pi_true[column], pi_hat[column], code[column], p=p, rho=rho, n=n
             )
         except DomainError as exc:
             logger.warning("dropping cell: %s", exc)
@@ -577,16 +580,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
             continue
         if row.failure_count > 0:
             logger.warning(
-                "cell (p=%g, rho=%g, n=%d): %d of %d replicates failed",
-                p,
-                rho,
-                n,
-                row.failure_count,
-                config.replicates,
+                "cell (p=%g, rho=%g, n=%d): %d of %d replicates failed; reasons: %s",
+                p, rho, n, row.failure_count, count, _reason_counts(code[column]),
             )
         if logger.isEnabledFor(logging.DEBUG):
-            ok = np.equal(failed[column], None)
-            errors = (pi_hat[column] - pi_true[column])[ok]
+            errors = (pi_hat[column] - pi_true[column])[code[column] < 0]
             quantiles = np.percentile(errors, [1, 25, 50, 75, 99])
             logger.debug(
                 "cell (p=%g, rho=%g, n=%d) error quantiles "

@@ -11,11 +11,11 @@ finite-variance regime, or where censoring erases the path, are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import _CODE, DomainError, ValidationError, _failure
 from .estimators import _corrected_path
 from .samples import SortedCensoredSample
 
@@ -123,20 +123,22 @@ def _window_scores(
 class _RowChoices:
     """The threshold rule applied to each row of a block of samples.
 
-    ``failed[r]`` is the reason row ``r`` has no choice, else None;
-    ``k_star`` is 0 there.  ``gamma1`` holds each row's corrected path up
-    to the candidate ceiling (or the block's largest limit, if smaller);
-    a widened row's path runs on to its own limit, and the other rows are
-    NaN past the ceiling, so the entry at ``k_star`` is always the path's.
-    ``candidates`` and ``scores`` hold the objective curve, NaN-scored
-    where a column is not a candidate of its row.  Each score reads its
-    own window only, so it is bitwise the score of that window scored
-    alone.
+    ``code[r]`` is the code in ``errors.REASONS`` of the reason row ``r``
+    has no choice, else -1; ``k_star`` is 0 there.  ``k_limit[r]`` is the
+    row's largest candidate, ``min(n // 2, positive count - 1)``.
+    ``gamma1`` holds each row's corrected path up to the candidate ceiling
+    (or the block's largest limit, if smaller); a widened row's path runs
+    on to its own limit, and the other rows are NaN past the ceiling, so
+    the entry at ``k_star`` is always the path's.  ``candidates`` and
+    ``scores`` hold the objective curve, NaN-scored where a column is not
+    a candidate of its row.  Each score reads its own window only, so it
+    is bitwise the score of that window scored alone.
     """
 
     k_star: np.ndarray
     gamma1: np.ndarray
-    failed: Tuple[Optional[str], ...]
+    code: np.ndarray
+    k_limit: np.ndarray
     candidates: np.ndarray
     scores: np.ndarray
 
@@ -147,7 +149,7 @@ def _choose_rows(
     """The rule of :func:`reiss_thomas_k` on every row of ``(rows, n)`` arrays.
 
     Rows are sorted samples of one size.  Every step is an array pass over
-    the block, so each row's choice, curve and failure message are those
+    the block, so each row's choice, curve and failure code are those
     of :func:`reiss_thomas_k` on that row alone.  The path is built up to
     the candidate ceiling for every row, and on to the row's limit only for
     the rows that widen: most rows never read past the ceiling.
@@ -191,25 +193,10 @@ def _choose_rows(
     scores = _window_scores(gamma1, candidates, valid, beta)
     best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
     k_star = np.take_along_axis(candidates, best[:, None], -1)[:, 0]
-    failed = []
-    for count, limit, open_ in zip(
-        positive.tolist(), k_limit.tolist(), any_open.tolist()
-    ):
-        if limit < 2:
-            failed.append(
-                "threshold selection needs at least 3 strictly positive "
-                f"order statistics, got {count}"
-            )
-        elif not open_:
-            failed.append(
-                "no admissible k: every candidate window up to "
-                f"{limit} contains an undefined or out-of-range "
-                "corrected tail index"
-            )
-        else:
-            failed.append(None)
+    code = np.where(any_open, -1, _CODE["no_admissible_k"])
+    code[k_limit < 2] = _CODE["too_few_positive"]
     k_star[~any_open] = 0
-    return _RowChoices(k_star, gamma1, tuple(failed), candidates, scores)
+    return _RowChoices(k_star, gamma1, code, k_limit, candidates, scores)
 
 
 def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> ThresholdChoice:
@@ -243,8 +230,9 @@ def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> Threshold
         no candidate up to ``floor(n/2)`` has an admissible window.
     """
     rows = _choose_rows(sample.z_sorted[None], sample.delta_concomitant[None], beta)
-    if rows.failed[0] is not None:
-        raise DomainError(rows.failed[0])
+    if rows.code[0] >= 0:
+        limit = int(rows.k_limit[0])  # positives less one where < 2: n // 2 >= 5
+        raise _failure(rows.code[0], count=limit + 1, k_limit=limit)
     k_star = int(rows.k_star[0])
     curve = ~np.isnan(rows.scores[0])
     return ThresholdChoice(

@@ -50,6 +50,18 @@ class TestAsymptoticParams:
         with pytest.raises(ValidationError, match=message):
             AsymptoticParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["gamma1", "p", "rho", "tau1", "lambda1"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_a_bool_for_a_number(self, field, flag):
+        # Every field a bool could pass as a number: p = True would be 1.0,
+        # tau1 = lambda1 = False would be 0.0.
+        kwargs = {"gamma1": 0.1, "p": 0.4, "rho": 1.0, field: flag}
+        with pytest.raises(ValidationError) as caught:
+            AsymptoticParams(**kwargs)
+        assert str(caught.value) == (
+            f"{field} must be a number, not a bool, got {flag!r}"
+        )
+
 
 class TestDivergentPremium:
     """rho * gamma1 >= 1 is one DomainError whichever function meets it."""
@@ -136,6 +148,19 @@ class TestAsymVariance:
             AsymptoticParams(gamma1=gamma1, p=0.4, rho=rho)
         with pytest.raises(ValidationError, match=message):
             asym_variance(gamma1, 0.4, rho)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((True, 0.4, 1.0), "gamma1"),
+            ((0.1, True, 1.0), "p"),
+            ((0.1, 0.4, True), "rho"),
+        ],
+    )
+    def test_rejects_a_bool_for_a_number(self, args, field):
+        # p = True and rho = True would pass as 1.0.
+        with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+            asym_variance(*args)
 
 
 class TestNormalizationFactor:

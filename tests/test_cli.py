@@ -90,6 +90,39 @@ replicates = 8
 master_seed = 5
 """
 
+# gamma1 = 0.45: at rho = 2.5 every sample fails, by its threshold
+# choice, its fit (rho * gamma1_hat >= 1) or the divergent exact premium.
+FAILURES_CONFIG_TEXT = """\
+gamma1 = 0.45
+eta = 0.25
+p_values = 0.4, 0.6
+rho_values = 1.0, 2.5
+n_values = 150, 500
+replicates = 30
+master_seed = 5
+"""
+FAILURES_STDERR = "".join(
+    f"WARNING: {line}\n"
+    for line in [
+        "cell (p=0.4, rho=1, n=150): 23 of 30 replicates failed; "
+        "reasons: no_admissible_k=23",
+        "cell (p=0.4, rho=1, n=500): 20 of 30 replicates failed; "
+        "reasons: no_admissible_k=20",
+        "dropping cell: every replicate failed for cell (p=0.4, rho=2.5, n=150); "
+        "reasons: no_admissible_k=23, heavy_tail=3, divergent_premium=4",
+        "dropping cell: every replicate failed for cell (p=0.4, rho=2.5, n=500); "
+        "reasons: no_admissible_k=20, heavy_tail=4, divergent_premium=6",
+        "cell (p=0.6, rho=1, n=150): 21 of 30 replicates failed; "
+        "reasons: no_admissible_k=21",
+        "cell (p=0.6, rho=1, n=500): 18 of 30 replicates failed; "
+        "reasons: no_admissible_k=18",
+        "dropping cell: every replicate failed for cell (p=0.6, rho=2.5, n=150); "
+        "reasons: no_admissible_k=21, heavy_tail=3, divergent_premium=6",
+        "dropping cell: every replicate failed for cell (p=0.6, rho=2.5, n=500); "
+        "reasons: no_admissible_k=18, heavy_tail=4, divergent_premium=8",
+    ]
+)
+
 CONFIG_TEXT = """\
 # two-cell smoke study
 gamma1 = 0.1
@@ -897,6 +930,25 @@ class TestEntryPath:
         )
         assert process.stderr.startswith("WARNING: cell (p=0.4, rho=1, n=150): ")
         assert sum(row.failure_count for row in rows) > 0
+
+    def test_simulate_warnings_name_reasons_whatever_the_split(self, tmp_path):
+        # Threshold (no_admissible_k), fit (heavy_tail) and exact-premium
+        # (divergent_premium) failures: the warnings count them by reason
+        # name, and their bytes do not depend on the worker count or on
+        # the block budget (one replicate per block at 150 records).
+        config = write_config(tmp_path / "fail.cfg", FAILURES_CONFIG_TEXT)
+        run = (
+            "import sys; from tailpremium import cli, study; "
+            "study._BLOCK_RECORDS = int(sys.argv.pop(1)); cli.entrypoint()"
+        )
+        for budget in ("150", "50000"):
+            for workers in ("1", "2", "3"):
+                out = str(tmp_path / f"rows-{budget}-{workers}.csv")
+                argv = ["simulate", config, "--out", out, "--workers", workers]
+                process = _run_fresh(["-c", run, budget, *argv])
+                assert process.returncode == 0, process.stderr
+                assert process.stdout == ""
+                assert process.stderr == FAILURES_STDERR, (budget, workers)
 
     def test_main_leaves_the_collector_alone(self, tmp_path, capsys, entry_files):
         before = (gc.get_freeze_count(), gc.isenabled())

@@ -32,15 +32,23 @@ from tailpremium import (
     weissman_tail,
 )
 from tailpremium.asymptotics import normalization_factor
+from tailpremium.errors import _CODE, REASONS
 from tailpremium.estimators import (
     _corrected_path,
-    _fit_message,
     _fit_rows,
     _km_anchor,
     _km_products,
 )
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 from tailpremium.threshold import tail_index_path
+
+
+def assert_failure(error, code, **values):
+    """``error`` is entry ``code`` of the reason table, worded with ``values``."""
+    name, template = REASONS[code]
+    assert error.reason == name
+    rho_gamma1 = values["rho"] * float(values["gamma1"])
+    assert str(error) == template.format(rho_gamma1=rho_gamma1, **values)
 
 
 @st.composite
@@ -203,6 +211,20 @@ class TestKmAtThreshold:
             assert km_survival_at_threshold(sample, k) == kaplan_meier_survival(
                 sample, x
             )
+
+    @pytest.mark.parametrize("shape", [(57,), (6, 57), (100, 500), (2, 3, 40)])
+    def test_products_are_the_plain_expression_bitwise(self, shape):
+        # Worked in place on one array, the products keep the bits of the
+        # three-temporary expression, on the study's block shape too.
+        delta = np.random.default_rng(5).integers(0, 2, size=shape)
+        n = shape[-1]
+        plain = np.cumprod(1.0 - delta / (n - np.arange(n, dtype=np.float64)), axis=-1)
+        products = _km_products(delta)
+        assert products.shape == shape
+        assert products.tobytes() == plain.tobytes()
+        # Read-only flags, as a sample holds them, are not written to.
+        delta.flags.writeable = False
+        assert _km_products(delta).tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_block_anchor_reads_the_curve_bitwise(self, seed):
@@ -463,8 +485,8 @@ class TestPhpEstimate:
     def test_closed_form_entries_equal_one_element_calls(self, rho, block):
         # _fit_rows is the one fit behind php_estimate, weissman_tail (at
         # rho = 0) and a study block.  Each row of a block must come out
-        # bitwise as that row alone, failure stage included, and as the
-        # one-sample chain: its value, or its failure message verbatim.
+        # bitwise as that row alone, failure code included, and as the
+        # one-sample chain: its value, or a failure of the same reason.
         z, delta, k, retention = (
             None if part is None else np.array(part) for part in block
         )
@@ -473,9 +495,10 @@ class TestPhpEstimate:
         gamma1 = _corrected_path(z, delta, z.shape[-1] - 1)[0][rows, k - 1]
         rhos = (rho, 0.0, 2.5)
         fit = _fit_rows(z, delta, k, gamma1, rhos, retention)
-        threshold, _, levels, pi_hat, stage = fit
-        assert np.array_equal(np.isnan(pi_hat), (stage >= 0) | (np.array(rhos) == 0))
-        assert np.all(stage[:, 1] <= 2)  # rho = 0 checks only the index's sign
+        threshold, _, levels, pi_hat, code = fit
+        assert np.array_equal(np.isnan(pi_hat), (code >= 0) | (np.array(rhos) == 0))
+        # rho = 0 checks only the index's sign.
+        assert np.all(code[:, 1] <= _CODE["nonpositive_index"])
         for r in rows:
             one = slice(r, r + 1)
             alone = _fit_rows(
@@ -489,13 +512,12 @@ class TestPhpEstimate:
             for got, want in zip(alone, fit):
                 assert got.tobytes() == want[one].tobytes(), r
             sample = SortedCensoredSample(z[r], delta[r])
-            if stage[r, 0] in (0, 1):
+            values = dict(k=int(k[r]), threshold=threshold[r], gamma1=gamma1[r])
+            if code[r, 0] in (_CODE["nonpositive_threshold"], _CODE["all_censored"]):
                 # The guarded path read fails first in the same place.
                 with pytest.raises(DomainError) as caught:
                     censored_hill(sample, int(k[r]))
-                assert str(caught.value) == _fit_message(
-                    stage[r, 0], int(k[r]), threshold[r], gamma1[r], rho, levels[r]
-                )
+                assert_failure(caught.value, code[r, 0], rho=rho, **values)
             else:
                 alone = np.float64(censored_hill(sample, int(k[r])).gamma1_hat)
                 assert alone.tobytes() == gamma1[r].tobytes()
@@ -506,15 +528,15 @@ class TestPhpEstimate:
                     run = partial(php_estimate, sample, chain)
                 else:
                     run = partial(weissman_tail, sample, int(k[r]), threshold[r])
-                if stage[r, j] < 0:
+                if code[r, j] < 0:
                     out = run()
                     if rho_j:
                         assert np.float64(out.value).tobytes() == pi_hat[r, j].tobytes()
                     continue
                 with pytest.raises(DomainError) as caught:
                     run()
-                assert str(caught.value) == _fit_message(
-                    stage[r, j], int(k[r]), threshold[r], gamma1[r], rho_j, levels[r]
+                assert_failure(
+                    caught.value, code[r, j], rho=rho_j, retention=levels[r], **values
                 )
 
     def test_settings_validation_propagates(self, uncensored_quad):

@@ -341,9 +341,9 @@ class TestTheoreticalPremium:
             with pytest.raises(DomainError) as raised:
                 model.premium(rho, retentions)
             assert str(raised.value) == message
-            out, reason = model._premium_entries(rho, retentions)
+            assert raised.value.reason == "premium_not_converged"
+            out = model._premium_entries(rho, retentions)
             np.testing.assert_array_equal(out, scalars, strict=True)
-            assert reason == message
             converged = ~np.isnan(scalars)
             assert model.premium(rho, retentions[converged]).tolist() == [
                 value for value, ok in zip(scalars, converged) if ok
@@ -430,6 +430,12 @@ class TestHThreshold:
             h_threshold(scheme, 0, 100)
         with pytest.raises(ValidationError, match="k must"):
             h_threshold(scheme, 100, 100)
+
+    @pytest.mark.parametrize("k, n", [(True, 10), (3, True), (2.0, 10)])
+    def test_rejects_a_non_integer_k_or_n(self, k, n):
+        # A bool is not an integer here, as for every count in the package.
+        with pytest.raises(ValidationError, match="k and n must be integers"):
+            h_threshold(burr_scheme(0.1, 0.4, 0.25), k, n)
 
 
 class TestSecondOrderRate:

@@ -238,6 +238,24 @@ class TestSettings:
         with pytest.raises(ValidationError, match="integer"):
             EstimationSettings(k=2.5, rho=1.0)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(rho=True), "rho"),
+            (dict(retention=True), "retention"),
+            (dict(rho=np.True_), "rho"),
+            (dict(retention=False), "retention"),
+        ],
+    )
+    def test_rejects_a_bool_for_a_number(self, overrides, field):
+        # True is not 1.0 here: a flag where a level belongs is a slip.
+        with pytest.raises(ValidationError) as caught:
+            EstimationSettings(**{"k": 3, "rho": 1.0, **overrides})
+        value = next(iter(overrides.values()))
+        assert str(caught.value) == (
+            f"{field} must be a number, not a bool, got {value!r}"
+        )
+
     def test_rejects_unknown_retention_string(self):
         with pytest.raises(ValidationError, match="retention"):
             EstimationSettings(k=2, rho=1.0, retention="auto")

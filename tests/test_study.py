@@ -34,6 +34,7 @@ from tailpremium import cli
 from tailpremium import estimators as estimators_module
 from tailpremium import models as models_module
 from tailpremium import study as study_module
+from tailpremium.errors import _CODE, REASONS
 from tailpremium.samples import _sort_rows
 from tailpremium.threshold import _choose_rows
 
@@ -48,18 +49,18 @@ REFERENCE_CSV = (
 
 
 def priced(cell, rho_values, block):
-    """``(pi_true, pi_hat, failed)`` of a block, priced as ``run_study`` does.
+    """``(pi_true, pi_hat, code)`` of a block, priced as ``run_study`` does.
 
-    ``block`` is ``(retention, pi_hat, failed)`` of one or more joined
+    ``block`` is ``(retention, pi_hat, code)`` of one or more joined
     blocks of ``cell``'s group; the exact premium is taken under the
     group's loss model.
     """
-    retention, pi_hat, failed = block
+    retention, pi_hat, code = block
     loss_model = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta).loss_model
     pi_true = study_module._price_exact(
-        loss_model, rho_values, retention, pi_hat, failed
+        loss_model, rho_values, retention, pi_hat, code
     )
-    return pi_true, pi_hat, failed
+    return pi_true, pi_hat, code
 
 
 def one_replicate(cell, rho_values, replicate_index, master_seed, beta=0.3):
@@ -113,22 +114,23 @@ def assert_columns_equal(actual, expected):
 
 
 def columns(pairs, failures=()):
-    """Replicate columns: successful ``(pi_true, pi_hat)`` pairs, then failures."""
+    """Replicate columns: successful ``(pi_true, pi_hat)`` pairs, then the
+    failures' reason names."""
     nan = [np.nan] * len(failures)
     return (
         np.array([t for t, _ in pairs] + nan),
         np.array([h for _, h in pairs] + nan),
-        np.array([None] * len(pairs) + list(failures), dtype=object),
+        np.array([-1] * len(pairs) + [_CODE[name] for name in failures]),
     )
 
 
-def failed_columns(rho_values, indices, reason):
-    """A block whose every threshold choice failed for ``reason``."""
+def failed_columns(rho_values, indices, reason="no_admissible_k"):
+    """A block whose every threshold choice failed for the named ``reason``."""
     shape = (len(indices), len(rho_values))
     return (
         np.full(len(indices), np.nan),
         np.full(shape, np.nan),
-        np.full(shape, reason, dtype=object),
+        np.full(shape, _CODE[reason]),
     )
 
 
@@ -268,10 +270,10 @@ class TestBlockDraws:
             assert row.tobytes() == rng.random((2, n)).tobytes()
 
     def test_block_retentions_come_from_the_public_streams(self):
-        retention, _, failed = study_module._replicate_block(
+        retention, _, code = study_module._replicate_block(
             CELL, (1.0,), range(2, 6), 777, 0.3
         )
-        assert np.equal(failed, None).all()
+        assert (code == -1).all()
         np.testing.assert_array_equal(
             retention, [chosen_threshold(CELL, i, 777)[1] for i in range(2, 6)]
         )
@@ -284,8 +286,8 @@ class TestOneReplicate:
         assert_columns_equal(first, second)
 
     def test_matched_pairs_share_sample(self):
-        pi_true, pi_hat, failed = one_replicate(CELL, (1.0, 1.1), 2, 777)
-        assert failed.tolist() == [[None, None]]
+        pi_true, pi_hat, code = one_replicate(CELL, (1.0, 1.1), 2, 777)
+        assert code.tolist() == [[-1, -1]]
         # Both rho are priced at the one retention chosen on the draws.
         _, retention = chosen_threshold(CELL, 2, 777)
         model = study_module.burr_scheme(CELL.gamma1, CELL.p, CELL.eta).loss_model
@@ -306,8 +308,8 @@ class TestOneReplicate:
 
         monkeypatch.setattr(study_module, "burr_scheme", degenerate_scheme)
         cell = StudyCell(gamma1=0.1, p=0.6, n=400, eta=0.25)
-        _, pi_hat, failed = own_rho_replicate(cell, 1.1, 5, 202)
-        assert failed.tolist() == [[None]]
+        _, pi_hat, code = own_rho_replicate(cell, 1.1, 5, 202)
+        assert code.tolist() == [[-1]]
 
         scheme = degenerate_scheme(cell.gamma1, cell.p, cell.eta)
         rng = np.random.default_rng(replicate_stream(202, cell, 5))
@@ -324,13 +326,13 @@ class TestOneReplicate:
 
     def test_failure_is_recorded_not_raised(self):
         heavy = StudyCell(gamma1=0.95, p=0.9, n=150, eta=0.25)
-        _, pi_hat, failed = join(
+        _, pi_hat, code = join(
             own_rho_replicate(heavy, 1.0, i, 777) for i in range(10)
         )
-        failures = ~np.equal(failed, None)
+        failures = code >= 0
         assert failures.any(), "a tail index near 1 must trip the admissibility cap"
         assert np.isnan(pi_hat[failures]).all()
-        assert any("admissible" in reason for reason in failed[failures])
+        assert (code[failures] == _CODE["no_admissible_k"]).any()
 
 
 class TestAggregate:
@@ -356,7 +358,7 @@ class TestAggregate:
 
     def test_failures_are_counted_and_excluded(self):
         row = aggregate(
-            *columns([(2.0, 3.0)], failures=["x"]),
+            *columns([(2.0, 3.0)], failures=["heavy_tail"]),
             p=0.4,
             rho=1.0,
             n=500,
@@ -384,9 +386,11 @@ class TestAggregate:
         assert row.rmse >= row.abs_bias
 
     def test_all_failed_is_an_error(self):
+        failures = ["heavy_tail", "no_admissible_k", "heavy_tail"]
         with pytest.raises(DomainError, match="every replicate failed") as info:
-            aggregate(*columns([], failures=["y", "x", "y"]), p=0.4, rho=1.0, n=500)
-        assert str(info.value).endswith("reasons: ['x', 'y']")
+            aggregate(*columns([], failures=failures), p=0.4, rho=1.0, n=500)
+        # Reason names with counts, in the table's order.
+        assert str(info.value).endswith("reasons: no_admissible_k=1, heavy_tail=2")
 
 
 def small_config(**overrides):
@@ -470,6 +474,24 @@ class TestStudyConfig:
         with pytest.raises(ValidationError, match=message):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(gamma1=True), "gamma1"),
+            (dict(eta=True), "eta"),
+            (dict(beta=False), "beta"),
+            (dict(rho_values=(True,)), "rho_values"),
+            (dict(rho_values=[1.1, np.True_]), "rho_values"),
+        ],
+    )
+    def test_rejects_a_bool_for_a_number(self, overrides, field):
+        with pytest.raises(ValidationError) as caught:
+            small_config(**overrides)
+        value = next(iter(overrides.values()))
+        assert str(caught.value) == (
+            f"{field} must be a number, not a bool, got {value!r}"
+        )
+
 
 class TestRunStudy:
     def test_output_order_p_major(self):
@@ -542,7 +564,7 @@ class TestRunStudy:
 
         def failing_on_high_p(cell, rho_values, indices, seed, beta=0.3):
             if cell.p == 0.9:
-                return failed_columns(rho_values, indices, "synthetic failure")
+                return failed_columns(rho_values, indices)
             return real(cell, rho_values, indices, seed, beta)
 
         monkeypatch.setattr(study_module, "_replicate_block", failing_on_high_p)
@@ -565,7 +587,7 @@ class TestRunStudy:
         for record, row in zip(debug, rows):
             assert "error quantiles" in record.getMessage()
             cell = StudyCell(config.gamma1, row.p, row.n, config.eta)
-            pi_true, pi_hat, failed = priced(
+            pi_true, pi_hat, code = priced(
                 cell,
                 (row.rho,),
                 real(
@@ -576,7 +598,7 @@ class TestRunStudy:
                     config.beta,
                 ),
             )
-            errors = (pi_hat - pi_true)[np.equal(failed, None)]
+            errors = (pi_hat - pi_true)[code < 0]
             assert errors.size == config.replicates - row.failure_count
             quantiles = np.percentile(errors, [1, 25, 50, 75, 99])
             logged = record.args[3]
@@ -591,7 +613,7 @@ class TestRunStudy:
 
         def failing_on_low_p(cell, rho_values, indices, seed, beta=0.3):
             if cell.p == 0.4:
-                return failed_columns(rho_values, indices, "synthetic failure")
+                return failed_columns(rho_values, indices)
             return real(cell, rho_values, indices, seed, beta)
 
         monkeypatch.setattr(study_module, "_replicate_block", failing_on_low_p)
@@ -605,11 +627,11 @@ class TestRunStudy:
         real = study_module._replicate_block
 
         def failing_first_replicate(cell, rho_values, indices, seed, beta=0.3):
-            retention, pi_hat, failed = real(cell, rho_values, indices, seed, beta)
+            retention, pi_hat, code = real(cell, rho_values, indices, seed, beta)
             first = np.equal(indices, 0)
             retention[first] = pi_hat[first] = np.nan
-            failed[first] = "synthetic failure"
-            return retention, pi_hat, failed
+            code[first] = _CODE["no_admissible_k"]
+            return retention, pi_hat, code
 
         monkeypatch.setattr(
             study_module, "_replicate_block", failing_first_replicate
@@ -618,14 +640,17 @@ class TestRunStudy:
         with caplog.at_level(logging.WARNING, logger="tailpremium.study"):
             (row,) = run_study(config)
         assert row.failure_count == 1
-        assert any("1 of 3 replicates failed" in r.message for r in caplog.records)
+        assert any(
+            r.message.endswith("1 of 3 replicates failed; reasons: no_admissible_k=1")
+            for r in caplog.records
+        )
 
     def test_every_cell_failing_is_an_error(self, monkeypatch):
         monkeypatch.setattr(
             study_module,
             "_replicate_block",
             lambda cell, rho_values, indices, seed, beta=0.3: (
-                failed_columns(rho_values, indices, "x")
+                failed_columns(rho_values, indices)
             ),
         )
         with pytest.raises(DomainError, match="every cell of the study failed"):
@@ -803,7 +828,7 @@ class TestEveryRhoSharesOneDraw:
                         ),
                     )
                 low, high = matched[2][0]
-                rho_specific += low is None and high is not None
+                rho_specific += low < 0 <= high
         assert rho_specific > 0, "some replicate must fail at the larger rho only"
 
     def test_study_rows_equal_per_cell_replicates(self):
@@ -839,12 +864,11 @@ class TestEveryRhoSharesOneDraw:
         cell = study_groups(MATCHED)[0]
         threshold_failures = 0
         for i in range(MATCHED.replicates):
-            pi_true, pi_hat, failed = one_replicate(cell, rho_values, i, 777, 0.2)
-            assert failed.shape == (1, len(rho_values))
-            reason = failed[0, 0]
-            if reason and "admissible" in reason:
+            pi_true, pi_hat, code = one_replicate(cell, rho_values, i, 777, 0.2)
+            assert code.shape == (1, len(rho_values))
+            if code[0, 0] == _CODE["no_admissible_k"]:
                 threshold_failures += 1
-                assert failed.tolist() == [[reason] * len(rho_values)]
+                assert code.tolist() == [[code[0, 0]] * len(rho_values)]
                 assert np.isnan(pi_true).all() and np.isnan(pi_hat).all()
         assert threshold_failures > 0
 
@@ -884,8 +908,8 @@ def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
     )
     try:
         choice = reiss_thomas_k(sample, beta)
-    except (DomainError, ValidationError) as exc:
-        entries = [(np.nan, np.nan, str(exc))] * len(rho_values)
+    except DomainError as exc:
+        entries = [(np.nan, np.nan, _CODE[exc.reason])] * len(rho_values)
     else:
         entries = []
         for rho in rho_values:
@@ -896,16 +920,12 @@ def scalar_replicate(cell, rho_values, replicate_index, master_seed, beta):
                 pi_true = float(
                     scheme.loss_model.premium(rho, estimate.retention)
                 )
-            except (DomainError, ValidationError) as exc:
-                entries.append((np.nan, np.nan, str(exc)))
+            except DomainError as exc:
+                entries.append((np.nan, np.nan, _CODE[exc.reason]))
             else:
-                entries.append((pi_true, estimate.value, None))
-    pi_true, pi_hat, failed = zip(*entries)
-    return (
-        np.array([pi_true]),
-        np.array([pi_hat]),
-        np.array([failed], dtype=object),
-    )
+                entries.append((pi_true, estimate.value, -1))
+    pi_true, pi_hat, code = zip(*entries)
+    return np.array([pi_true]), np.array([pi_hat]), np.array([code])
 
 
 def scalar_group(config, cell):
@@ -989,7 +1009,7 @@ class TestReplicateBlocks:
                 ),
                 expected,
             )
-            failed = ~np.equal(expected[2], None)
+            failed = expected[2] >= 0
             threshold_failures += failed.all(axis=1).sum()
             rho_only_failures += (failed.any(axis=1) & ~failed.all(axis=1)).sum()
         assert rho_only_failures > 0
@@ -1041,8 +1061,8 @@ class TestReplicateBlocks:
                 config.beta,
             )
             retention = block[0]
-            pi_true, pi_hat, failed = priced(cell, rhos, block)
-            failures = ~np.equal(failed, None)
+            pi_true, pi_hat, code = priced(cell, rhos, block)
+            failures = code >= 0
             # The retention is missing exactly where the threshold failed,
             # which fails every rho alike.
             assert failures[np.isnan(retention)].all()
@@ -1051,7 +1071,8 @@ class TestReplicateBlocks:
             np.testing.assert_array_equal(np.isnan(pi_true), failures)
             assert np.isfinite(pi_hat[~failures]).all()
             assert np.isfinite(pi_true[~failures]).all()
-            assert all(isinstance(reason, str) for reason in failed[failures])
+            assert (code[failures] < len(REASONS)).all()
+            assert (code[~failures] == -1).all()
             threshold_failures += failures.all(axis=1).sum()
             rho_only_failures += (failures.any(axis=1) & ~failures.all(axis=1)).sum()
         assert threshold_failures > 0
@@ -1072,10 +1093,7 @@ class TestReplicateBlocks:
         )
         expected = join(scalar_replicate(cell, rhos, i, 77, 0.3) for i in range(4))
         assert_columns_equal(block, expected)
-        assert all(
-            reason.startswith("tail index estimate is not positive")
-            for reason in block[2].flat
-        )
+        assert (block[2] == _CODE["nonpositive_index"]).all()
 
     @pytest.mark.parametrize(
         "config",
@@ -1134,7 +1152,7 @@ class TestReplicateBlocks:
 
 
 def study_blocks(config):
-    """``(retention, pi_hat, failed)`` of every group, joined as ``run_study`` does."""
+    """``(retention, pi_hat, code)`` of every group, joined as ``run_study`` does."""
     rhos = tuple(dict.fromkeys(config.rho_values))
     return join(
         study_module._replicate_block(
@@ -1166,10 +1184,10 @@ class TestExactPremiumPricing:
         real = study_module._price_exact
         seen = []
 
-        def spy(loss_model, rho_values, retention, pi_hat, failed):
-            seen.append(failed.copy())
-            pi_true = real(loss_model, rho_values, retention, pi_hat, failed)
-            seen.append(failed)
+        def spy(loss_model, rho_values, retention, pi_hat, code):
+            seen.append(code.copy())
+            pi_true = real(loss_model, rho_values, retention, pi_hat, code)
+            seen.append(code)
             return pi_true
 
         monkeypatch.setattr(study_module, "_price_exact", spy)
@@ -1179,12 +1197,12 @@ class TestExactPremiumPricing:
         # Pricing fails every row alive at a divergent rho, and none elsewhere.
         before, after = seen
         for j, (rho, alive) in enumerate(expected_calls):
-            reasons = after[np.equal(before[:, j], None), j].tolist()
-            assert len(reasons) == alive
+            codes = after[before[:, j] < 0, j].tolist()
+            assert len(codes) == alive
             if rho * config.gamma1 < 1.0:
-                assert reasons == [None] * alive
+                assert codes == [-1] * alive
             else:
-                assert all(r.startswith("premium integral diverges") for r in reasons)
+                assert codes == [_CODE["divergent_premium"]] * alive
         return rows
 
     def test_one_call_per_distinct_rho(self, monkeypatch):
@@ -1223,26 +1241,27 @@ class TestExactPremiumPricing:
         before = priced(groups[0], rhos, study_blocks(config))
         loss_model = BurrModel(config.gamma1, config.eta)
         monkeypatch.setattr(models_module, "_BETA_TERMS", 9)
-        pi_true, pi_hat, failed = (column.copy() for column in before)
+        pi_true, pi_hat, code = (column.copy() for column in before)
         lost = 0
-        for r, j in np.argwhere(np.equal(before[2], None)):
+        for r, j in np.argwhere(before[2] < 0):
             try:
                 assert loss_model.premium(rhos[j], retention[r]) == pi_true[r, j]
             except DomainError as exc:
+                assert exc.reason == "premium_not_converged"
                 pi_true[r, j] = pi_hat[r, j] = np.nan
-                failed[r, j] = str(exc)
+                code[r, j] = _CODE[exc.reason]
                 lost += 1
-        assert 0 < lost < np.count_nonzero(np.equal(before[2], None))
+        assert 0 < lost < np.count_nonzero(before[2] < 0)
         calls = count_pricing_calls(monkeypatch)
         after = priced(groups[0], rhos, study_blocks(config))
-        assert_columns_equal(after, (pi_true, pi_hat, failed))
+        assert_columns_equal(after, (pi_true, pi_hat, code))
         assert [rho for rho, _ in calls] == list(rhos)
 
         # The run counts those failures in their own cells, whatever the
         # block size and worker count.
         expected_rows = scalar_rows(config)
         assert sum(row.failure_count for row in expected_rows) == np.count_nonzero(
-            ~np.equal(failed, None)
+            code >= 0
         )
         for budget in (150, study_module._BLOCK_RECORDS):
             monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)

@@ -16,6 +16,7 @@ from tailpremium import (
     replicate_stream,
     tail_index_path,
 )
+from tailpremium.errors import _CODE, REASONS
 from tailpremium.estimators import _tail_path
 from tailpremium.threshold import _choose_rows, _window_scores
 
@@ -264,11 +265,11 @@ class TestRowKernel:
             try:
                 choice = reiss_thomas_k(sample, beta)
             except DomainError as exc:
-                assert block.failed[r] == str(exc)
+                assert REASONS[block.code[r]][0] == exc.reason
                 assert block.k_star[r] == 0
                 outcomes[name] = str(exc)
                 continue
-            assert block.failed[r] is None
+            assert block.code[r] == -1
             assert block.k_star[r] == choice.k_star
             curve = ~np.isnan(block.scores[r])
             assert choice.objective_curve == tuple(
@@ -311,7 +312,8 @@ class TestRowKernel:
         assert block.gamma1.shape[1] == self.N // 2
         for r, name in enumerate(names):
             alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
-            assert block.failed[r] == alone.failed[0]
+            assert block.code[r] == alone.code[0]
+            assert block.k_limit[r] == alone.k_limit[0]
             assert block.k_star[r] == alone.k_star[0]
             curve = ~np.isnan(block.scores[r])
             alone_curve = ~np.isnan(alone.scores[0])
@@ -325,7 +327,7 @@ class TestRowKernel:
             )
             if name != "widened":
                 assert np.isnan(block.gamma1[r, 10:]).all()
-            if block.failed[r] is not None:
+            if block.code[r] >= 0:
                 continue
             k = int(block.k_star[r])
             own = block.gamma1[r, k - 1].tobytes()
@@ -336,7 +338,7 @@ class TestRowKernel:
             path, _ = tail_index_path(samples[name], k_max)
             assert own == path[k - 1].tobytes()
         assert block.k_star.tolist() == [4, 3, 25, 0, 2]
-        assert block.failed[3].startswith("no admissible k")
+        assert block.code[3] == _CODE["no_admissible_k"]
 
     def test_random_block_rows_score_as_alone(self):
         # n = 600 puts the ceiling at 17: rows whose widest open window is
@@ -358,7 +360,7 @@ class TestRowKernel:
             try:
                 choice = reiss_thomas_k(sample)
             except DomainError as exc:
-                assert block.failed[r] == str(exc)
+                assert REASONS[block.code[r]][0] == exc.reason
                 continue
             curve = ~np.isnan(block.scores[r])
             assert block.k_star[r] == choice.k_star
@@ -425,7 +427,8 @@ class TestRowKernel:
             assert hill[r].tobytes() == row_hill.tobytes()
             assert p_hat[r].tobytes() == row_p_hat.tobytes()
             alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
-            assert block.failed[r] == alone.failed[0]
+            assert block.code[r] == alone.code[0]
+            assert block.k_limit[r] == alone.k_limit[0]
             assert block.k_star[r] == alone.k_star[0]
             width = alone.gamma1.shape[1]
             assert block.gamma1[r, :width].tobytes() == alone.gamma1[0].tobytes()
