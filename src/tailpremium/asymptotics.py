@@ -53,8 +53,8 @@ class AsymptoticParams:
             raise ValidationError(f"rho must be >= 1, got {self.rho!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValidationError(f"p must lie in (0, 1], got {self.p!r}")
-        if not self.tau1 <= 0.0:
-            raise ValidationError(f"tau1 must be <= 0, got {self.tau1!r}")
+        if not -np.inf < self.tau1 <= 0.0:
+            raise ValidationError(f"tau1 must be finite and <= 0, got {self.tau1!r}")
         if not np.isfinite(self.lambda1):
             raise ValidationError(f"lambda1 must be finite, got {self.lambda1!r}")
         _check_finite_premium(self.gamma1, self.rho)

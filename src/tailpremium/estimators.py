@@ -55,7 +55,7 @@ def _check_k(k: int, n: int) -> None:
         raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
 
 
-def _km_products(delta: np.ndarray) -> np.ndarray:
+def _km_products(delta: np.ndarray, out=None) -> np.ndarray:
     """Product-limit survival after each order statistic.
 
     ``delta`` holds the sorted flags of one sample, or of one sample per
@@ -63,23 +63,29 @@ def _km_products(delta: np.ndarray) -> np.ndarray:
     / (n - i + 1))``.  Because ties list uncensored records first, the
     value at the end of a run of ties equals the grouped factor
     ``1 - d_t / r_t`` of Kaplan and Meier.  Every product with ``m < n`` is
-    at least ``(n - m) / n``, so no underflow guard is needed.
+    at least ``(n - m) / n``, so no underflow guard is needed.  The
+    products are worked in place, with the plain expression's bits, in
+    ``out`` (a float64 array shaped like ``delta``) or in a new array;
+    ``delta`` is never written.
     """
     n = delta.shape[-1]
-    # One (..., n) array, worked in place, with the plain expression's bits.
-    factors = delta / (n - np.arange(n, dtype=np.float64))
+    factors = np.divide(delta, n - np.arange(n, dtype=np.float64), out=out)
     np.subtract(1.0, factors, out=factors)
     return np.cumprod(factors, axis=-1, out=factors)
 
 
-def _km_anchor(delta: np.ndarray, k: Union[int, np.ndarray]) -> np.ndarray:
+def _km_anchor(
+    delta: np.ndarray, k: Union[int, np.ndarray], scratch=None
+) -> np.ndarray:
     """Product-limit survival just below the k-th upper order statistic.
 
     One ``k`` per row of ``delta`` ``(..., n)``; the caller checks
     ``1 <= k < n``, so index ``n - k - 1`` of the products is at least 0.
+    The products are worked in ``scratch``, if given (:func:`_km_products`).
     """
     at = delta.shape[-1] - np.asarray(k) - 1
-    return np.take_along_axis(_km_products(delta), at[..., None], -1)[..., 0]
+    products = _km_products(delta, scratch)
+    return np.take_along_axis(products, at[..., None], -1)[..., 0]
 
 
 def kaplan_meier_survival(
@@ -225,6 +231,7 @@ def _fit_rows(
     gamma1: np.ndarray,
     rhos: Sequence[float],
     retention=None,
+    scratch=None,
 ) -> Tuple[np.ndarray, ...]:
     """The fit at one ``k`` per row of sorted samples ``(B, n)``.
 
@@ -237,9 +244,11 @@ def _fit_rows(
     (-1 where it fits, else ``pi_hat`` is NaN).  At ``rho = 0`` only the
     index's sign is checked and ``pi_hat`` is NaN.  Every value is computed
     entry by entry, so a row's results are bitwise those of the row alone.
+    ``scratch``, a float64 array shaped like ``z_sorted``, may take the
+    product-limit factors; no returned array shares memory with it.
     """
     threshold = z_sorted[np.arange(len(k)), z_sorted.shape[-1] - k - 1]
-    anchor = _km_anchor(delta, k)
+    anchor = _km_anchor(delta, k, scratch)
     retention = np.full(len(k), threshold if retention is None else retention)
     code = np.full((len(k), len(rhos)), -1)
     # The row checks, last first, so that a row keeps its first failure.

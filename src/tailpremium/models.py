@@ -36,7 +36,12 @@ class HeavyTailModel(Protocol):
 
     def survival(self, x: ArrayLike) -> ArrayLike: ...
 
-    def quantile_of_survival(self, s: ArrayLike) -> ArrayLike: ...
+    def quantile_of_survival(self, s: ArrayLike, out=None) -> ArrayLike:
+        """The level whose survival is ``s``, for ``s`` in (0, 1].
+
+        With ``out``, an array shaped like ``s`` (it may be ``s`` itself),
+        the quantiles are written into it and it is returned.
+        """
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike: ...
 
@@ -52,6 +57,31 @@ class HeavyTailModel(Protocol):
 def _match(x, out: np.ndarray):
     """Return a float for scalar input, the array otherwise."""
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _survival_levels(s: ArrayLike) -> np.ndarray:
+    """``s`` as a float64 array, checked to lie in (0, 1]."""
+    ss = np.asarray(s, dtype=np.float64)
+    if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
+        raise DomainError("survival level must lie in (0, 1]")
+    return ss
+
+
+def _power(base: np.ndarray, exponent: float, out=None):
+    """``base ** exponent``, written into ``out`` when it is given.
+
+    ``out`` may be ``base`` itself.  The in-place ``**=`` keeps the
+    operator's shortcuts (a square for 2, a root for 0.5), so the bits are
+    those of ``base ** exponent``.  Without ``out`` a 0-d ``base`` gives a
+    numpy scalar, as the operator does, so a caller's further augmented
+    assignments stay the scalar arithmetic of the operator expression.
+    """
+    if out is None:
+        return base ** exponent
+    if out is not base:
+        np.copyto(out, base)
+    out **= exponent
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,11 +128,11 @@ class BurrModel:
             log_power = self.eta / self.gamma * np.log(xs)
         return log_power > 700.0, -np.logaddexp(0.0, log_power)
 
-    def quantile_of_survival(self, s: ArrayLike) -> ArrayLike:
-        ss = np.asarray(s, dtype=np.float64)
-        if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
-            raise DomainError("survival level must lie in (0, 1]")
-        out = (ss ** (-self.eta) - 1.0) ** (self.gamma / self.eta)
+    def quantile_of_survival(self, s: ArrayLike, out=None) -> ArrayLike:
+        """``(s**(-eta) - 1)**(gamma/eta)``, into ``out`` if given (:func:`_power`)."""
+        out = _power(_survival_levels(s), -self.eta, out)
+        out -= 1.0
+        out **= self.gamma / self.eta
         return _match(s, out)
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike:
@@ -250,11 +280,10 @@ class ParetoModel:
         out = (xs / self.x_min) ** (-1.0 / self.gamma)
         return _match(x, out)
 
-    def quantile_of_survival(self, s: ArrayLike) -> ArrayLike:
-        ss = np.asarray(s, dtype=np.float64)
-        if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
-            raise DomainError("survival level must lie in (0, 1]")
-        out = self.x_min * ss ** (-self.gamma)
+    def quantile_of_survival(self, s: ArrayLike, out=None) -> ArrayLike:
+        """``x_min * s**(-gamma)``, into ``out`` if given (:func:`_power`)."""
+        out = _power(_survival_levels(s), -self.gamma, out)
+        out *= self.x_min
         return _match(s, out)
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike:
@@ -344,17 +373,29 @@ class CensoringScheme:
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
         return rng.random((2, int(n)))
 
-    def records(self, uniforms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def records(
+        self, uniforms: np.ndarray, out=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Censored records ``(z, delta)`` driven by uniforms of shape ``(..., 2, n)``.
 
         ``uniforms[..., 0, :]`` drive the losses and ``uniforms[..., 1, :]``
         the censoring variables, each mapped through ``1 - u`` into (0, 1]
         where the survival quantile is defined.  Elementwise, so a stack of
         draws gives a stack of samples, each equal to its own transform.
+        Without ``out`` the uniforms are left as they are and the records
+        are new arrays.  With ``out``, an int64 array shaped like
+        ``uniforms[..., 0, :]``, the transform runs in place: ``delta`` is
+        written into ``out``, ``z`` over the loss half of ``uniforms``, and
+        the censor half is left as scratch.
         """
-        x = self.loss_model.quantile_of_survival(1.0 - uniforms[..., 0, :])
-        y = self.censor_model.quantile_of_survival(1.0 - uniforms[..., 1, :])
-        return np.minimum(x, y), (x <= y).astype(np.int64)
+        levels = np.subtract(1.0, uniforms, out=None if out is None else uniforms)
+        x, y = levels[..., 0, :], levels[..., 1, :]
+        self.loss_model.quantile_of_survival(x, out=x)
+        self.censor_model.quantile_of_survival(y, out=y)
+        if out is None:
+            out = np.empty(x.shape, np.int64)
+        np.less_equal(x, y, out=out)
+        return np.minimum(x, y, out=x), out
 
 
 def burr_scheme(gamma1: float, p: float, eta: float) -> CensoringScheme:

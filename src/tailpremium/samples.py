@@ -50,38 +50,53 @@ def _check_positive(**values) -> None:
             raise ValidationError(f"{name} must be > 0, got {value!r}")
 
 
-def _int_flags(delta: np.ndarray) -> np.ndarray:
-    """Censoring flags as a new int64 array.
+def _check_flags(delta: np.ndarray) -> None:
+    """Reject censoring flags other than 0 and 1.
 
-    The raw values are checked before the cast, so fractional and NaN
-    flags are rejected instead of truncated to 0 or 1.
+    Callers check the raw values before any cast to int64, so fractional
+    and NaN flags are rejected instead of truncated to 0 or 1.
     """
     if not ((delta == 0) | (delta == 1)).all():
         raise ValidationError("censoring indicators must be 0 or 1")
-    return delta.astype(np.int64)
 
 
-def _sort_rows(z: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _sort_rows(
+    z: np.ndarray, delta: np.ndarray, overwrite: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
     """Sort each row of raw records ``(..., n)`` into sample order.
 
     Rows are ordered by ``z`` ascending and, within a tie, by ``delta``
-    descending; the flags are checked and returned as int64.  One key
-    holds both: for ``z >= 0`` the IEEE bit pattern orders like the value
-    and the spare sign bit makes room for the flag, so records with equal
-    keys are equal.  When every value is finite and has its sign bit
-    clear, the key is sorted in place and unpacked into the records.
-    Otherwise it is argsorted, stably, and the raw records gathered, so
-    ``-0.0`` (keyed as ``0.0``) keeps its sign and its input order among
-    the zeros, and values that are not finite and >= 0 sort anywhere, for
-    the sample's checks to reject.
+    descending; the flags come back as int64.  One key holds both: for
+    ``z >= 0`` the IEEE bit pattern orders like the value and the spare
+    sign bit makes room for the flag, so records with equal keys are
+    equal.  When every value is finite and has its sign bit clear, the
+    key is packed over ``z``, sorted in place and unpacked into ``z`` and
+    ``delta``, which are returned.  Otherwise it is argsorted, stably, and
+    the raw records gathered into new arrays, so ``-0.0`` (keyed as
+    ``0.0``) keeps its sign and its input order among the zeros, and
+    values that are not finite and >= 0 sort anywhere, for the sample's
+    checks to reject.
+
+    Without ``overwrite`` the flags are checked here and the kernel runs
+    on copies, so the caller's arrays are never written.  With it, ``z``
+    (float64) and ``delta`` (int64 flags, 0 or 1) are the caller's
+    scratch, and the flags are left to :func:`_check_rows`.
     """
-    delta = _int_flags(delta)
+    if not overwrite:
+        _check_flags(delta)
+        z, delta = np.array(z, dtype=np.float64), delta.astype(np.int64)
     one = np.uint64(1)
-    packed = z.size > 0 and z.view(np.uint64).max() < _INF_BITS
-    key = ((z if packed else z + 0.0).view(np.uint64) << one) | (delta == 0)
-    if packed:
+    key, flags = z.view(np.uint64), delta.view(np.uint64)
+    if z.size > 0 and key.max() < _INF_BITS:
+        key <<= one
+        flags ^= one  # the censored bit: uncensored records sort first
+        key |= flags
         key.sort(axis=-1)
-        return (key >> one).view(np.float64), (~key & one).view(np.int64)
+        np.bitwise_and(key, one, out=flags)
+        flags ^= one
+        key >>= one
+        return z, delta
+    key = ((z + 0.0).view(np.uint64) << one) | (delta == 0)
     order = np.argsort(key, axis=-1, kind="stable")
     return np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
 
@@ -89,14 +104,14 @@ def _sort_rows(z: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 def _check_rows(z: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """The value checks of a sample, on each row of sorted arrays ``(..., n)``.
 
-    Returns the flags as int64; raises :class:`ValidationError` naming
-    the first violated rule.
+    Returns ``delta`` as given, without a copy; raises
+    :class:`ValidationError` naming the first violated rule.
     """
     if not np.all(np.isfinite(z)) or np.any(z < 0.0):
         raise ValidationError("observed values must be finite and >= 0")
     if np.any(z[..., 1:] < z[..., :-1]):
         raise ValidationError("observed values must be sorted ascending")
-    delta = _int_flags(delta)
+    _check_flags(delta)
     if np.any((z[..., 1:] == z[..., :-1]) & (delta[..., 1:] > delta[..., :-1])):
         raise ValidationError(
             "tied observed values must list uncensored records first"
@@ -129,7 +144,7 @@ class SortedCensoredSample:
             )
         if z.size == 0:
             raise ValidationError("at least one observation is required")
-        d = _check_rows(z, d)
+        d = _check_rows(z, d).astype(np.int64)
         z = z.copy()
         z.flags.writeable = False
         d.flags.writeable = False

@@ -20,6 +20,16 @@ on one row: ``reiss_thomas_k`` and ``tail_index_path`` the rule,
 ``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
 not grow with n.
 
+Each process computes its blocks in one workspace (:class:`_Workspace`):
+a float64 buffer for the draws and an int64 one for the flags, sized at
+the process's first and largest block.  Every stage writes over the one
+before, in place: the uniforms become survival levels, then quantiles,
+then the records; the sort packs its key over the values and unpacks it
+there; the product-limit factors take the censor half of the draws.  So
+no block-sized array is allocated after the first block, and what a
+block returns never shares the workspace's memory.  The workspace also
+adds up the time spent in each layer, which :func:`_timed_study` reports.
+
 A block returns each replicate's retention (NaN where the threshold
 choice failed) and (replicate x distortion parameter) columns: the
 estimated premium, NaN where that entry failed, and the failure code in
@@ -30,8 +40,9 @@ failure there is its entry's own.  Each cell then aggregates its slice.
 
 With more than one worker, the blocks are split into shares by records;
 this process computes one share and forked children the others, each
-child sending its columns back through its own pipe.  Without
-``os.fork`` every block runs in this process.
+child in its own workspace and sending its columns and clocks back
+through its own pipe.  Without ``os.fork`` every block runs in this
+process.
 
 Reproducibility contract: each replicate owns a private PCG64 stream whose
 seed is a pure function of the master seed, the sample group (gamma1, p,
@@ -50,9 +61,10 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import time
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,13 +79,17 @@ from .threshold import _choose_rows
 logger = logging.getLogger(__name__)
 
 # Records (replicates x sample size) drawn and processed as one block: it
-# bounds a block's arrays whatever n is, and never affects results.  The
-# exact premium is priced once per rho after the blocks, so the budget
-# barely moves the run time: a 1000-replicate Table-1 study ran in a median
-# 1.50 s at 20 000 records, 1.57 s at 50 000 and 1.45 s at 100 000, within
-# the noise of 5 fresh processes each, with peak RSS 41, 42 and 46 MB
-# (2 vCPUs, 2.1 GHz Xeon).
+# sizes each process's workspace (24 bytes a record) whatever n is, and
+# never affects results.  Smaller blocks pay the per-block Python work more
+# often: a 1000-replicate Table-1 study ran in a median 1.17-1.28 s at
+# 20 000 records, 0.76-0.91 s at 50 000 and 0.73-0.76 s at 100 000 (two
+# sets of 5 fresh processes each), all with peak RSS 39.5-39.8 MB
+# (2 vCPUs, Xeon, numpy 2.4).
 _BLOCK_RECORDS = 50_000
+
+# The layers a study run is timed in, in the chain's order: those of a
+# block (:func:`_replicate_block`), then the exact premium of the run.
+_LAYERS = ("draw", "transform", "sort", "check", "rule", "fit", "exact_premium")
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -288,20 +304,23 @@ def _pcg64_states(words: List[int], indices: range) -> Tuple[List[int], List[int
     return states, incs
 
 
-def _block_draws(master_seed: int, cell: StudyCell, indices: range) -> np.ndarray:
+def _block_draws(
+    master_seed: int, cell: StudyCell, indices: range, out=None
+) -> np.ndarray:
     """Uniforms of the replicates in ``indices``, shape ``(len(indices), 2, n)``.
 
     Row ``b`` holds, bit for bit, ``CensoringScheme.draw(n, rng)`` with
     ``rng = np.random.default_rng(replicate_stream(master_seed, cell, i))``
     for the ``b``-th index ``i``.  The block's PCG64 states come from one
     array pass (:func:`_pcg64_states`), not one ``SeedSequence`` each; one
-    reused generator is set to each state in turn and fills its row of one
-    buffer.  Indices stay below ``2**32`` (:class:`StudyConfig`).
+    reused generator is set to each state in turn and fills its row of
+    ``out``, or of a new array.  Indices stay below ``2**32``
+    (:class:`StudyConfig`).
     """
     states, incs = _pcg64_states(_group_words(master_seed, cell), indices)
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    uniforms = np.empty((len(indices), 2, cell.n))
+    uniforms = np.empty((len(indices), 2, cell.n)) if out is None else out
     for row, state, inc in zip(uniforms, states, incs):
         bit_generator.state = {
             "bit_generator": "PCG64",
@@ -309,8 +328,51 @@ def _block_draws(master_seed: int, cell: StudyCell, indices: range) -> np.ndarra
             "has_uint32": 0,
             "uinteger": 0,
         }
-        generator.random(out=row)
+        for half in row:  # the loss half first, then the censor half
+            generator.random(out=half)
     return uniforms
+
+
+class _Workspace:
+    """The arrays one process computes its study blocks in, and its layer clocks.
+
+    :meth:`block` hands out a block's arrays as views of two buffers, which
+    grow only when a block holds more records than any block before it.
+    :func:`_map_blocks` runs each share largest block first, so a process
+    allocates them once, at its first block.  Each process makes its own
+    workspace after any fork: none is kept at module level, where two
+    threads would share it, and none is inherited, which would cost
+    copy-on-write faults.  ``clocks`` adds up the nanoseconds of each
+    layer in :data:`_LAYERS`, booked by :meth:`lap`.
+    """
+
+    def __init__(self) -> None:
+        self.draws = np.empty(0)
+        self.flags = np.empty(0, np.int64)
+        self.clocks = dict.fromkeys(_LAYERS, 0)
+        self._mark = 0
+
+    def block(self, rows: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A ``(rows, 2, n)`` float64 and a ``(rows, n)`` int64 array; starts the clock.
+
+        Both are views of the buffers, reused by the next block.
+        """
+        records = rows * n
+        if self.flags.size < records:
+            self.draws = np.empty(2 * records)
+            self.flags = np.empty(records, np.int64)
+        self._mark = time.perf_counter_ns()
+        # Stored half-major, so that each half is one contiguous (rows, n) array.
+        return (
+            self.draws[: 2 * records].reshape(2, rows, n).transpose(1, 0, 2),
+            self.flags[:records].reshape(rows, n),
+        )
+
+    def lap(self, layer: str) -> None:
+        """Book the time since the last lap, or the block's start, to ``layer``."""
+        now = time.perf_counter_ns()
+        self.clocks[layer] += now - self._mark
+        self._mark = now
 
 
 def _replicate_block(
@@ -319,6 +381,7 @@ def _replicate_block(
     indices: range,
     master_seed: int,
     beta: float,
+    work: Optional[_Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns ``(retention, pi_hat, code)`` of the replicates in ``indices``.
 
@@ -335,20 +398,39 @@ def _replicate_block(
     left to :func:`_price_exact`.  Every kernel treats rows independently,
     so a replicate's values, failures included, are bitwise the same in
     any block.  Settings are those a :class:`StudyConfig` accepts.
+
+    The draws, the records, the sort keys and the product-limit factors
+    live in ``work``'s arrays (a new :class:`_Workspace` if None), each
+    stage writing over the one before, and the time of each stage is
+    added to ``work.clocks``.  No returned array shares memory with the
+    workspace.
     """
     scheme = burr_scheme(cell.gamma1, cell.p, cell.eta)
-    uniforms = _block_draws(master_seed, cell, indices)
-    z, delta = _sort_rows(*scheme.records(uniforms))
+    work = _Workspace() if work is None else work
+    draws, flags = work.block(len(indices), cell.n)
+    _block_draws(master_seed, cell, indices, out=draws)
+    work.lap("draw")
+    z, delta = scheme.records(draws, out=flags)
+    work.lap("transform")
+    z, delta = _sort_rows(z, delta, overwrite=True)
+    work.lap("sort")
     _check_rows(z, delta)
+    work.lap("check")
     choices = _choose_rows(z, delta, beta)
+    work.lap("rule")
     # Rows the rule failed (k* = 0) are fitted at the top, then replaced.
     k = choices.k_star
     gamma1 = choices.gamma1[np.arange(len(k)), k - 1]
-    threshold, _, _, pi_hat, code = _fit_rows(z, delta, k, gamma1, rho_values)
+    # The censor half of the draws is free once the records are sorted.
+    threshold, _, _, pi_hat, code = _fit_rows(
+        z, delta, k, gamma1, rho_values, scratch=draws[:, 1]
+    )
     chosen = choices.code < 0
     pi_hat[~chosen] = np.nan
     code = np.where(chosen[:, None], code, choices.code[:, None])
-    return np.where(chosen, threshold, np.nan), pi_hat, code
+    retention = np.where(chosen, threshold, np.nan)
+    work.lap("fit")
+    return retention, pi_hat, code
 
 
 def _price_exact(
@@ -446,23 +528,33 @@ def _split_shares(weights: Sequence[int], count: int) -> List[List[int]]:
     return shares
 
 
-def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
-    """``[_replicate_block(*task) for task in tasks]``, over ``workers`` processes.
+def _run_share(tasks: Sequence[tuple], share: List[int]) -> Tuple[list, dict]:
+    """The outcomes of ``tasks[i]`` for ``i`` in ``share``, and their clocks.
 
+    The share's blocks run in order in one new :class:`_Workspace`.
+    """
+    work = _Workspace()
+    return [_replicate_block(*tasks[i], work) for i in share], work.clocks
+
+
+def _map_blocks(tasks: Sequence[tuple], workers: int) -> Tuple[list, dict]:
+    """``[_replicate_block(*task) for task in tasks]`` over ``workers`` processes.
+
+    Returns the outcomes and the layer clocks summed over the processes.
     The tasks are split by records (replicates x n) into
-    ``min(workers, len(tasks))`` shares (:func:`_split_shares`).  This
-    process forks one child per share after the first, runs the first
-    share itself, and then reads each child's pipe to EOF; a child that
-    finished early just waits on its full pipe.  A child pickles
-    ``(True, outcomes)`` or ``(False, exception)`` into its pipe and always
-    leaves through ``os._exit``, so it never returns into the caller,
-    runs exit handlers or flushes inherited buffers; it exits 0 only
-    once the payload is written.  A child's exception is raised here
-    again with its type and message; a child that ends any other way
-    raises ``ChildProcessError`` (an ``OSError``).
-    If anything here fails, the children are killed; every child is
-    reaped before this returns or raises.  Where ``os.fork`` does not
-    exist, every task runs in this process.
+    ``min(workers, len(tasks))`` shares (:func:`_split_shares`), each
+    largest task first.  This process forks one child per share after the
+    first, runs the first share itself (:func:`_run_share`), and then
+    reads each child's pipe to EOF; a child that finished early just
+    waits on its full pipe.  A child pickles ``(True, (outcomes, clocks))``
+    or ``(False, exception)`` into its pipe and always leaves through
+    ``os._exit``, so it never returns into the caller, runs exit handlers
+    or flushes inherited buffers; it exits 0 only once the payload is
+    written.  A child's exception is raised here again with its type and
+    message; a child that ends any other way raises ``ChildProcessError``
+    (an ``OSError``).  If anything here fails, the children are killed;
+    every child is reaped before this returns or raises.  Where
+    ``os.fork`` does not exist, every task runs in this process.
     """
     count = min(workers, len(tasks)) if hasattr(os, "fork") else 1
     shares = _split_shares([len(task[2]) * task[0].n for task in tasks], count)
@@ -482,7 +574,7 @@ def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
                 try:
                     os.close(read_fd)
                     try:
-                        payload = True, [_replicate_block(*tasks[i]) for i in share]
+                        payload = True, _run_share(tasks, share)
                     except BaseException as exc:
                         payload = False, exc
                     with open(write_fd, "wb") as pipe:
@@ -492,8 +584,7 @@ def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = open(read_fd, "rb"), share
-        for i in shares[0]:
-            outcomes[i] = _replicate_block(*tasks[i])
+        results = [(shares[0], _run_share(tasks, shares[0]))]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -508,8 +599,7 @@ def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
             ok, result = pickle.loads(data)
             if not ok:
                 raise result
-            for i, outcome in zip(share, result):
-                outcomes[i] = outcome
+            results.append((share, result))
     except BaseException:
         import signal  # only a failed parallel run pays for it
 
@@ -520,7 +610,13 @@ def _map_blocks(tasks: Sequence[tuple], workers: int) -> list:
         for pid, (pipe, _) in children.items():
             pipe.close()
             os.waitpid(pid, 0)
-    return outcomes
+    clocks = dict.fromkeys(_LAYERS, 0)
+    for share, (share_outcomes, share_clocks) in results:
+        for i, outcome in zip(share, share_outcomes):
+            outcomes[i] = outcome
+        for layer, ns in share_clocks.items():
+            clocks[layer] += ns
+    return outcomes, clocks
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
@@ -537,9 +633,23 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     one share of the blocks and forks a child for each other share
     (:func:`_map_blocks`), never more processes than blocks, and none
     without ``os.fork``.  Outputs are bitwise identical for any worker
-    count and any block size.  A cell whose replicates all
-    failed is logged and dropped; the run only errors out when every cell
-    is in that state.
+    count and any block size.  A cell whose replicates all failed is
+    logged and dropped; the run only errors out when every cell is in
+    that state.  :func:`_timed_study` is the same run, with the time
+    spent in each layer.
+    """
+    return _timed_study(config, workers)[0]
+
+
+def _timed_study(
+    config: StudyConfig, workers: int
+) -> Tuple[List[StudyRow], Dict[str, float]]:
+    """:func:`run_study`'s rows, and the time spent in each layer.
+
+    The times are summed over every process that computed blocks and
+    given in microseconds per sample for the layers of a block
+    (:data:`_LAYERS`), and per (sample, distinct rho) for the fit and the
+    exact premium.  The same layers are reported for any worker count.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
@@ -557,9 +667,12 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         for size in (max(1, _BLOCK_RECORDS // cell.n),)
         for start in range(0, count, size)
     ]
-    retention, pi_hat, code = map(np.concatenate, zip(*_map_blocks(tasks, workers)))
+    outcomes, clocks = _map_blocks(tasks, workers)
+    retention, pi_hat, code = map(np.concatenate, zip(*outcomes))
     loss_model = BurrModel(gamma=config.gamma1, eta=config.eta)
+    start = time.perf_counter_ns()
     pi_true = _price_exact(loss_model, rhos, retention, pi_hat, code)
+    clocks["exact_premium"] += time.perf_counter_ns() - start
     group_rows = {
         group: slice(g * count, (g + 1) * count) for g, group in enumerate(groups)
     }
@@ -599,4 +712,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
         raise DomainError(
             "every cell of the study failed; " + "; ".join(drop_reasons)
         )
-    return rows
+    samples = len(groups) * count
+    per_rho = ("fit", "exact_premium")
+    layer_us = {
+        layer: ns / 1e3 / (samples * (len(rhos) if layer in per_rho else 1))
+        for layer, ns in clocks.items()
+    }
+    return rows, layer_us

@@ -44,6 +44,8 @@ class TestAsymptoticParams:
             (dict(gamma1=0.1, p=0.4, rho=float("nan")), "rho must"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("nan")), "lambda1"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("inf")), "lambda1"),
+            (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=-float("inf")), "tau1 must be fin"),
+            (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=float("nan")), "tau1 must be fin"),
         ],
     )
     def test_validation(self, kwargs, message):

@@ -670,6 +670,7 @@ class TestAsymptoticsCommand:
         [
             (["--rho", "nan"], "rho must be >= 1"),
             (["--rho", "1", "--lambda1", "nan"], "lambda1 must be finite"),
+            (["--rho", "1", "--tau1=-inf", "--lambda1", "1"], "tau1 must be finite"),
         ],
     )
     def test_non_finite_parameters_are_domain_errors(self, capsys, flags, message):

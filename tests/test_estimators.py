@@ -226,6 +226,30 @@ class TestKmAtThreshold:
         delta.flags.writeable = False
         assert _km_products(delta).tobytes() == plain.tobytes()
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40)),
+            st.tuples(st.integers(1, 4), st.integers(1, 25)),
+        ),
+        data=st.data(),
+    )
+    def test_products_leave_the_flags_and_fill_out(self, shape, data):
+        size = int(np.prod(shape))
+        flags = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        delta = np.array(flags, dtype=np.int64).reshape(shape)
+        n = shape[-1]
+        plain = np.cumprod(1.0 - delta / (n - np.arange(n, dtype=np.float64)), axis=-1)
+        before = delta.tobytes()
+        assert _km_products(delta).tobytes() == plain.tobytes()
+        # Into caller-owned memory, here one half of a block-shaped buffer.
+        halves = np.full((2, *shape), np.nan)
+        out = halves[1]
+        assert _km_products(delta, out) is out
+        assert out.tobytes() == plain.tobytes()
+        assert np.isnan(halves[0]).all()
+        assert delta.tobytes() == before
+
     @pytest.mark.parametrize("seed", [3, 8])
     def test_block_anchor_reads_the_curve_bitwise(self, seed):
         rng = np.random.default_rng(seed)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from tailpremium import (
@@ -184,6 +186,113 @@ class TestCensoringScheme:
         order = np.argsort(z, kind="stable")
         top_flags = delta[order][-1000:]
         assert abs(float(np.mean(top_flags)) - 0.6) <= 0.05
+
+
+# Table-1 models, and ones whose exponents hit the shortcuts of ``**``
+# (-1 a reciprocal, 0.5 a root, 2 a square).
+TRANSFORM_MODELS = [
+    BurrModel(0.1, 0.25),
+    BurrModel(0.5, 0.25),
+    BurrModel(0.5, 1.0),
+    ParetoModel(0.5, x_min=2.0),
+    ParetoModel(1.0),
+]
+
+
+def plain_quantile(model, s):
+    """The quantile as one operator expression, on new temporaries."""
+    if isinstance(model, BurrModel):
+        return (s ** (-model.eta) - 1.0) ** (model.gamma / model.eta)
+    return model.x_min * s ** (-model.gamma)
+
+
+survival_levels = st.lists(
+    st.one_of(
+        st.sampled_from([1.0, 0.5, 0.25, 5e-324]),
+        st.floats(min_value=5e-324, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@st.composite
+def uniform_blocks(draw):
+    """Uniforms of shape ``(2, n)`` or ``(B, 2, n)``, with zeros and ties."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.just(2), st.integers(1, 30)),
+            st.tuples(st.integers(1, 4), st.just(2), st.integers(1, 20)),
+        )
+    )
+    size = int(np.prod(shape))
+    values = st.one_of(
+        st.sampled_from([0.0, 0.5, 0.75]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(
+        shape
+    )
+
+
+class TestInPlaceTransform:
+    """The quantiles and records written in place keep the operators' bits."""
+
+    @pytest.mark.parametrize("model", TRANSFORM_MODELS, ids=repr)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(values=survival_levels)
+    def test_quantile_keeps_the_operator_bits(self, model, values):
+        # A reciprocal of the smallest subnormal overflows, in both forms.
+        with np.errstate(over="ignore"):
+            self.check_quantile(model, values)
+
+    @staticmethod
+    def check_quantile(model, values):
+        s = np.array(values)
+        want = plain_quantile(model, s.copy()).tobytes()
+        before = s.tobytes()
+        assert model.quantile_of_survival(s).tobytes() == want
+        out = np.full_like(s, np.nan)
+        assert model.quantile_of_survival(s, out=out) is out
+        assert out.tobytes() == want
+        assert s.tobytes() == before
+        assert model.quantile_of_survival(s, out=s) is s
+        assert s.tobytes() == want
+        # A scalar takes the operator's scalar arithmetic.
+        level = values[0]
+        assert model.quantile_of_survival(level) == float(
+            plain_quantile(model, np.asarray(level))
+        )
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            burr_scheme(0.1, 0.6, 0.25),
+            CensoringScheme(BurrModel(0.5, 0.25), ParetoModel(1.0)),
+            CensoringScheme(ParetoModel(0.5, x_min=2.0), BurrModel(0.5, 1.0)),
+        ],
+        ids=["table1", "burr-pareto", "pareto-burr"],
+    )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(uniforms=uniform_blocks())
+    def test_records_keep_the_plain_transform(self, scheme, uniforms):
+        x = plain_quantile(scheme.loss_model, 1.0 - uniforms[..., 0, :])
+        y = plain_quantile(scheme.censor_model, 1.0 - uniforms[..., 1, :])
+        want_z, want_delta = np.minimum(x, y), (x <= y).astype(np.int64)
+        before = uniforms.tobytes()
+        z, delta = scheme.records(uniforms)
+        assert uniforms.tobytes() == before
+        np.testing.assert_array_equal(z.view(np.uint64), want_z.view(np.uint64))
+        np.testing.assert_array_equal(delta, want_delta, strict=True)
+        # In place, in the draw layout and half-major as the study keeps it.
+        half_major = np.ascontiguousarray(np.moveaxis(uniforms, -2, 0))
+        for scratch in (uniforms.copy(), np.moveaxis(half_major, 0, -2)):
+            flags = np.empty(want_delta.shape, np.int64)
+            z, delta = scheme.records(scratch, out=flags)
+            assert delta is flags
+            assert np.shares_memory(z, scratch)
+            np.testing.assert_array_equal(z.view(np.uint64), want_z.view(np.uint64))
+            np.testing.assert_array_equal(delta, want_delta, strict=True)
 
 
 class TestTheoreticalPremium:

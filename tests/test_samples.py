@@ -138,22 +138,46 @@ class TestSortRows:
         z, delta = records
         # The reversed rows put each tie's records in the other input order.
         for z_in, delta_in in ((z, delta), (z[..., ::-1], delta[..., ::-1])):
-            got_z, got_delta = _sort_rows(z_in, delta_in)
+            before = z_in.tobytes(), delta_in.tobytes()
             want_z, want_delta = lexsorted_rows(z_in, delta_in)
-            np.testing.assert_array_equal(
-                got_z.view(np.uint64), want_z.view(np.uint64), strict=True
-            )
-            np.testing.assert_array_equal(got_delta, want_delta, strict=True)
-            np.testing.assert_array_equal(
-                _check_rows(got_z, got_delta), want_delta, strict=True
-            )
+            # Run on the caller's arrays, and on scratch copies it hands over.
+            scratch = z_in.copy(), delta_in.astype(np.int64)
+            for got_z, got_delta in (
+                _sort_rows(z_in, delta_in),
+                _sort_rows(*scratch, overwrite=True),
+            ):
+                np.testing.assert_array_equal(
+                    got_z.view(np.uint64), want_z.view(np.uint64), strict=True
+                )
+                np.testing.assert_array_equal(got_delta, want_delta, strict=True)
+                np.testing.assert_array_equal(
+                    _check_rows(got_z, got_delta), want_delta, strict=True
+                )
+            assert (z_in.tobytes(), delta_in.tobytes()) == before
+            sample = SortedCensoredSample.from_unsorted(z_in.ravel(), delta_in.ravel())
+            assert (z_in.tobytes(), delta_in.tobytes()) == before
+            want = lexsorted_rows(z_in.ravel(), delta_in.ravel())
+            assert sample.z_sorted.tobytes() == want[0].tobytes()
+            assert sample.delta_concomitant.tobytes() == want[1].tobytes()
+
+    def test_overwrite_sorts_into_the_scratch_arrays(self):
+        z = np.array([[3.0, 0.0, 3.0, 1.0], [2.0, 2.0, 0.5, 0.0]])
+        delta = np.array([[0, 1, 1, 0], [0, 1, 0, 0]])
+        got_z, got_delta = _sort_rows(z, delta, overwrite=True)
+        assert got_z is z and got_delta is delta
+        assert z.tolist() == [[0.0, 1.0, 3.0, 3.0], [0.0, 0.5, 2.0, 2.0]]
+        assert delta.tolist() == [[1, 0, 1, 0], [0, 0, 1, 0]]
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(records=record_rows(bad_values=(-1.0, -5e-324, NAN, INF, -INF)))
     def test_bad_values_still_fail_their_check(self, records):
         z, delta = records
+        before = z.tobytes()
         with pytest.raises(ValidationError, match="finite and >= 0"):
             _check_rows(*_sort_rows(z, delta))
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            _check_rows(*_sort_rows(z.copy(), delta.copy(), overwrite=True))
+        assert z.tobytes() == before
         with pytest.raises(ValidationError, match="finite and >= 0"):
             SortedCensoredSample.from_unsorted(z.ravel(), delta.ravel())
         # A bad flag is reported first.

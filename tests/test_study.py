@@ -4,7 +4,10 @@ import dataclasses
 import logging
 import os
 import struct
+import sys
+import threading
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -562,7 +565,7 @@ class TestRunStudy:
     ):
         real = study_module._replicate_block
 
-        def failing_on_high_p(cell, rho_values, indices, seed, beta=0.3):
+        def failing_on_high_p(cell, rho_values, indices, seed, beta=0.3, work=None):
             if cell.p == 0.9:
                 return failed_columns(rho_values, indices)
             return real(cell, rho_values, indices, seed, beta)
@@ -611,7 +614,7 @@ class TestRunStudy:
     def test_all_failed_cell_is_dropped_with_warning(self, monkeypatch, caplog):
         real = study_module._replicate_block
 
-        def failing_on_low_p(cell, rho_values, indices, seed, beta=0.3):
+        def failing_on_low_p(cell, rho_values, indices, seed, beta=0.3, work=None):
             if cell.p == 0.4:
                 return failed_columns(rho_values, indices)
             return real(cell, rho_values, indices, seed, beta)
@@ -626,7 +629,9 @@ class TestRunStudy:
     def test_partial_failures_warn_but_keep_cell(self, monkeypatch, caplog):
         real = study_module._replicate_block
 
-        def failing_first_replicate(cell, rho_values, indices, seed, beta=0.3):
+        def failing_first_replicate(
+            cell, rho_values, indices, seed, beta=0.3, work=None
+        ):
             retention, pi_hat, code = real(cell, rho_values, indices, seed, beta)
             first = np.equal(indices, 0)
             retention[first] = pi_hat[first] = np.nan
@@ -649,7 +654,7 @@ class TestRunStudy:
         monkeypatch.setattr(
             study_module,
             "_replicate_block",
-            lambda cell, rho_values, indices, seed, beta=0.3: (
+            lambda cell, rho_values, indices, seed, beta=0.3, work=None: (
                 failed_columns(rho_values, indices)
             ),
         )
@@ -660,7 +665,7 @@ class TestRunStudy:
         real = study_module._replicate_block
         calls = []
 
-        def counting(cell, rho_values, indices, seed, beta=0.3):
+        def counting(cell, rho_values, indices, seed, beta=0.3, work=None):
             calls.append((cell, tuple(rho_values), list(indices)))
             return real(cell, rho_values, indices, seed, beta)
 
@@ -968,8 +973,8 @@ class CappedPareto:
     def tail_index(self):
         return self.gamma
 
-    def quantile_of_survival(self, s):
-        return np.minimum(np.asarray(s) ** -self.gamma, self.cap)
+    def quantile_of_survival(self, s, out=None):
+        return np.minimum(np.asarray(s) ** -self.gamma, self.cap, out=out)
 
     def premium(self, rho, retention):
         raise AssertionError("a degenerate tail is never priced")
@@ -1135,7 +1140,7 @@ class TestReplicateBlocks:
         real = study_module._replicate_block
         blocks = []
 
-        def spy(cell, rho_values, indices, seed, beta=0.3):
+        def spy(cell, rho_values, indices, seed, beta=0.3, work=None):
             blocks.append((cell.n, indices))
             return real(cell, rho_values, indices, seed, beta)
 
@@ -1267,6 +1272,103 @@ class TestExactPremiumPricing:
             monkeypatch.setattr(study_module, "_BLOCK_RECORDS", budget)
             for workers in (1, 2):
                 assert run_study(config, workers=workers) == expected_rows
+
+
+TABLE1_CELL = StudyCell(gamma1=0.1, p=0.6, n=1000, eta=0.25)
+
+
+class TestWorkspace:
+    """Each process computes its blocks in one workspace, reused block after block."""
+
+    def test_returned_columns_never_share_the_workspace(self, monkeypatch):
+        real = study_module._replicate_block
+        seen = []
+
+        def spy(*task):
+            outcome = real(*task)
+            seen.append((task[-1], outcome))
+            return outcome
+
+        monkeypatch.setattr(study_module, "_replicate_block", spy)
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 300)
+        config = small_config(n_values=(150, 200), replicates=5)
+        assert run_study(config) == scalar_rows(config)
+        works = {id(work): work for work, _ in seen}
+        # One workspace for the process's share, every block a view of it.
+        assert len(works) == 1
+        for work in works.values():
+            buffers = work.draws, work.flags
+            for _, outcome in seen:
+                for column in outcome:
+                    assert not any(np.shares_memory(column, b) for b in buffers)
+
+    def test_a_reused_workspace_leaves_earlier_blocks_intact(self):
+        rhos = (1.0, 1.1)
+        work = study_module._Workspace()
+        first = study_module._replicate_block(TABLE1_CELL, rhos, range(6), 9, 0.3, work)
+        kept = tuple(column.copy() for column in first)
+        # A larger block regrows the buffers, a smaller one reuses them.
+        for indices in (range(6, 20), range(20, 23)):
+            later = study_module._replicate_block(
+                TABLE1_CELL, rhos, indices, 9, 0.3, work
+            )
+            assert_columns_equal(
+                later, study_module._replicate_block(TABLE1_CELL, rhos, indices, 9, 0.3)
+            )
+        assert_columns_equal(first, kept)
+        assert work.flags.size == 14 * TABLE1_CELL.n
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_a_warm_block_allocates_less_than_one_block_array(self, n):
+        # Once the workspace holds the block, what a block allocates is
+        # small per record: less than one float64 array of the block.
+        cell = dataclasses.replace(TABLE1_CELL, n=n)
+        rows = 50_000 // n
+        work = study_module._Workspace()
+        study_module._replicate_block(cell, (1.0, 1.1), range(rows), 1, 0.3, work)
+        tracemalloc.start()
+        try:
+            study_module._replicate_block(
+                cell, (1.0, 1.1), range(rows, 2 * rows), 1, 0.3, work
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows * n
+
+    def test_threads_each_return_the_serial_rows(self):
+        config = small_config(p_values=(0.4, 0.6), n_values=(150, 400), replicates=6)
+        expected = run_study(config)
+        results = [None] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: results.__setitem__(i, run_study(config))
+                )
+                for i in range(len(results))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * len(results)
+
+    def test_layer_times_cover_the_same_layers_for_any_worker_count(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 300)
+        config = small_config(n_values=(150, 200), rho_values=(1.0, 1.1))
+        expected = run_study(config)
+        for workers in (1, 2, 3):
+            rows, layer_us = study_module._timed_study(config, workers)
+            assert rows == expected
+            assert tuple(layer_us) == study_module._LAYERS
+            assert all(0.0 < us < 1e6 for us in layer_us.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])

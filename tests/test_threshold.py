@@ -12,9 +12,11 @@ from tailpremium import (
     ValidationError,
     burr_scheme,
     censored_hill,
+    hill_estimator,
     reiss_thomas_k,
     replicate_stream,
     tail_index_path,
+    uncensored_proportion,
 )
 from tailpremium.errors import _CODE, REASONS
 from tailpremium.estimators import _tail_path
@@ -121,6 +123,14 @@ class TestTailIndexPath:
         with pytest.raises(DomainError, match="strictly positive"):
             tail_index_path(sample, 2)
 
+    def test_single_entry_path_is_the_estimators_at_one(self):
+        # k_max = 1 is the smallest range the docstring allows.
+        sample = sample_from_pairs([(1.0, 1), (2.0, 0), (4.0, 1), (8.0, 1)])
+        gamma1, p_hat = tail_index_path(sample, 1)
+        assert gamma1.shape == p_hat.shape == (1,)
+        assert p_hat[0] == uncensored_proportion(sample, 1) == 1.0
+        assert gamma1[0] == hill_estimator(sample, 1) == pytest.approx(LOG2)
+
 
 def crafted_path_sample():
     """n = 120, Hill path at 0.62 for k <= 10, then decaying like 6.3/k.
@@ -200,11 +210,24 @@ class TestReissThomasK:
         with pytest.raises(ValidationError, match="n >= 10"):
             reiss_thomas_k(sample)
 
+    def test_runs_at_the_documented_minimum_sample(self):
+        z = 1.0 + 0.1 * np.arange(10)
+        assert reiss_thomas_k(sample_from_arrays(z, np.ones(10, dtype=int))).k_star == 3
+        with pytest.raises(ValidationError, match="n >= 10"):
+            reiss_thomas_k(sample_from_arrays(z[1:], np.ones(9, dtype=int)))
+
     @pytest.mark.parametrize("beta", [-0.1, 0.6])
     def test_rejects_bad_beta(self, beta):
         sample = sample_from_arrays(np.arange(1.0, 21.0), np.ones(20, dtype=int))
         with pytest.raises(ValidationError, match="beta must"):
             reiss_thomas_k(sample, beta=beta)
+
+    def test_three_positive_values_are_enough(self):
+        # Three positives give the one candidate k = 2, as documented.
+        z = np.concatenate([np.zeros(7), [1.0, 1.1, 1.2]])
+        choice = reiss_thomas_k(sample_from_arrays(z, np.ones(10, dtype=int)))
+        assert choice.k_star == 2
+        assert choice.retention == 1.0
 
     def test_rejects_too_few_positives(self):
         z = np.concatenate([np.zeros(18), [1.0, 2.0]])
