@@ -30,7 +30,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, FileFormatError, ValidationError
-from .samples import THRESHOLD, EstimationSettings, SortedCensoredSample
+from .samples import (
+    THRESHOLD, EstimationSettings, SortedCensoredSample, validate_settings
+)
 
 if TYPE_CHECKING:
     from .study import StudyConfig
@@ -265,27 +267,36 @@ def _write_text(path: str, header: str, body: str) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    from .estimators import censored_hill, php_estimate
+    from .estimators import PremiumEstimate, _raise_failure
+    from .threshold import _chain_rows
 
     sample = read_claims(args.input)
-    if args.auto_k:
-        from .threshold import reiss_thomas_k
 
-        k = reiss_thomas_k(sample).k_star
-    else:
-        k = args.k
-    settings = EstimationSettings(k=k, rho=args.rho, retention=args.retention)
-    estimate = php_estimate(sample, settings)
-    estimates = censored_hill(sample, k)
+    def settings(k: int) -> EstimationSettings:
+        given = EstimationSettings(k=k, rho=args.rho, retention=args.retention)
+        return validate_settings(given, sample.n)
 
+    # The rule's failures come first, then the settings' bounds, then the fit's.
+    chain = _chain_rows(
+        sample.z_sorted[None], sample.delta_concomitant[None], (args.rho,),
+        k=None if args.auto_k else np.array([settings(args.k).k]),
+        retention=None if args.retention == THRESHOLD else args.retention,
+    )
+    k = int(chain.k[0])
+    if k == 0:
+        _raise_failure(chain, args.rho)
+    settings(k)
+    _raise_failure(chain, args.rho)
+    row = (chain.gamma1, chain.p_hat, chain.retention, chain.pi_hat[:, 0], chain.anchor)
+    gamma1, p_hat, retention, premium, anchor = (float(v[0]) for v in row)
     report = {
         "n": str(sample.n),
         "k": str(k),
-        "p_hat": _fmt(estimates.p_hat),
-        "gamma_hill": _fmt(estimates.gamma_hill),
-        "gamma1_hat": _fmt(estimates.gamma1_hat),
-        "retention": _fmt(estimate.retention),
-        "premium": _fmt(estimate.value),
+        "p_hat": _fmt(p_hat),
+        "gamma_hill": _fmt(chain.gamma_hill[0]),
+        "gamma1_hat": _fmt(gamma1),
+        "retention": _fmt(retention),
+        "premium": _fmt(premium),
     }
     if args.tau1 is not None or args.lambda1 is not None:
         from .asymptotics import (
@@ -300,13 +311,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         tau1 = args.tau1 if args.tau1 is not None else 0.0
         lambda1 = args.lambda1 if args.lambda1 is not None else 0.0
         params = AsymptoticParams(
-            gamma1=estimates.gamma1_hat,
-            p=estimates.p_hat,
+            gamma1=gamma1,
+            p=p_hat,
             rho=args.rho,
             tau1=tau1,
             lambda1=lambda1,
         )
-        sigma2 = asym_variance(estimates.gamma1_hat, estimates.p_hat, args.rho)
+        sigma2 = asym_variance(gamma1, p_hat, args.rho)
         if sigma2 <= 0.0:
             print(
                 "warning: asymptotic variance is non-positive "
@@ -314,18 +325,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            threshold_stat = float(sample.z_sorted[sample.n - k - 1])
             limit = NormalLimit(
                 mu=asym_mean(params),
                 sigma2=sigma2,
                 normalization=normalization_factor(
-                    estimate.retention,
-                    threshold_stat,
-                    estimate.km_at_threshold,
-                    estimates.gamma1_hat,
-                    args.rho,
+                    retention, float(chain.threshold[0]), anchor, gamma1, args.rho
                 ),
             )
+            estimate = PremiumEstimate(premium, args.rho, retention, k, anchor)
             lo, hi = confidence_interval(estimate, limit, k, args.level)
             report.update(ci_level=_fmt(args.level), ci_low=_fmt(lo), ci_high=_fmt(hi))
     for key, value in report.items():

@@ -11,7 +11,7 @@ of an excess-of-loss layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import _CODE, DomainError, _failure
 from .samples import (
     EstimationSettings,
     SortedCensoredSample,
+    _check_k,
     validate_settings,
 )
 
@@ -48,11 +49,6 @@ class PremiumEstimate:
     retention: float
     k: int
     km_at_threshold: float
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k < n:
-        raise DomainError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
 
 
 def _km_products(delta: np.ndarray, out=None) -> np.ndarray:
@@ -137,20 +133,19 @@ def km_survival_at_threshold(sample: SortedCensoredSample, k: int) -> float:
 
 def _tail_path(
     z_sorted: np.ndarray, delta: np.ndarray, k_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hill estimate and uncensored share for every k in 1..k_max.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gamma1, p_hat, hill)`` for every k in 1..k_max: the tail path.
 
-    The one kernel behind every read of the corrected index.  Takes the
-    sorted values and flags of one sample, or of one sample per row
-    ``(..., n)``, and returns ``(hill, p_hat)`` indexed by ``k - 1`` along
-    the last axis, from running sums over the top order statistics, so the
-    entry for ``k`` is bitwise the same for any ``k_max`` and any number of
-    rows.  The logarithm runs on the ascending top slice, laid out alike
-    in one sample and in a block row: numpy picks its ``log`` routine by
-    memory layout, and a reversed view gets one that can differ in the
-    last bit.  The caller checks ``1 <= k_max < n``.  The Hill entry for ``k``
-    is defined only where ``z_(n-k) > 0``; past that it is NaN or
-    infinite, without a warning.
+    The one kernel behind every read of the tail index, for one sample or
+    one per row ``(..., n)``, indexed by ``k - 1`` along the last axis.
+    Running sums over the top order statistics make the entry for ``k``
+    bitwise the same for any ``k_max`` and any number of rows.  The
+    logarithm runs on the ascending top slice, laid out alike in one
+    sample and in a block row: numpy picks its ``log`` routine by memory
+    layout, and a reversed view gets one that can differ in the last bit.
+    The caller checks ``1 <= k_max < n``.  The Hill entry is defined only
+    where ``z_(n-k) > 0``, else NaN or infinite, without a warning; the
+    corrected index ``gamma1 = hill / p_hat`` is NaN where p_hat is 0.
     """
     n = z_sorted.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,25 +154,16 @@ def _tail_path(
         # hill[k-1] = mean of log(z_(n-i+1)) over i <= k, minus log(z_(n-k))
         hill = np.cumsum(log_top[..., :k_max], axis=-1) / counts - log_top[..., 1:]
     p_hat = np.cumsum(delta[..., n - k_max :][..., ::-1], axis=-1) / counts
-    return hill, p_hat
+    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat, hill
 
 
-def _corrected_path(
-    z_sorted: np.ndarray, delta: np.ndarray, k_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(gamma1, p_hat)`` of :func:`_tail_path`, NaN where p_hat is 0."""
-    hill, p_hat = _tail_path(z_sorted, delta, k_max)
-    return hill / np.where(p_hat > 0.0, p_hat, np.nan), p_hat
-
-
-def _path_at(sample: SortedCensoredSample, k: int) -> Tuple[float, float]:
-    """Guarded read of :func:`_tail_path` at one ``k``: ``(hill, p_hat)``."""
+def _path_to(sample: SortedCensoredSample, k: int) -> Tuple[np.ndarray, ...]:
+    """:func:`_tail_path` up to ``k``, once ``k`` and the threshold pass."""
     _check_k(k, sample.n)
     threshold = sample.z_sorted[sample.n - k - 1]
     if threshold <= 0.0:
         raise _failure(_CODE["nonpositive_threshold"], threshold=threshold)
-    hill, p_hat = _tail_path(sample.z_sorted, sample.delta_concomitant, k)
-    return float(hill[-1]), float(p_hat[-1])
+    return _tail_path(sample.z_sorted, sample.delta_concomitant, k)
 
 
 def hill_estimator(sample: SortedCensoredSample, k: int) -> float:
@@ -186,7 +172,7 @@ def hill_estimator(sample: SortedCensoredSample, k: int) -> float:
     Mean of ``log(z_(n-i+1) / z_(n-k))`` over ``i = 1..k``.  Requires the
     k-th upper order statistic to be strictly positive.
     """
-    return _path_at(sample, k)[0]
+    return float(_path_to(sample, k)[2][-1])
 
 
 def uncensored_proportion(sample: SortedCensoredSample, k: int) -> float:
@@ -213,40 +199,64 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
         If every one of the top ``k`` records is censored, in which case
         the correction is undefined.
     """
-    gamma_hill, p_hat = _path_at(sample, k)
+    gamma1, p_hat, gamma_hill = (float(values[-1]) for values in _path_to(sample, k))
     if p_hat == 0.0:
         raise _failure(_CODE["all_censored"], k=k)
     return TailEstimates(
         k=k,
         gamma_hill=gamma_hill,
         p_hat=p_hat,
-        gamma1_hat=gamma_hill / p_hat,
+        gamma1_hat=gamma1,
     )
 
 
-def _fit_rows(
-    z_sorted: np.ndarray,
-    delta: np.ndarray,
-    k: np.ndarray,
-    gamma1: np.ndarray,
-    rhos: Sequence[float],
-    retention=None,
-    scratch=None,
-) -> Tuple[np.ndarray, ...]:
-    """The fit at one ``k`` per row of sorted samples ``(B, n)``.
-
-    ``gamma1`` is each row's corrected index at its ``1 <= k < n``, NaN
-    where the top ``k`` are all censored (as :func:`_corrected_path` has
-    it); ``retention`` defaults to the threshold ``z_(n-k)``.  Returns
-    ``(threshold, anchor, retention)``, each ``(B,)``, and ``(pi_hat,
-    code)``, each ``(B, len(rhos))``: the premium of :func:`php_estimate`
-    and the code in ``errors.REASONS`` of the first check the entry fails
-    (-1 where it fits, else ``pi_hat`` is NaN).  At ``rho = 0`` only the
-    index's sign is checked and ``pi_hat`` is NaN.  Every value is computed
-    entry by entry, so a row's results are bitwise those of the row alone.
-    ``scratch``, a float64 array shaped like ``z_sorted``, may take the
-    product-limit factors; no returned array shares memory with it.
+@dataclass(frozen=True)
+class _Chain:
+    """The chain on each row of sorted samples ``(B, n)``: ``k`` and, at it,
+    the path's entries, ``z_(n-k)``, the product-limit ``anchor`` and the
+    retention, each ``(B,)``; per rho ``(B, R)``, ``pi_hat`` and ``code``,
+    the first failure in ``errors.REASONS`` (-1 for none, else ``pi_hat``
+    is NaN).  Where the rule ran, also its curve (NaN-scored off a row's
+    candidates) and ``k_limit``, each row's largest candidate; a row the
+    rule failed has ``k = 0``, NaN values and the rule's code.
     """
+
+    k: np.ndarray
+    gamma1: np.ndarray
+    p_hat: np.ndarray
+    gamma_hill: np.ndarray
+    threshold: np.ndarray
+    anchor: np.ndarray
+    retention: np.ndarray
+    pi_hat: np.ndarray
+    code: np.ndarray
+    k_limit: Optional[np.ndarray] = None
+    candidates: Optional[np.ndarray] = None
+    scores: Optional[np.ndarray] = None
+
+
+def _fit_rows(
+    z_sorted: np.ndarray, delta: np.ndarray, k: np.ndarray, rhos: Sequence[float],
+    retention=None, scratch=None, paths=None,
+) -> _Chain:
+    """The fit at one ``1 <= k < n`` per row of sorted samples ``(B, n)``.
+
+    ``paths`` lists ``(rows, path)`` pairs, each later one overriding: the
+    :func:`_tail_path` of the rows ``rows`` indexes (a row whose ``k`` is
+    past its end must be in a later pair); if None, one path to the largest
+    ``k``.  ``retention`` defaults to ``z_(n-k)``; at ``rho = 0`` only the
+    row checks run.  Values are computed entry by entry, so each row's are
+    bitwise the row's alone.  ``scratch``, a float64 array shaped like
+    ``z_sorted``, may take the product-limit factors, and no result shares it.
+    """
+    if paths is None:
+        paths = ((slice(None), _tail_path(z_sorted, delta, int(k.max()))),)
+    at_k = np.empty((3, len(k)))
+    for rows, path in paths:
+        at = (np.minimum(k[rows], path[0].shape[-1]) - 1)[:, None]
+        for out, values in zip(at_k, path):
+            out[rows] = np.take_along_axis(values, at, -1)[:, 0]
+    gamma1 = at_k[0]
     threshold = z_sorted[np.arange(len(k)), z_sorted.shape[-1] - k - 1]
     anchor = _km_anchor(delta, k, scratch)
     retention = np.full(len(k), threshold if retention is None else retention)
@@ -271,25 +281,29 @@ def _fit_rows(
             column[(column < 0) & (rho_gamma1 >= 1.0)] = _CODE["heavy_tail"]
             column[(column < 0) & ~np.isfinite(value)] = _CODE["premium_overflow"]
             pi_hat[:, j] = np.where(column < 0, value, np.nan)
-    return threshold, anchor, retention, pi_hat, code
+    return _Chain(k, *at_k, threshold, anchor, retention, pi_hat, code)
+
+
+def _raise_failure(chain: _Chain, rho: float) -> None:
+    """Raise the first row's failure at its first rho, if any."""
+    code, gamma1 = chain.code[0, 0], chain.gamma1[0]
+    if code >= 0:
+        # The rule's limit is its positives less one where < 2: n // 2 >= 5.
+        limit = -1 if chain.k_limit is None else int(chain.k_limit[0])
+        raise _failure(
+            code, count=limit + 1, k_limit=limit, k=int(chain.k[0]),
+            threshold=chain.threshold[0], gamma1=gamma1, rho=rho,
+            rho_gamma1=rho * float(gamma1), retention=chain.retention[0],
+        )
 
 
 def _fit_sample(sample: SortedCensoredSample, k: int, rho: float, retention=None):
-    """:func:`_fit_rows` on one sample, its failure raised as a DomainError.
-
-    Returns ``(gamma1, threshold, anchor, retention, pi_hat)``.
-    """
+    """:func:`_fit_rows` on one sample, its failure raised as a DomainError."""
     _check_k(k, sample.n)
-    z, delta = sample.z_sorted, sample.delta_concomitant
-    gamma1 = _corrected_path(z, delta, k)[0][-1:]
-    fit = _fit_rows(z[None], delta[None], np.array([k]), gamma1, (rho,), retention)
-    threshold, anchor, retention, pi_hat, code = (column[0] for column in fit)
-    if code[0] >= 0:
-        raise _failure(
-            code[0], k=k, threshold=threshold, gamma1=gamma1[0], rho=rho,
-            rho_gamma1=rho * float(gamma1[0]), retention=retention,
-        )
-    return gamma1[0], threshold, anchor, retention, pi_hat[0]
+    z, delta = sample.z_sorted[None], sample.delta_concomitant[None]
+    chain = _fit_rows(z, delta, np.array([k]), (rho,), retention)
+    _raise_failure(chain, rho)
+    return chain
 
 
 def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
@@ -307,14 +321,14 @@ def weissman_tail(sample: SortedCensoredSample, k: int, x: float) -> float:
     x : float
         Evaluation point, at or above the k-th upper order statistic.
     """
-    gamma1, z_threshold, anchor, _, _ = _fit_sample(sample, k, 0.0)
-    x = float(x)
+    chain = _fit_sample(sample, k, 0.0)
+    z_threshold, x = chain.threshold[0], float(x)
     if not x >= z_threshold:
         raise DomainError(
             "tail extrapolation is only valid at or above the k-th upper "
             f"order statistic ({z_threshold:g}), got x={x:g}"
         )
-    return float((x / z_threshold) ** (-1.0 / gamma1) * anchor)
+    return float((x / z_threshold) ** (-1.0 / chain.gamma1[0]) * chain.anchor[0])
 
 
 def php_estimate(
@@ -342,13 +356,11 @@ def php_estimate(
     """
     settings = validate_settings(settings, sample.n)
     retention = None if settings.retention_is_threshold else settings.retention
-    _, _, anchor, retention, value = _fit_sample(
-        sample, settings.k, settings.rho, retention
-    )
+    chain = _fit_sample(sample, settings.k, settings.rho, retention)
     return PremiumEstimate(
-        value=float(value),
+        value=float(chain.pi_hat[0, 0]),
         rho=settings.rho,
-        retention=float(retention),
+        retention=float(chain.retention[0]),
         k=settings.k,
-        km_at_threshold=float(anchor),
+        km_at_threshold=float(chain.anchor[0]),
     )

@@ -19,7 +19,7 @@ from typing import Protocol, Tuple, Union, runtime_checkable
 import numpy as np
 
 from .errors import _CODE, DomainError, ValidationError, _failure
-from .samples import _check_positive, _is_integer
+from .samples import _check_k, _check_positive, _is_integer
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -443,8 +443,7 @@ def h_threshold(scheme: CensoringScheme, k: int, n: int) -> float:
     """
     if not (_is_integer(k) and _is_integer(n)):
         raise ValidationError("k and n must be integers")
-    if not 1 <= k < n:
-        raise ValidationError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
+    _check_k(k, n)
     target = k / n
     models = (scheme.loss_model, scheme.censor_model)
     lo = min(model.quantile_of_survival(np.sqrt(target)) for model in models)

@@ -50,6 +50,14 @@ def _check_positive(**values) -> None:
             raise ValidationError(f"{name} must be > 0, got {value!r}")
 
 
+def _check_k(k: int, n: int, name: str = "k") -> None:
+    """Reject a number of upper order statistics outside ``1 <= k < n``."""
+    if not 1 <= k < n:
+        raise ValidationError(
+            f"{name} must satisfy 1 <= {name} < n, got {name}={k} with n={n}"
+        )
+
+
 def _check_flags(delta: np.ndarray) -> None:
     """Reject censoring flags other than 0 and 1.
 
@@ -217,10 +225,7 @@ def validate_settings(settings: EstimationSettings, n: int) -> EstimationSetting
     """
     if n < 2:
         raise ValidationError(f"sample size must be at least 2, got n={n}")
-    if not 1 <= settings.k < n:
-        raise ValidationError(
-            f"k must satisfy 1 <= k < n, got k={settings.k} with n={n}"
-        )
+    _check_k(settings.k, n)
     if not 1.0 <= settings.rho < np.inf:
         raise ValidationError(f"rho must be >= 1, got rho={settings.rho}")
     if not (settings.retention_is_threshold or 0.0 < settings.retention < np.inf):

@@ -11,14 +11,13 @@ of the grid.  Cell aggregates are the empirical means, the absolute
 difference of those means, and the root mean squared per-replicate error.
 
 The engine works one block of a group's replicates at a time, as
-``(replicates, n)`` arrays: one quantile transform, one row-wise sort,
-one pass of the threshold rule, and one call of the fit-at-k kernel
-``estimators._fit_rows`` (threshold, Kaplan-Meier anchor and premium at
-every distortion parameter).  The one-sample API runs the same kernels
-on one row: ``reiss_thomas_k`` and ``tail_index_path`` the rule,
-``php_estimate`` and ``weissman_tail`` the fit.  A block holds at most
-``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
-not grow with n.
+``(replicates, n)`` arrays: one quantile transform, one row-wise sort and
+one call of the chain kernel ``threshold._chain_rows`` (the threshold
+rule, then the index, Kaplan-Meier anchor and premium at every
+distortion parameter).  ``estimate`` and ``reiss_thomas_k`` run the
+same kernel on one row, ``php_estimate`` and ``weissman_tail`` its fit.
+A block holds at most ``_BLOCK_RECORDS`` records (at least one
+replicate), so its memory does not grow with n.
 
 Each process computes its blocks in one workspace (:class:`_Workspace`):
 a float64 buffer for the draws and an int64 one for the flags, sized at
@@ -69,12 +68,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import _CODE, REASONS, DomainError, ValidationError
-from .estimators import _fit_rows
 from .models import BurrModel, burr_scheme
 from .samples import (
     _check_numbers, _check_positive, _check_rows, _is_integer, _sort_rows
 )
-from .threshold import _choose_rows
+from .threshold import _chain_rows
 
 logger = logging.getLogger(__name__)
 
@@ -390,14 +388,14 @@ def _replicate_block(
     ``(len(indices), len(rho_values))`` arrays: the estimated premium
     (NaN where the entry failed) and the code in ``errors.REASONS`` of
     why it failed (-1 where it did not).  Each replicate draws from its
-    own stream (:func:`_block_draws`); the block is transformed, sorted,
-    checked, threshold-selected and fitted at every rho
-    (:func:`_fit_rows`, on the rule's own index) in ``(len(indices), n)``
-    array passes.  A failed threshold choice fails every rho alike with
-    its own code; a fit failure fails its rho only.  The exact premium is
-    left to :func:`_price_exact`.  Every kernel treats rows independently,
-    so a replicate's values, failures included, are bitwise the same in
-    any block.  Settings are those a :class:`StudyConfig` accepts.
+    own stream (:func:`_block_draws`); the block is transformed, sorted
+    and checked in ``(len(indices), n)`` array passes, then run through
+    the chain in one :func:`threshold._chain_rows` call, which merges a
+    failed threshold choice (every rho) with the fit's failures (their
+    rho only).  The exact premium is left to :func:`_price_exact`.  Every
+    kernel treats rows independently, so a replicate's values, failures
+    included, are bitwise the same in any block.  Settings are those a
+    :class:`StudyConfig` accepts.
 
     The draws, the records, the sort keys and the product-limit factors
     live in ``work``'s arrays (a new :class:`_Workspace` if None), each
@@ -416,21 +414,12 @@ def _replicate_block(
     work.lap("sort")
     _check_rows(z, delta)
     work.lap("check")
-    choices = _choose_rows(z, delta, beta)
-    work.lap("rule")
-    # Rows the rule failed (k* = 0) are fitted at the top, then replaced.
-    k = choices.k_star
-    gamma1 = choices.gamma1[np.arange(len(k)), k - 1]
     # The censor half of the draws is free once the records are sorted.
-    threshold, _, _, pi_hat, code = _fit_rows(
-        z, delta, k, gamma1, rho_values, scratch=draws[:, 1]
+    chain = _chain_rows(
+        z, delta, rho_values, beta=beta, scratch=draws[:, 1], lap=work.lap
     )
-    chosen = choices.code < 0
-    pi_hat[~chosen] = np.nan
-    code = np.where(chosen[:, None], code, choices.code[:, None])
-    retention = np.where(chosen, threshold, np.nan)
     work.lap("fit")
-    return retention, pi_hat, code
+    return chain.retention, chain.pi_hat, chain.code
 
 
 def _price_exact(

@@ -10,14 +10,14 @@ finite-variance regime, or where censoring erases the path, are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import _CODE, DomainError, ValidationError, _failure
-from .estimators import _corrected_path
-from .samples import SortedCensoredSample
+from .errors import _CODE, DomainError, ValidationError
+from .estimators import _Chain, _fit_rows, _raise_failure, _tail_path
+from .samples import SortedCensoredSample, _check_k
 
 _MIN_SAMPLE = 10
 
@@ -31,6 +31,8 @@ _CANDIDATE_SCALE = 2.0
 # gamma/(1 - rho*gamma) turns hypersensitive for every distortion
 # parameter >= 1, so such stretches of the path are never trusted.
 _INDEX_CAP = 0.5
+
+_BETA = 0.3  # the default weight exponent of the dispersion score
 
 
 @dataclass(frozen=True)
@@ -57,37 +59,33 @@ def tail_index_path(
     entry is NaN.
     """
     n = sample.n
-    if not 1 <= k_max < n:
-        raise ValidationError(
-            f"k_max must satisfy 1 <= k_max < n, got k_max={k_max} with n={n}"
-        )
+    _check_k(k_max, n, "k_max")
     if sample.z_sorted[n - k_max - 1] <= 0.0:
         raise DomainError(
             "threshold selection needs strictly positive order statistics "
             "over the whole candidate range"
         )
-    return _corrected_path(sample.z_sorted, sample.delta_concomitant, k_max)
+    return _tail_path(sample.z_sorted, sample.delta_concomitant, k_max)[:2]
 
 
 def _open_windows(
     z_sorted: np.ndarray, delta: np.ndarray, k_limit: np.ndarray, k_max: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row's corrected path up to ``k_max`` and which windows are open.
+    """Each row's :func:`_tail_path` up to ``k_max`` and which windows are open.
 
-    Returns ``(gamma1, opened)``: ``opened[:, j]`` says whether the window of
-    candidate ``k = j + 2`` holds only defined entries below the cap and
-    within the row's limit ``k_limit``.
+    ``opened[:, j]`` says whether the window of candidate ``k = j + 2``
+    holds only defined entries below the cap and within ``k_limit``.
     """
-    gamma1, _ = _corrected_path(z_sorted, delta, k_max)
+    path = _tail_path(z_sorted, delta, k_max)
     # blocked[:, j] counts the undefined (NaN), out-of-cap or out-of-limit
     # entries among the first j of the path; a window is open when it
     # holds none of them.
-    bad = ~(gamma1 < _INDEX_CAP) | (np.arange(1, k_max + 1) > k_limit[:, None])
+    bad = ~(path[0] < _INDEX_CAP) | (np.arange(1, k_max + 1) > k_limit[:, None])
     blocked = np.concatenate(
         (np.zeros((len(bad), 1), np.int64), np.cumsum(bad, axis=-1)), axis=-1
     )
     ks = np.arange(2, k_max + 1)
-    return gamma1, blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
+    return path, blocked[:, ks] == blocked[:, (ks + 1) // 2 - 1]
 
 
 def _window_scores(
@@ -119,41 +117,20 @@ def _window_scores(
     return scores
 
 
-@dataclass(frozen=True)
-class _RowChoices:
-    """The threshold rule applied to each row of a block of samples.
+def _chain_rows(
+    z_sorted: np.ndarray, delta: np.ndarray, rhos: Sequence[float], *,
+    beta: float = _BETA, k=None, retention=None, scratch=None, lap=None,
+) -> _Chain:
+    """The chain on every row of sorted samples ``(B, n)``: rule, then fit.
 
-    ``code[r]`` is the code in ``errors.REASONS`` of the reason row ``r``
-    has no choice, else -1; ``k_star`` is 0 there.  ``k_limit[r]`` is the
-    row's largest candidate, ``min(n // 2, positive count - 1)``.
-    ``gamma1`` holds each row's corrected path up to the candidate ceiling
-    (or the block's largest limit, if smaller); a widened row's path runs
-    on to its own limit, and the other rows are NaN past the ceiling, so
-    the entry at ``k_star`` is always the path's.  ``candidates`` and
-    ``scores`` hold the objective curve, NaN-scored where a column is not
-    a candidate of its row.  Each score reads its own window only, so it
-    is bitwise the score of that window scored alone.
+    Given ``k``, one per row, this is :func:`estimators._fit_rows`.  Else
+    :func:`reiss_thomas_k`'s rule picks each row's k on a path up to the
+    candidate ceiling, or on its own path if it widens, and the fit reads
+    the row's entries there; then ``lap("rule")`` is called, if given.
+    Each row's values, curve and codes are bitwise those of the row alone.
     """
-
-    k_star: np.ndarray
-    gamma1: np.ndarray
-    code: np.ndarray
-    k_limit: np.ndarray
-    candidates: np.ndarray
-    scores: np.ndarray
-
-
-def _choose_rows(
-    z_sorted: np.ndarray, delta: np.ndarray, beta: float
-) -> _RowChoices:
-    """The rule of :func:`reiss_thomas_k` on every row of ``(rows, n)`` arrays.
-
-    Rows are sorted samples of one size.  Every step is an array pass over
-    the block, so each row's choice, curve and failure code are those
-    of :func:`reiss_thomas_k` on that row alone.  The path is built up to
-    the candidate ceiling for every row, and on to the row's limit only for
-    the rows that widen: most rows never read past the ceiling.
-    """
+    if k is not None:
+        return _fit_rows(z_sorted, delta, k, rhos, retention, scratch)
     n = z_sorted.shape[-1]
     if n < _MIN_SAMPLE:
         raise ValidationError(
@@ -166,40 +143,49 @@ def _choose_rows(
     positive = np.count_nonzero(z_sorted > 0.0, axis=-1)
     k_limit = np.minimum(n // 2, positive - 1)
     ceiling = round(_CANDIDATE_SCALE * n ** (1.0 / 3.0))
-    gamma1, valid = _open_windows(
+    path, valid = _open_windows(
         z_sorted, delta, k_limit, min(max(int(k_limit.max()), 2), ceiling)
     )
-    primary = np.arange(2, gamma1.shape[-1] + 1)
-    candidates = np.repeat(primary[None], len(valid), axis=0)
+    paths = [(slice(None), path)]
+    candidates = np.repeat(np.arange(2, valid.shape[-1] + 2)[None], len(valid), axis=0)
+    scores = _window_scores(path[0], candidates, valid, beta)
     any_open = valid.any(axis=-1)
     # A row whose whole primary range is blocked, with its limit past the
-    # ceiling, widens the search: only its path is extended, to its limit,
-    # and its one candidate, the smallest admissible k, is held in every
-    # column and scored in column 0.
+    # ceiling, widens the search on a path of its own, to its limit: its
+    # one candidate, the smallest admissible k, fills its row, scored in
+    # column 0.
     wide = np.flatnonzero(~any_open & (k_limit > ceiling))
     if wide.size:
-        path, opened = _open_windows(
+        wide_path, opened = _open_windows(
             z_sorted[wide], delta[wide], k_limit[wide], int(k_limit[wide].max())
         )
+        paths.append((wide, wide_path))
         reach = opened.any(axis=-1)
+        first = 2 + np.argmax(opened, axis=-1)[:, None]
+        wide_scores = _window_scores(wide_path[0], first, reach[:, None], beta)
         wide = wide[reach]
-        short = gamma1
-        gamma1 = np.full((len(short), path.shape[-1]), np.nan)
-        gamma1[:, : short.shape[-1]] = short
-        gamma1[wide] = path[reach]
-        candidates[wide] = 2 + np.argmax(opened[reach], axis=-1)[:, None]
+        candidates[wide] = first[reach]
+        scores[wide, 0] = wide_scores[reach, 0]
         valid[wide, 0] = True
         any_open[wide] = True
-    scores = _window_scores(gamma1, candidates, valid, beta)
     best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
     k_star = np.take_along_axis(candidates, best[:, None], -1)[:, 0]
-    code = np.where(any_open, -1, _CODE["no_admissible_k"])
-    code[k_limit < 2] = _CODE["too_few_positive"]
     k_star[~any_open] = 0
-    return _RowChoices(k_star, gamma1, code, k_limit, candidates, scores)
+    if lap is not None:
+        lap("rule")
+    # Rows the rule failed are fitted at the top, then given its code.
+    chain = _fit_rows(z_sorted, delta, k_star, rhos, retention, scratch, paths)
+    rows = (chain.gamma1, chain.p_hat, chain.gamma_hill, chain.threshold, chain.anchor)
+    for values in (*rows, chain.retention, chain.pi_hat):
+        values[~any_open] = np.nan
+    chain.code[~any_open] = _CODE["no_admissible_k"]
+    chain.code[k_limit < 2] = _CODE["too_few_positive"]
+    return replace(chain, k_limit=k_limit, candidates=candidates, scores=scores)
 
 
-def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> ThresholdChoice:
+def reiss_thomas_k(
+    sample: SortedCensoredSample, beta: float = _BETA
+) -> ThresholdChoice:
     """Pick the number of top order statistics by path-stability scoring.
 
     Each candidate ``k`` is scored by the weighted dispersion of the
@@ -229,16 +215,17 @@ def reiss_thomas_k(sample: SortedCensoredSample, beta: float = 0.3) -> Threshold
         If fewer than two candidate thresholds are strictly positive, or
         no candidate up to ``floor(n/2)`` has an admissible window.
     """
-    rows = _choose_rows(sample.z_sorted[None], sample.delta_concomitant[None], beta)
-    if rows.code[0] >= 0:
-        limit = int(rows.k_limit[0])  # positives less one where < 2: n // 2 >= 5
-        raise _failure(rows.code[0], count=limit + 1, k_limit=limit)
-    k_star = int(rows.k_star[0])
-    curve = ~np.isnan(rows.scores[0])
+    # At rho = 0 the fit runs its row checks only, which the rule ignores.
+    chain = _chain_rows(
+        sample.z_sorted[None], sample.delta_concomitant[None], (0.0,), beta=beta
+    )
+    if chain.k[0] == 0:
+        _raise_failure(chain, 0.0)
+    curve = ~np.isnan(chain.scores[0])
     return ThresholdChoice(
-        k_star=k_star,
-        retention=float(sample.z_sorted[sample.n - k_star - 1]),
+        k_star=int(chain.k[0]),
+        retention=float(chain.threshold[0]),
         objective_curve=tuple(
-            zip(rows.candidates[0][curve].tolist(), rows.scores[0][curve].tolist())
+            zip(chain.candidates[0][curve].tolist(), chain.scores[0][curve].tolist())
         ),
     )

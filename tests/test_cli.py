@@ -526,6 +526,265 @@ class TestEstimateCommand:
         assert explicit == sentinel
 
 
+def _power_law(n, index):
+    """``n`` distinct values ``((n + 1 - i) / (n + 1)) ** -index``, ascending."""
+    return (((n + 1.0 - np.arange(1, n + 1)) / (n + 1.0)) ** -index).tolist()
+
+
+# Claims files for the precedence table, by name.
+PRECEDENCE_FILES = {
+    # Every third record censored: the rule picks k = 2.
+    "ordinary": lambda: list(
+        zip(_power_law(200, 0.3), [0 if i % 3 == 2 else 1 for i in range(200)])
+    ),
+    # Every record censored: no admissible k, and every fit is all censored.
+    "censored": lambda: list(zip(_power_law(40, 0.3), [0] * 40)),
+    # Too small for the rule.
+    "small": lambda: list(zip(_power_law(6, 0.3), [1] * 6)),
+    # Two positive order statistics: too few for the rule, and a zero
+    # threshold for the fit.
+    "zeros": lambda: [(0.0, 1)] * 38 + [(2.0, 1), (3.0, 1)],
+    # An index of 1.5: too heavy at rho = 1, and above the rule's cap.
+    "heavy": lambda: list(zip(_power_law(100, 1.5), [1] * 100)),
+    # The top 50 are 40% uncensored: at rho = 1 and k = 50 the printed
+    # variance is positive, so an interval is reported.
+    "interval": lambda: list(
+        zip(_power_law(200, 0.05), [1] * 150 + [1, 1, 0, 0, 0] * 10)
+    ),
+    # The top 10 tied: the Hill estimate at k <= 9 is 0.
+    "tied": lambda: list(zip(_power_law(30, 0.3)[:20] + [9.0] * 10, [1] * 30)),
+}
+
+# (file, flags, exit code, stdout, stderr) of ``estimate``, as the chain
+# printed them before it ran as one kernel call: which check wins when
+# several fail.  The rule's failures come first, then the settings' bounds,
+# then the fit's failures, in the order of ``errors.REASONS``.
+ESTIMATE_PRECEDENCE = [
+    (
+        "ordinary", "--rho 1.1 --auto-k", 0,
+        "n 200\n"
+        "k 2\n"
+        "p_hat 1\n"
+        "gamma_hill 0.225611609516\n"
+        "gamma1_hat 0.225611609516\n"
+        "retention 3.53038802082\n"
+        "premium 0.0831774255246\n",
+        "",
+    ),
+    (
+        "ordinary", "--rho 1.1 --k 50", 0,
+        "n 200\n"
+        "k 50\n"
+        "p_hat 0.68\n"
+        "gamma_hill 0.288681088107\n"
+        "gamma1_hat 0.424531011922\n"
+        "retention 1.50899487366\n"
+        "premium 0.573253631112\n",
+        "",
+    ),
+    (
+        "ordinary", "--rho 1 --auto-k --tau1 -0.25 --lambda1 0.5 --level 0.9", 0,
+        "n 200\n"
+        "k 2\n"
+        "p_hat 1\n"
+        "gamma_hill 0.225611609516\n"
+        "gamma1_hat 0.225611609516\n"
+        "retention 3.53038802082\n"
+        "premium 0.05638021165\n",
+        "warning: asymptotic variance is non-positive (-0.0566627547769); "
+        "confidence interval omitted\n",
+    ),
+    (
+        "ordinary", "--rho 1.1 --auto-k --retention 5", 0,
+        "n 200\n"
+        "k 2\n"
+        "p_hat 1\n"
+        "gamma_hill 0.225611609516\n"
+        "gamma1_hat 0.225611609516\n"
+        "retention 5\n"
+        "premium 0.0289808652575\n",
+        "",
+    ),
+    (
+        "ordinary", "--rho 1.1 --k 50 --retention 2.5", 0,
+        "n 200\n"
+        "k 50\n"
+        "p_hat 0.68\n"
+        "gamma_hill 0.288681088107\n"
+        "gamma1_hat 0.424531011922\n"
+        "retention 2.5\n"
+        "premium 0.322175268652\n",
+        "",
+    ),
+    (
+        "ordinary", "--rho 0.5 --auto-k", 3,
+        "",
+        "error: rho must be >= 1, got rho=0.5\n",
+    ),
+    (
+        "ordinary", "--rho 1 --auto-k --retention inf", 3,
+        "",
+        "error: retention must be > 0, got retention=inf\n",
+    ),
+    (
+        "ordinary", "--rho 1 --k 0", 3,
+        "",
+        "error: k must satisfy 1 <= k < n, got k=0 with n=200\n",
+    ),
+    (
+        "ordinary", "--rho 1 --k 200", 3,
+        "",
+        "error: k must satisfy 1 <= k < n, got k=200 with n=200\n",
+    ),
+    (
+        "ordinary", "--rho 1 --k 5 --retention inf", 3,
+        "",
+        "error: retention must be > 0, got retention=inf\n",
+    ),
+    (
+        "ordinary", "--rho 1 --k 3 --retention 1e-300", 3,
+        "",
+        "error: premium overflows the float range: (R / h) ** (-1 / (rho * "
+        "gamma1)) with R=1e-300, h=3.23848, rho * gamma1=0.355069\n",
+    ),
+    (
+        "censored", "--rho nan --auto-k", 3,
+        "",
+        "error: no admissible k: every candidate window up to 20 contains an "
+        "undefined or out-of-range corrected tail index\n",
+    ),
+    (
+        "censored", "--rho 1 --auto-k --retention inf", 3,
+        "",
+        "error: no admissible k: every candidate window up to 20 contains an "
+        "undefined or out-of-range corrected tail index\n",
+    ),
+    (
+        "censored", "--rho 1 --k 5", 3,
+        "",
+        "error: all of the top k=5 observations are censored; the "
+        "censoring-corrected tail index is undefined\n",
+    ),
+    (
+        "censored", "--rho nan --k 5", 3,
+        "",
+        "error: rho must be >= 1, got rho=nan\n",
+    ),
+    (
+        "small", "--rho 1 --auto-k", 3,
+        "",
+        "error: threshold selection needs n >= 10, got n=6\n",
+    ),
+    (
+        "small", "--rho 0.5 --auto-k", 3,
+        "",
+        "error: threshold selection needs n >= 10, got n=6\n",
+    ),
+    (
+        "small", "--rho 1 --k 3", 0,
+        "n 6\n"
+        "k 3\n"
+        "p_hat 1\n"
+        "gamma_hill 0.236712361413\n"
+        "gamma1_hat 0.236712361413\n"
+        "retention 1.18280026895\n"
+        "premium 0.183406248568\n",
+        "",
+    ),
+    (
+        "zeros", "--rho 1 --auto-k", 3,
+        "",
+        "error: threshold selection needs at least 3 strictly positive order "
+        "statistics, got 2\n",
+    ),
+    (
+        "zeros", "--rho 1 --k 5", 3,
+        "",
+        "error: the k-th upper order statistic must be > 0, got 0\n",
+    ),
+    (
+        "zeros", "--rho 0.5 --k 5", 3,
+        "",
+        "error: rho must be >= 1, got rho=0.5\n",
+    ),
+    (
+        "heavy", "--rho 1 --k 20", 3,
+        "",
+        "error: estimated tail is too heavy for a finite premium: rho * "
+        "gamma1 = 1.39161 >= 1 (gamma1=1.39161, rho=1)\n",
+    ),
+    (
+        "heavy", "--rho 1 --auto-k", 3,
+        "",
+        "error: no admissible k: every candidate window up to 50 contains an "
+        "undefined or out-of-range corrected tail index\n",
+    ),
+    (
+        "tied", "--rho 1 --k 5", 3,
+        "",
+        "error: tail index estimate is not positive; the top k observations "
+        "are degenerate\n",
+    ),
+    (
+        "tied", "--rho 1 --auto-k", 3,
+        "",
+        "error: tail index estimate is not positive; the top k observations "
+        "are degenerate\n",
+    ),
+    (
+        "interval", "--rho 1 --k 50 --tau1 -0.25 --lambda1 0.5 --level 0.9", 0,
+        "n 200\n"
+        "k 50\n"
+        "p_hat 0.4\n"
+        "gamma_hill 0.0481135146844\n"
+        "gamma1_hat 0.120283786711\n"
+        "retention 1.07097983572\n"
+        "premium 0.0366088257174\n"
+        "ci_level 0.9\n"
+        "ci_low 0.0268006050083\n"
+        "ci_high 0.0400376418187\n",
+        "",
+    ),
+    (
+        "ordinary", "--rho inf --auto-k", 3,
+        "",
+        "error: rho must be >= 1, got rho=inf\n",
+    ),
+]
+
+
+class TestEstimatePrecedence:
+    @pytest.mark.parametrize(
+        "name, flags, code, out, err",
+        ESTIMATE_PRECEDENCE,
+        ids=[f"{name} {flags}" for name, flags, *_ in ESTIMATE_PRECEDENCE],
+    )
+    def test_outcome_is_pinned(self, tmp_path, capsys, name, flags, code, out, err):
+        path = write_claims(tmp_path / "c.csv", PRECEDENCE_FILES[name]())
+        assert main(["estimate", path, *flags.split()]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("flags, calls", [("--k 50", [50]), ("--auto-k", [12])])
+    def test_tail_path_is_built_once(self, tmp_path, capsys, monkeypatch, flags, calls):
+        # ``--k`` builds the path once, to k; ``--auto-k`` only in the rule,
+        # whose path the fit reads at k*.
+        from tailpremium import estimators as estimators_module
+        from tailpremium import threshold as threshold_module
+
+        real_path = estimators_module._tail_path
+        k_maxes = []
+
+        def counting_path(z_sorted, delta, k_max):
+            k_maxes.append(k_max)
+            return real_path(z_sorted, delta, k_max)
+
+        monkeypatch.setattr(estimators_module, "_tail_path", counting_path)
+        monkeypatch.setattr(threshold_module, "_tail_path", counting_path)
+        path = write_claims(tmp_path / "c.csv", PRECEDENCE_FILES["ordinary"]())
+        assert main(["estimate", path, "--rho", "1.1", *flags.split()]) == 0
+        assert k_maxes == calls
+
+
 class TestKmCommand:
     def test_hand_curve(self, tmp_path):
         path = write_claims(tmp_path / "c.csv", [(1.0, 1), (2.0, 0), (3.0, 1)])

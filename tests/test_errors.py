@@ -11,11 +11,17 @@ from tailpremium import (
     EstimationSettings,
     ParetoModel,
     ValidationError,
+    burr_scheme,
     censored_hill,
+    h_threshold,
     hill_estimator,
+    km_survival_at_threshold,
     normalization_factor,
     php_estimate,
     reiss_thomas_k,
+    tail_index_path,
+    uncensored_proportion,
+    validate_settings,
     weissman_tail,
 )
 from tailpremium import models as models_module
@@ -126,3 +132,35 @@ def test_positive_fields_reject_a_bool(build, field):
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value) == f"{field} must be a number, not a bool, got True"
+
+
+# Every public function that takes a number of upper order statistics, as a
+# call on a 20-record sample.  ``tail_index_path`` names its bound k_max;
+# ``confidence_interval`` takes no sample size, so it is not here.
+K_SAMPLE = sample_from_pairs([(float(v), v % 3 > 0) for v in range(1, 21)])
+K_CALLS = {
+    "km_survival_at_threshold": lambda k: km_survival_at_threshold(K_SAMPLE, k),
+    "hill_estimator": lambda k: hill_estimator(K_SAMPLE, k),
+    "uncensored_proportion": lambda k: uncensored_proportion(K_SAMPLE, k),
+    "censored_hill": lambda k: censored_hill(K_SAMPLE, k),
+    "weissman_tail": lambda k: weissman_tail(K_SAMPLE, k, 30.0),
+    "php_estimate": lambda k: php_estimate(K_SAMPLE, EstimationSettings(k=k, rho=1.0)),
+    "validate_settings": lambda k: validate_settings(
+        EstimationSettings(k=k, rho=1.0), K_SAMPLE.n
+    ),
+    "h_threshold": lambda k: h_threshold(burr_scheme(0.1, 0.4, 0.25), k, K_SAMPLE.n),
+    "tail_index_path": lambda k: tail_index_path(K_SAMPLE, k),
+}
+
+
+@pytest.mark.parametrize("k", [0, 20])
+@pytest.mark.parametrize("name", list(K_CALLS))
+def test_k_out_of_range_is_one_error(name, k):
+    # One class and one text wherever k leaves 1 <= k < n.
+    bound = "k_max" if name == "tail_index_path" else "k"
+    with pytest.raises(ValidationError) as caught:
+        K_CALLS[name](k)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == (
+        f"{bound} must satisfy 1 <= {bound} < n, got {bound}={k} with n=20"
+    )

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -23,6 +24,7 @@ from tailpremium import (
     DomainError,
     EstimationSettings,
     SortedCensoredSample,
+    ValidationError,
     censored_hill,
     hill_estimator,
     kaplan_meier_survival,
@@ -34,13 +36,18 @@ from tailpremium import (
 from tailpremium.asymptotics import normalization_factor
 from tailpremium.errors import _CODE, REASONS
 from tailpremium.estimators import (
-    _corrected_path,
     _fit_rows,
     _km_anchor,
     _km_products,
+    _tail_path,
 )
 from tailpremium.models import CensoringScheme, ParetoModel, gamma2_from_p
 from tailpremium.threshold import tail_index_path
+
+
+def chain_arrays(chain):
+    """The arrays of a chain struct, in field order; the rule's, if it ran."""
+    return [values for values in astuple(chain) if values is not None]
 
 
 def assert_failure(error, code, **values):
@@ -110,8 +117,12 @@ class TestKaplanMeier:
     def test_rejects_at_or_above_maximum(self, censored_triple):
         with pytest.raises(DomainError, match="largest"):
             kaplan_meier_survival(censored_triple, 3.0)
-        with pytest.raises(DomainError, match="largest"):
+        with pytest.raises(DomainError, match="largest") as caught:
             kaplan_meier_survival(censored_triple, 10.0)
+        assert str(caught.value) == (
+            "product-limit survival is undefined at or above the largest "
+            "observation (3), got x=10"
+        )
 
     def test_monotone_non_increasing(self):
         sample = random_sample(7)
@@ -198,9 +209,9 @@ class TestKmAtThreshold:
         assert km_survival_at_threshold(sample, 4) == 1.0
 
     def test_k_out_of_range(self, censored_triple):
-        with pytest.raises(DomainError, match="k must"):
+        with pytest.raises(ValidationError, match="k must"):
             km_survival_at_threshold(censored_triple, 3)
-        with pytest.raises(DomainError, match="k must"):
+        with pytest.raises(ValidationError, match="k must"):
             km_survival_at_threshold(censored_triple, 0)
 
     def test_equals_curve_between_order_statistics(self):
@@ -474,6 +485,14 @@ class TestPhpEstimate:
         with pytest.raises(DomainError, match="rho \\* gamma1"):
             php_estimate(sample, EstimationSettings(k=1, rho=1.1))
 
+    def test_heavy_tail_guard_at_exactly_one(self):
+        # log(e) - log(1) is exactly 1, so rho * gamma1 = 1 at rho = 1,
+        # where the integral already diverges.
+        sample = sample_from_pairs([(1.0, 1), (math.exp(1.0), 1)])
+        with pytest.raises(DomainError, match="too heavy.*= 1 >= 1") as caught:
+            php_estimate(sample, EstimationSettings(k=1, rho=1.0))
+        assert caught.value.reason == "heavy_tail"
+
     def test_overflow_guard(self):
         # gamma1_hat ~ 2e-4 at k = 20 and R / z_(n-k) ~ 1e-6: the power
         # (R / z) ** (-1 / (rho * gamma1)) leaves the float range.
@@ -516,10 +535,18 @@ class TestPhpEstimate:
         )
         z = z.astype(np.float64)
         rows = np.arange(len(k))
-        gamma1 = _corrected_path(z, delta, z.shape[-1] - 1)[0][rows, k - 1]
         rhos = (rho, 0.0, 2.5)
-        fit = _fit_rows(z, delta, k, gamma1, rhos, retention)
-        threshold, _, levels, pi_hat, code = fit
+        fit = _fit_rows(z, delta, k, rhos, retention)
+        # The index read from a longer path handed in is the same.
+        long_path = _tail_path(z, delta, z.shape[-1] - 1)
+        handed = _fit_rows(z, delta, k, rhos, retention, paths=[(rows, long_path)])
+        for got, want in zip(chain_arrays(handed), chain_arrays(fit), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert fit.k_limit is fit.candidates is fit.scores is None
+        gamma1 = long_path[0][rows, k - 1]
+        assert fit.gamma1.tobytes() == gamma1.tobytes()
+        threshold, levels = fit.threshold, fit.retention
+        pi_hat, code = fit.pi_hat, fit.code
         assert np.array_equal(np.isnan(pi_hat), (code >= 0) | (np.array(rhos) == 0))
         # rho = 0 checks only the index's sign.
         assert np.all(code[:, 1] <= _CODE["nonpositive_index"])
@@ -529,11 +556,10 @@ class TestPhpEstimate:
                 z[one].copy(),
                 delta[one].copy(),
                 k[one],
-                gamma1[one],
                 rhos,
                 None if retention is None else retention[one],
             )
-            for got, want in zip(alone, fit):
+            for got, want in zip(chain_arrays(alone), chain_arrays(fit), strict=True):
                 assert got.tobytes() == want[one].tobytes(), r
             sample = SortedCensoredSample(z[r], delta[r])
             values = dict(k=int(k[r]), threshold=threshold[r], gamma1=gamma1[r])
@@ -564,8 +590,6 @@ class TestPhpEstimate:
                 )
 
     def test_settings_validation_propagates(self, uncensored_quad):
-        from tailpremium import ValidationError
-
         with pytest.raises(ValidationError, match="k must"):
             php_estimate(uncensored_quad, EstimationSettings(k=0, rho=1.0))
 

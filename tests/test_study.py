@@ -39,7 +39,8 @@ from tailpremium import models as models_module
 from tailpremium import study as study_module
 from tailpremium.errors import _CODE, REASONS
 from tailpremium.samples import _sort_rows
-from tailpremium.threshold import _choose_rows
+from tailpremium import threshold as threshold_module
+from tailpremium.threshold import _chain_rows
 
 from helpers import naive_aggregate, naive_threshold_choice, naive_uncensored_premium
 
@@ -96,13 +97,13 @@ def study_groups(config):
 
 
 def chosen_threshold(cell, replicate_index, master_seed, beta=0.3):
-    """``(k*, retention)`` that ``_choose_rows`` picks on a replicate's draws."""
+    """``(k*, retention)`` that the chain's rule picks on a replicate's draws."""
     scheme = study_module.burr_scheme(cell.gamma1, cell.p, cell.eta)
     rng = np.random.default_rng(
         replicate_stream(master_seed, cell, replicate_index)
     )
     z, delta = _sort_rows(*scheme.records(scheme.draw(cell.n, rng)[None]))
-    k = int(_choose_rows(z, delta, beta).k_star[0])
+    k = int(_chain_rows(z, delta, (), beta=beta).k[0])
     return k, float(z[0, cell.n - k - 1])
 
 
@@ -1116,25 +1117,34 @@ class TestReplicateBlocks:
             return real_path(z_sorted, delta, k_max)
 
         rules = []
+        real_windows = threshold_module._open_windows
 
-        def recording_rule(z_sorted, delta, beta):
-            rules.append((z_sorted.copy(), delta.copy(), beta))
-            return _choose_rows(z_sorted, delta, beta)
+        def counting_windows(z_sorted, delta, k_limit, k_max):
+            rules.append(k_max)
+            return real_windows(z_sorted, delta, k_limit, k_max)
+
+        chains = []
+
+        def recording_chain(z_sorted, delta, rhos, **kwargs):
+            chains.append(kwargs["beta"])
+            return _chain_rows(z_sorted, delta, rhos, **kwargs)
 
         monkeypatch.setattr(estimators_module, "_tail_path", counting_path)
-        monkeypatch.setattr(study_module, "_choose_rows", recording_rule)
+        monkeypatch.setattr(threshold_module, "_tail_path", counting_path)
+        monkeypatch.setattr(threshold_module, "_open_windows", counting_windows)
+        monkeypatch.setattr(study_module, "_chain_rows", recording_chain)
         rhos = tuple(dict.fromkeys(config.rho_values))
         for cell in study_groups(config):
             paths.clear()
             rules.clear()
+            chains.clear()
             study_module._replicate_block(
                 cell, rhos, range(config.replicates), config.master_seed, config.beta
             )
-            in_block = len(paths)
-            ((z_sorted, delta, beta),) = rules
-            paths.clear()
-            _choose_rows(z_sorted, delta, beta)
-            assert 1 <= in_block <= len(paths)
+            # One chain call, whose tail paths are all the rule's own.
+            assert chains == [config.beta]
+            assert 1 <= len(paths) == len(rules)
+            assert paths == rules
 
     def test_no_block_exceeds_the_record_budget(self, monkeypatch):
         real = study_module._replicate_block

@@ -1,9 +1,12 @@
 """Data-driven threshold selection: path, scoring rule, fallbacks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailpremium import (
     DomainError,
@@ -18,9 +21,12 @@ from tailpremium import (
     tail_index_path,
     uncensored_proportion,
 )
+from tailpremium import estimators as estimators_module
+from tailpremium import threshold as threshold_module
 from tailpremium.errors import _CODE, REASONS
 from tailpremium.estimators import _tail_path
-from tailpremium.threshold import _choose_rows, _window_scores
+from tailpremium.samples import _sort_rows
+from tailpremium.threshold import _chain_rows, _window_scores
 
 from helpers import naive_gamma1_path, naive_threshold_choice, sample_from_pairs
 
@@ -216,7 +222,7 @@ class TestReissThomasK:
         with pytest.raises(ValidationError, match="n >= 10"):
             reiss_thomas_k(sample_from_arrays(z[1:], np.ones(9, dtype=int)))
 
-    @pytest.mark.parametrize("beta", [-0.1, 0.6])
+    @pytest.mark.parametrize("beta", [-0.1, 0.6, np.nextafter(0.5, 1.0)])
     def test_rejects_bad_beta(self, beta):
         sample = sample_from_arrays(np.arange(1.0, 21.0), np.ones(20, dtype=int))
         with pytest.raises(ValidationError, match="beta must"):
@@ -228,6 +234,34 @@ class TestReissThomasK:
         choice = reiss_thomas_k(sample_from_arrays(z, np.ones(10, dtype=int)))
         assert choice.k_star == 2
         assert choice.retention == 1.0
+
+    @pytest.mark.parametrize("n", [34, 52, 75, 120])
+    def test_candidate_ceiling_is_rounded_two_cube_roots(self, n):
+        # On an idealized Pareto sample every window is admissible, so the
+        # curve runs to the ceiling round(2 * n**(1/3)); at n = 34, 52 and
+        # 75 a scale of 2.02 would round one higher.
+        u = np.arange(1, n + 1) / (n + 1)
+        choice = reiss_thomas_k(sample_from_arrays(u**-0.2, np.ones(n, dtype=int)))
+        ks = [k for k, _ in choice.objective_curve]
+        assert ks == list(range(2, round(2.0 * n ** (1.0 / 3.0)) + 1))
+
+    def test_index_of_exactly_one_half_blocks_its_windows(self):
+        # The path must stay strictly below 1/2: gamma1(1) = log(e**0.5) -
+        # log(1) is exactly 0.5, which blocks k = 2 (window 1..2) only.
+        top = [0.9, 1.0, float(np.exp(0.5))]
+        z = np.concatenate([np.linspace(0.8, 0.85, 37), top])
+        sample = sample_from_arrays(z, np.ones(z.size, dtype=int))
+        gamma1, _ = tail_index_path(sample, 3)
+        assert gamma1[0] == 0.5 and gamma1[1] < 0.5 and gamma1[2] < 0.5
+        assert reiss_thomas_k(sample).objective_curve[0][0] == 3
+
+    def test_three_positive_values_all_censored_have_no_admissible_k(self):
+        # Three positives make k = 2 a candidate; censoring blocks it, which
+        # is no_admissible_k up to 2, not too_few_positive.
+        z = np.concatenate([np.zeros(7), [1.0, 1.1, 1.2]])
+        with pytest.raises(DomainError, match="up to 2 contains") as caught:
+            reiss_thomas_k(sample_from_arrays(z, np.zeros(10, dtype=int)))
+        assert caught.value.reason == "no_admissible_k"
 
     def test_rejects_too_few_positives(self):
         z = np.concatenate([np.zeros(18), [1.0, 2.0]])
@@ -241,6 +275,20 @@ class TestReissThomasK:
         sample = sample_from_arrays(z, np.zeros(50, dtype=int))
         with pytest.raises(DomainError, match="no admissible k"):
             reiss_thomas_k(sample)
+
+
+def choose_rows(z, delta, beta):
+    """The rule's outcome on each row of a block, from the chain kernel.
+
+    At rho = 0 the fit runs its row checks only; the rule's code is the
+    chain's where the rule failed (k = 0), else -1.
+    """
+    chain = _chain_rows(z, delta, (0.0,), beta=beta)
+    code = np.where(chain.k > 0, -1, chain.code[:, 0])
+    return SimpleNamespace(
+        k_star=chain.k, code=code, k_limit=chain.k_limit,
+        candidates=chain.candidates, scores=chain.scores, gamma1=chain.gamma1,
+    )
 
 
 class TestRowKernel:
@@ -278,7 +326,7 @@ class TestRowKernel:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
     def test_each_row_equals_its_own_choice(self, beta):
         samples = self.rows()
-        block = _choose_rows(
+        block = choose_rows(
             np.stack([s.z_sorted for s in samples.values()]),
             np.stack([s.delta_concomitant for s in samples.values()]),
             beta,
@@ -321,20 +369,32 @@ class TestRowKernel:
         assert zero.k_star == 2
         assert censored_hill(samples["zero index"], zero.k_star).gamma1_hat == 0.0
         r = list(samples).index("zero index")
-        assert block.gamma1[r, zero.k_star - 1] == 0.0
+        assert block.gamma1[r] == 0.0
 
-    def test_widened_row_extends_only_its_own_path(self):
-        # Only a widened row builds its path past the ceiling (10 at
-        # n = 120); beside it, ordinary, limited and failing rows keep their
-        # own choice, and every row's path at k* is the public path.
+    def test_widened_row_extends_only_its_own_path(self, monkeypatch):
+        # Only the rows whose primary range is blocked (the widened one
+        # and the one with no admissible k) build their path past the
+        # ceiling (10 at n = 120), in a path of their own; beside them,
+        # ordinary and limited rows keep their own choice, and every row's
+        # index at k* is the public path's.
         samples = self.rows()
         names = ["ordinary", "limit 4", "widened", "no admissible k", "zero index"]
         z = np.stack([samples[name].z_sorted for name in names])
         delta = np.stack([samples[name].delta_concomitant for name in names])
-        block = _choose_rows(z, delta, 0.3)
-        assert block.gamma1.shape[1] == self.N // 2
+        real_path = estimators_module._tail_path
+        shapes = []
+
+        def recording_path(z_sorted, delta, k_max):
+            shapes.append((len(z_sorted), k_max))
+            return real_path(z_sorted, delta, k_max)
+
+        monkeypatch.setattr(estimators_module, "_tail_path", recording_path)
+        monkeypatch.setattr(threshold_module, "_tail_path", recording_path)
+        block = choose_rows(z, delta, 0.3)
+        monkeypatch.undo()
+        assert shapes == [(5, 10), (2, self.N // 2)]
         for r, name in enumerate(names):
-            alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
+            alone = choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
             assert block.code[r] == alone.code[0]
             assert block.k_limit[r] == alone.k_limit[0]
             assert block.k_star[r] == alone.k_star[0]
@@ -348,13 +408,12 @@ class TestRowKernel:
                 block.scores[r][curve].tobytes()
                 == alone.scores[0][alone_curve].tobytes()
             )
-            if name != "widened":
-                assert np.isnan(block.gamma1[r, 10:]).all()
             if block.code[r] >= 0:
+                assert np.isnan(block.gamma1[r])
                 continue
             k = int(block.k_star[r])
-            own = block.gamma1[r, k - 1].tobytes()
-            assert own == alone.gamma1[0, k - 1].tobytes()
+            own = block.gamma1[r].tobytes()
+            assert own == alone.gamma1[0].tobytes()
             # The public path at n/2, or at the row's limit where fewer of
             # its order statistics are positive.
             k_max = min(self.N // 2, int(np.count_nonzero(z[r] > 0.0)) - 1)
@@ -373,7 +432,7 @@ class TestRowKernel:
             z = (1.0 - rng.random(600)) ** -rng.uniform(0.15, 0.45)
             delta = (rng.random(600) < rng.uniform(0.5, 1.0)).astype(int)
             samples.append(sample_from_arrays(z, delta))
-        block = _choose_rows(
+        block = choose_rows(
             np.stack([s.z_sorted for s in samples]),
             np.stack([s.delta_concomitant for s in samples]),
             0.3,
@@ -412,14 +471,19 @@ class TestRowKernel:
         # candidates of its row nor the other rows of the block move a bit.
         scored = 0
         for samples in (list(self.rows().values()), self.random_rows()):
-            block = _choose_rows(
+            block = choose_rows(
                 np.stack([s.z_sorted for s in samples]),
                 np.stack([s.delta_concomitant for s in samples]),
                 beta,
             )
+            z = np.stack([s.z_sorted for s in samples])
+            delta = np.stack([s.delta_concomitant for s in samples])
             for r, j in zip(*np.nonzero(~np.isnan(block.scores))):
+                # The row's own path, built only up to the candidate.
+                k = int(block.candidates[r, j])
+                path = _tail_path(z[r : r + 1], delta[r : r + 1], k)[0]
                 alone = _window_scores(
-                    block.gamma1[r : r + 1],
+                    path,
                     block.candidates[r : r + 1, j : j + 1],
                     np.ones((1, 1), dtype=bool),
                     beta,
@@ -443,20 +507,109 @@ class TestRowKernel:
             z, delta = np.repeat(z, 2, axis=0)[::2], np.repeat(delta, 2, axis=0)[::2]
         assert not z.flags.c_contiguous
         k_max = z.shape[1] // 2
-        hill, p_hat = _tail_path(z, delta, k_max)
-        block = _choose_rows(z, delta, 0.3)
+        gamma1, p_hat, hill = _tail_path(z, delta, k_max)
+        block = choose_rows(z, delta, 0.3)
         for r in range(z.shape[0]):
-            row_hill, row_p_hat = _tail_path(z[r].copy(), delta[r].copy(), k_max)
+            row_gamma1, row_p_hat, row_hill = _tail_path(
+                z[r].copy(), delta[r].copy(), k_max
+            )
             assert hill[r].tobytes() == row_hill.tobytes()
             assert p_hat[r].tobytes() == row_p_hat.tobytes()
-            alone = _choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
+            assert gamma1[r].tobytes() == row_gamma1.tobytes()
+            alone = choose_rows(z[r][None].copy(), delta[r][None].copy(), 0.3)
             assert block.code[r] == alone.code[0]
             assert block.k_limit[r] == alone.k_limit[0]
             assert block.k_star[r] == alone.k_star[0]
-            width = alone.gamma1.shape[1]
-            assert block.gamma1[r, :width].tobytes() == alone.gamma1[0].tobytes()
+            assert block.gamma1[r].tobytes() == alone.gamma1[0].tobytes()
             assert block.candidates[r].tolist() == alone.candidates[0].tolist()
             assert block.scores[r].tobytes() == alone.scores[0].tobytes()
+
+
+@st.composite
+def chain_blocks(draw):
+    """``(z, delta, k, retention)`` of a block of 1-5 sorted samples of one size.
+
+    Values mix a small set with 0, so tops tie and thresholds vanish, with
+    floats of every scale; flags are drawn with a share of their own per
+    row, so some tops are all censored.  ``k`` is one valid k per row and
+    ``retention`` one positive level per row.
+    """
+    n = draw(st.integers(10, 40))
+    rows = draw(st.integers(1, 5))
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.5]),
+        st.floats(0.0, 1e3, allow_subnormal=False),
+    )
+    z, delta = [], []
+    for _ in range(rows):
+        z.append(draw(st.lists(value, min_size=n, max_size=n)))
+        share = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        flags = st.integers(0, 1) if 0.0 < share < 1.0 else st.just(int(share))
+        delta.append(draw(st.lists(flags, min_size=n, max_size=n)))
+    k = draw(st.lists(st.integers(1, n - 1), min_size=rows, max_size=rows))
+    retention = draw(
+        st.lists(st.floats(1e-3, 1e3), min_size=rows, max_size=rows)
+    )
+    z, delta = _sort_rows(np.array(z, dtype=np.float64), np.array(delta))
+    return z, delta, np.array(k), np.array(retention)
+
+
+def _crafted_block():
+    # A row that widens beside one that does not (n = 120).
+    widened = crafted_path_sample()
+    plain = sample_from_arrays(1.0 + np.arange(120.0), np.ones(120, dtype=int))
+    rows = (widened, plain)
+    return (
+        np.stack([s.z_sorted for s in rows]),
+        np.stack([s.delta_concomitant for s in rows]),
+        np.array([30, 7]),
+        np.array([80.0, 200.0]),
+    )
+
+
+class TestChainKernel:
+    """The chain kernel on a block equals each row run alone, bitwise."""
+
+    FIELDS = (
+        "k", "gamma1", "p_hat", "gamma_hill", "threshold", "anchor",
+        "retention", "pi_hat", "code", "k_limit",
+    )
+
+    @pytest.mark.parametrize("with_retention", [False, True])
+    @pytest.mark.parametrize("mode", ["rule", "given k"])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(block=chain_blocks())
+    @example(block=_crafted_block())
+    def test_block_equals_rows_alone(self, mode, with_retention, block):
+        z, delta, k, retention = block
+        rhos = (1.0, 0.0, 2.5)
+
+        def run(rows):
+            return _chain_rows(
+                z[rows].copy(), delta[rows].copy(), rhos, beta=0.3,
+                k=k[rows] if mode == "given k" else None,
+                retention=retention[rows] if with_retention else None,
+            )
+
+        chain = run(slice(None))
+        for r in range(len(z)):
+            alone = run(slice(r, r + 1))
+            for name in self.FIELDS:
+                got, want = getattr(chain, name), getattr(alone, name)
+                if want is None:
+                    assert got is None and mode == "given k"
+                    continue
+                assert got[r].tobytes() == want[0].tobytes(), (r, name)
+            if mode == "given k":
+                continue
+            curve, own = ~np.isnan(chain.scores[r]), ~np.isnan(alone.scores[0])
+            candidates = chain.candidates[r][curve].tolist()
+            assert candidates == alone.candidates[0][own].tolist()
+            assert chain.scores[r][curve].tobytes() == alone.scores[0][own].tobytes()
+            # A row the rule failed is NaN but for k and its codes.
+            failed = chain.k[r] == 0
+            assert np.isnan(chain.retention[r]) == failed
+            assert np.all(np.isnan(chain.pi_hat[r])) or not failed
 
 
 class TestAgainstNaiveRule:
