@@ -213,12 +213,13 @@ def censored_hill(sample: SortedCensoredSample, k: int) -> TailEstimates:
 @dataclass(frozen=True)
 class _Chain:
     """The chain on each row of sorted samples ``(B, n)``: ``k`` and, at it,
-    the path's entries, ``z_(n-k)``, the product-limit ``anchor`` and the
-    retention, each ``(B,)``; per rho ``(B, R)``, ``pi_hat`` and ``code``,
-    the first failure in ``errors.REASONS`` (-1 for none, else ``pi_hat``
-    is NaN).  Where the rule ran, also its curve (NaN-scored off a row's
-    candidates) and ``k_limit``, each row's largest candidate; a row the
-    rule failed has ``k = 0``, NaN values and the rule's code.
+    the path's entries, ``z_(n-k)``, the product-limit ``anchor`` (NaN if
+    no rho is asked) and the retention, each ``(B,)``; per rho ``(B, R)``,
+    ``pi_hat`` and ``code``, the first failure in ``errors.REASONS`` (-1
+    for none, else ``pi_hat`` is NaN).  Where the rule ran, also its curve
+    (NaN-scored off a row's candidates), ``k_limit``, each row's largest
+    candidate, and ``rule_code``, the rule's failure; a row the rule failed
+    has ``k = 0``, NaN values and the rule's code at every rho.
     """
 
     k: np.ndarray
@@ -233,6 +234,7 @@ class _Chain:
     k_limit: Optional[np.ndarray] = None
     candidates: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
+    rule_code: Optional[np.ndarray] = None
 
 
 def _fit_rows(
@@ -241,24 +243,25 @@ def _fit_rows(
 ) -> _Chain:
     """The fit at one ``1 <= k < n`` per row of sorted samples ``(B, n)``.
 
-    ``paths`` lists ``(rows, path)`` pairs, each later one overriding: the
-    :func:`_tail_path` of the rows ``rows`` indexes (a row whose ``k`` is
-    past its end must be in a later pair); if None, one path to the largest
-    ``k``.  ``retention`` defaults to ``z_(n-k)``; at ``rho = 0`` only the
-    row checks run.  Values are computed entry by entry, so each row's are
-    bitwise the row's alone.  ``scratch``, a float64 array shaped like
-    ``z_sorted``, may take the product-limit factors, and no result shares it.
+    ``paths`` lists ``(rows, path)`` pairs whose ``rows`` split the block:
+    the :func:`_tail_path` of the rows ``rows`` indexes, reaching each of
+    their ``k``; if None, one path to the largest ``k``.  ``retention``
+    defaults to ``z_(n-k)``; at ``rho = 0`` only the row checks run, and
+    with no rho the anchor is not computed.  Values are computed entry by
+    entry, so each row's are bitwise the row's alone.  ``scratch``, a
+    float64 array shaped like ``z_sorted``, may take the product-limit
+    factors, and no result shares it.
     """
     if paths is None:
         paths = ((slice(None), _tail_path(z_sorted, delta, int(k.max()))),)
     at_k = np.empty((3, len(k)))
     for rows, path in paths:
-        at = (np.minimum(k[rows], path[0].shape[-1]) - 1)[:, None]
+        at = (np.arange(len(path[0])), k[rows] - 1)
         for out, values in zip(at_k, path):
-            out[rows] = np.take_along_axis(values, at, -1)[:, 0]
+            out[rows] = values[at]
     gamma1 = at_k[0]
     threshold = z_sorted[np.arange(len(k)), z_sorted.shape[-1] - k - 1]
-    anchor = _km_anchor(delta, k, scratch)
+    anchor = _km_anchor(delta, k, scratch) if len(rhos) else np.full(len(k), np.nan)
     retention = np.full(len(k), threshold if retention is None else retention)
     code = np.full((len(k), len(rhos)), -1)
     # The row checks, last first, so that a row keeps its first failure.
@@ -285,15 +288,15 @@ def _fit_rows(
 
 
 def _raise_failure(chain: _Chain, rho: float) -> None:
-    """Raise the first row's failure at its first rho, if any."""
-    code, gamma1 = chain.code[0, 0], chain.gamma1[0]
+    """Raise the first row's failure, if any: at its first rho, else the rule's."""
+    code = chain.code[0, 0] if chain.code.size else chain.rule_code[0]
     if code >= 0:
         # The rule's limit is its positives less one where < 2: n // 2 >= 5.
         limit = -1 if chain.k_limit is None else int(chain.k_limit[0])
         raise _failure(
             code, count=limit + 1, k_limit=limit, k=int(chain.k[0]),
-            threshold=chain.threshold[0], gamma1=gamma1, rho=rho,
-            rho_gamma1=rho * float(gamma1), retention=chain.retention[0],
+            threshold=chain.threshold[0], gamma1=chain.gamma1[0], rho=rho,
+            rho_gamma1=rho * float(chain.gamma1[0]), retention=chain.retention[0],
         )
 
 

@@ -149,38 +149,37 @@ def _chain_rows(
     paths = [(slice(None), path)]
     candidates = np.repeat(np.arange(2, valid.shape[-1] + 2)[None], len(valid), axis=0)
     scores = _window_scores(path[0], candidates, valid, beta)
-    any_open = valid.any(axis=-1)
+    best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
+    k_star = np.where(valid.any(axis=-1), best + 2, 0)
     # A row whose whole primary range is blocked, with its limit past the
     # ceiling, widens the search on a path of its own, to its limit: its
-    # one candidate, the smallest admissible k, fills its row, scored in
-    # column 0.
-    wide = np.flatnonzero(~any_open & (k_limit > ceiling))
-    if wide.size:
+    # one candidate is the smallest admissible k there.
+    widen = (k_star == 0) & (k_limit > ceiling)
+    if widen.any():
+        wide, narrow = np.flatnonzero(widen), np.flatnonzero(~widen)
         wide_path, opened = _open_windows(
             z_sorted[wide], delta[wide], k_limit[wide], int(k_limit[wide].max())
         )
-        paths.append((wide, wide_path))
-        reach = opened.any(axis=-1)
-        first = 2 + np.argmax(opened, axis=-1)[:, None]
-        wide_scores = _window_scores(wide_path[0], first, reach[:, None], beta)
-        wide = wide[reach]
-        candidates[wide] = first[reach]
-        scores[wide, 0] = wide_scores[reach, 0]
-        valid[wide, 0] = True
-        any_open[wide] = True
-    best = np.argmin(np.where(valid, scores, np.inf), axis=-1)
-    k_star = np.take_along_axis(candidates, best[:, None], -1)[:, 0]
-    k_star[~any_open] = 0
+        path = [values[narrow] for values in path]  # frees the block's path
+        paths = [(narrow, path), (wide, wide_path)]
+        first = 2 + np.argmax(opened, axis=-1, keepdims=True)
+        reach = opened.any(axis=-1, keepdims=True)
+        k_star[wide] = np.where(reach, first, 0)[:, 0]
+        candidates[wide, 0] = first[:, 0]
+        scores[wide, :1] = _window_scores(wide_path[0], first, reach, beta)
+    failed = k_star == 0
+    rule_code = np.where(failed, _CODE["no_admissible_k"], -1)
+    rule_code[k_limit < 2] = _CODE["too_few_positive"]
     if lap is not None:
         lap("rule")
     # Rows the rule failed are fitted at the top, then given its code.
     chain = _fit_rows(z_sorted, delta, k_star, rhos, retention, scratch, paths)
     rows = (chain.gamma1, chain.p_hat, chain.gamma_hill, chain.threshold, chain.anchor)
     for values in (*rows, chain.retention, chain.pi_hat):
-        values[~any_open] = np.nan
-    chain.code[~any_open] = _CODE["no_admissible_k"]
-    chain.code[k_limit < 2] = _CODE["too_few_positive"]
-    return replace(chain, k_limit=k_limit, candidates=candidates, scores=scores)
+        values[failed] = np.nan
+    chain.code[failed] = rule_code[failed, None]
+    curve = dict(candidates=candidates, scores=scores, rule_code=rule_code)
+    return replace(chain, k_limit=k_limit, **curve)
 
 
 def reiss_thomas_k(
@@ -215,12 +214,11 @@ def reiss_thomas_k(
         If fewer than two candidate thresholds are strictly positive, or
         no candidate up to ``floor(n/2)`` has an admissible window.
     """
-    # At rho = 0 the fit runs its row checks only, which the rule ignores.
+    # With no rho the fit only reads the path at k and the threshold.
     chain = _chain_rows(
-        sample.z_sorted[None], sample.delta_concomitant[None], (0.0,), beta=beta
+        sample.z_sorted[None], sample.delta_concomitant[None], (), beta=beta
     )
-    if chain.k[0] == 0:
-        _raise_failure(chain, 0.0)
+    _raise_failure(chain, 0.0)
     curve = ~np.isnan(chain.scores[0])
     return ThresholdChoice(
         k_star=int(chain.k[0]),

@@ -504,6 +504,17 @@ class TestPhpEstimate:
             with pytest.raises(DomainError, match="premium overflows the float range"):
                 php_estimate(sample, settings)
 
+    def test_fit_rejects_a_path_short_of_k(self):
+        # Each (rows, path) pair must reach its rows' k: a k past the end
+        # of the path handed in fails instead of reading another entry.
+        z = np.arange(1.0, 21.0)[None]
+        delta = np.ones((1, 20), dtype=int)
+        short = _tail_path(z, delta, 5)
+        fit = _fit_rows(z, delta, np.array([5]), (1.0,), paths=[(slice(None), short)])
+        assert fit.gamma1[0] == short[0][0, 4]
+        with pytest.raises(IndexError):
+            _fit_rows(z, delta, np.array([6]), (1.0,), paths=[(slice(None), short)])
+
     @pytest.mark.parametrize("rho", [1.0, 1.1, 1.7])
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(block=fit_blocks())
@@ -542,7 +553,7 @@ class TestPhpEstimate:
         handed = _fit_rows(z, delta, k, rhos, retention, paths=[(rows, long_path)])
         for got, want in zip(chain_arrays(handed), chain_arrays(fit), strict=True):
             assert got.tobytes() == want.tobytes()
-        assert fit.k_limit is fit.candidates is fit.scores is None
+        assert fit.k_limit is fit.candidates is fit.scores is fit.rule_code is None
         gamma1 = long_path[0][rows, k - 1]
         assert fit.gamma1.tobytes() == gamma1.tobytes()
         threshold, levels = fit.threshold, fit.retention

@@ -203,6 +203,20 @@ class TestReissThomasK:
         assert len(choice.objective_curve) == 1
         assert choice.objective_curve[0][0] == 25
 
+    def test_rule_builds_no_product_limit_curve(self, monkeypatch):
+        # The rule reads no anchor, so it pays for no product-limit pass.
+        sample = crafted_path_sample()
+        censored = sample_from_arrays(sample.z_sorted, np.zeros(sample.n, dtype=int))
+        expected = reiss_thomas_k(sample)
+
+        def no_products(*args, **kwargs):
+            raise AssertionError("the rule built a product-limit curve")
+
+        monkeypatch.setattr(estimators_module, "_km_products", no_products)
+        assert reiss_thomas_k(sample) == expected
+        with pytest.raises(DomainError, match="no admissible k"):
+            reiss_thomas_k(censored)
+
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_beta_extremes_run(self, beta):
         rng = np.random.default_rng(5)
@@ -280,13 +294,11 @@ class TestReissThomasK:
 def choose_rows(z, delta, beta):
     """The rule's outcome on each row of a block, from the chain kernel.
 
-    At rho = 0 the fit runs its row checks only; the rule's code is the
-    chain's where the rule failed (k = 0), else -1.
+    With no rho the fit only reads the path at k and the threshold.
     """
-    chain = _chain_rows(z, delta, (0.0,), beta=beta)
-    code = np.where(chain.k > 0, -1, chain.code[:, 0])
+    chain = _chain_rows(z, delta, (), beta=beta)
     return SimpleNamespace(
-        k_star=chain.k, code=code, k_limit=chain.k_limit,
+        k_star=chain.k, code=chain.rule_code, k_limit=chain.k_limit,
         candidates=chain.candidates, scores=chain.scores, gamma1=chain.gamma1,
     )
 
@@ -572,7 +584,7 @@ class TestChainKernel:
 
     FIELDS = (
         "k", "gamma1", "p_hat", "gamma_hill", "threshold", "anchor",
-        "retention", "pi_hat", "code", "k_limit",
+        "retention", "pi_hat", "code", "k_limit", "rule_code",
     )
 
     @pytest.mark.parametrize("with_retention", [False, True])

@@ -1,7 +1,6 @@
 """Mutation testing with the standard library: which small edits do the tests miss?
 
     python3 tools/mutants.py MODULE TESTS... [--root DIR] [--out FILE]
-                             [--timeout SECONDS]
 
 ``MODULE`` is a Python file under the root (by default the repository that
 holds this script) and ``TESTS`` the pytest paths or node ids, relative to
@@ -17,9 +16,10 @@ on ``PYTHONPATH``, stopping at the first failure; the unmutated module, as
 ``ast`` writes it back, runs first and must pass.  The working tree is
 never written.  The report is JSON: the counts and, per mutant, its line,
 its edit, the original source line and whether it was ``killed`` (with the
-first failing test), ``timeout`` or ``survived``.  It goes to stdout, or
-into ``--out`` under the module's key, where a survivor keeps the ``note``
-it had for the same edit of the same source line.
+first failing test), ``timeout`` (after ``TIMEOUT_S`` seconds) or
+``survived``.  It goes to stdout, or into ``--out`` under the module's
+key, where a survivor keeps the ``note`` it had for the same edit of the
+same source line.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
     ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
 }
+TIMEOUT_S = 300.0  # a mutant's run longer than this counts as a timeout
 # A run's outcome as the mutant's status.
 STATUS = {"passed": "survived", "failed": "killed", "timeout": "timeout"}
 IGNORED = shutil.ignore_patterns(
@@ -91,7 +92,7 @@ def mutate(source: str, index: int) -> Tuple[str, ast.AST, str]:
     return ast.unparse(tree) + "\n", node, edit
 
 
-def run_tests(root: Path, tests: List[str], timeout: float) -> Tuple[str, Optional[str]]:
+def run_tests(root: Path, tests: List[str]) -> Tuple[str, Optional[str]]:
     """Run pytest in ``root``: ``("passed" | "failed" | "timeout", first failure)``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-o", "addopts=",
@@ -101,7 +102,7 @@ def run_tests(root: Path, tests: List[str], timeout: float) -> Tuple[str, Option
         text=True, start_new_session=True,
     )
     try:
-        output, _ = process.communicate(timeout=timeout)
+        output, _ = process.communicate(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
@@ -113,7 +114,7 @@ def run_tests(root: Path, tests: List[str], timeout: float) -> Tuple[str, Option
     return "failed", failures[0].split(" - ")[0] if failures else output[-300:]
 
 
-def mutation_report(root: Path, module: str, tests: List[str], timeout: float) -> Dict:
+def mutation_report(root: Path, module: str, tests: List[str]) -> Dict:
     source = (root / module).read_text()
     lines = source.splitlines()
     count = len(sites(ast.parse(source)))
@@ -123,14 +124,14 @@ def mutation_report(root: Path, module: str, tests: List[str], timeout: float) -
         shutil.copytree(root, copy, ignore=IGNORED)
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
-        status, failure = run_tests(copy, tests, timeout)
+        status, failure = run_tests(copy, tests)
         if status != "passed":
             raise SystemExit(f"the unmutated module fails its tests: {failure}")
         for index in range(count):
             text, node, edit = mutate(source, index)
             target.write_text(text)
             started = time.perf_counter()
-            status, failure = run_tests(copy, tests, timeout)
+            status, failure = run_tests(copy, tests)
             entry = {
                 "line": node.lineno,
                 "edit": edit,
@@ -170,10 +171,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("tests", nargs="+", help="pytest paths, relative to the root")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--out", type=Path, help="JSON file to merge the report into")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's run counts as a timeout")
     args = parser.parse_args(argv)
-    report = mutation_report(args.root.resolve(), args.module, args.tests, args.timeout)
+    report = mutation_report(args.root.resolve(), args.module, args.tests)
     if args.out is None:
         json.dump(report, sys.stdout, indent=1)
         print()
