@@ -72,19 +72,20 @@ def read_claims(path: str) -> SortedCensoredSample:
 
     The file is read and decoded whole.  Then ``np.loadtxt`` reads it a
     second time, by its absolute path, so numpy parses it in C chunks, into
-    ``(z, delta)`` records checked with array masks.  numpy opens a path
-    through ``DataSource``, which never takes an absolute path for a URL
-    but would decompress a name ending in ``.gz``, ``.bz2``, ``.xz`` or
-    ``.lzma``, and reads with universal newlines, which would split a row
-    at a lone ``\\r``; such names and bodies skip that pass.  When the pass
-    is skipped or rejects the file (it fails or warns, a value or flag
-    breaks its rule, or the records do not match the body's lines one to
-    one, as with a blank line, which ``loadtxt`` would skip), the text read
-    first is parsed row by row.  That loop names the line of the first
-    offending row, or accepts what only Python's ``float`` and ``int``
-    parse, such as ``1_5``.  ``loadtxt`` converts floats with the routine
-    behind ``float``, so both passes read the same values.  A file that
-    does not decode fails at the line of its first undecodable byte.
+    ``(z, delta)`` records that :meth:`SortedCensoredSample.from_unsorted`
+    sorts and checks.  numpy opens a path through ``DataSource``, which
+    never takes an absolute path for a URL but would decompress a name
+    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, and reads with
+    universal newlines, which would split a row at a lone ``\\r``; such
+    names and bodies skip that pass.  When the pass is skipped or rejects
+    the file (it fails or warns, or the records do not match the body's
+    lines one to one, as with a blank line, which ``loadtxt`` would skip),
+    or the sample rejects a value or flag with a :class:`ValidationError`,
+    the text read first is parsed row by row.  That loop names the line of
+    the first offending row, or accepts what only Python's ``float`` and
+    ``int`` parse, such as ``1_5``.  ``loadtxt`` converts floats with the
+    routine behind ``float``, so both passes read the same values.  A file
+    that does not decode fails at the line of its first undecodable byte.
     """
     try:
         with open(path, newline="") as handle:
@@ -126,14 +127,12 @@ def read_claims(path: str) -> SortedCensoredSample:
             )
     except (OSError, ValueError, Warning):
         return _read_claims_rows(path, text)
-    z, delta = records["z"], records["delta"]
-    if (
-        records.size != body.count("\n") + (not body.endswith("\n"))
-        or not np.all((z >= 0.0) & (z < math.inf))
-        or not np.all((delta == 0) | (delta == 1))
-    ):
+    if records.size != body.count("\n") + (not body.endswith("\n")):
         return _read_claims_rows(path, text)
-    return SortedCensoredSample.from_unsorted(z, delta)
+    try:
+        return SortedCensoredSample.from_unsorted(records["z"], records["delta"])
+    except ValidationError:
+        return _read_claims_rows(path, text)
 
 
 def _read_claims_rows(path: str, text: str) -> SortedCensoredSample:

@@ -68,31 +68,26 @@ def _check_flags(delta: np.ndarray) -> None:
         raise ValidationError("censoring indicators must be 0 or 1")
 
 
-def _sort_rows(
-    z: np.ndarray, delta: np.ndarray, overwrite: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort each row of raw records ``(..., n)`` into sample order.
+def _sort_rows(z: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort each row of raw records ``(..., n)`` into checked sample order.
 
     Rows are ordered by ``z`` ascending and, within a tie, by ``delta``
-    descending; the flags come back as int64.  One key holds both: for
-    ``z >= 0`` the IEEE bit pattern orders like the value and the spare
-    sign bit makes room for the flag, so records with equal keys are
-    equal.  When every value is finite and has its sign bit clear, the
+    descending; the flags come back as int64.  The arrays are the caller's,
+    sorted in place where the key is packed.  The flags are checked first,
+    on their raw values, so a fractional, NaN or out-of-range flag fails
+    before anything is cast or packed.  One key holds both: for ``z >= 0``
+    the IEEE bit pattern orders like the value and the spare sign bit makes
+    room for the flag, so records with equal keys are equal.  When every
+    value is finite with its sign bit clear, as the key's bound proves, the
     key is packed over ``z``, sorted in place and unpacked into ``z`` and
-    ``delta``, which are returned.  Otherwise it is argsorted, stably, and
-    the raw records gathered into new arrays, so ``-0.0`` (keyed as
-    ``0.0``) keeps its sign and its input order among the zeros, and
-    values that are not finite and >= 0 sort anywhere, for the sample's
-    checks to reject.
-
-    Without ``overwrite`` the flags are checked here and the kernel runs
-    on copies, so the caller's arrays are never written.  With it, ``z``
-    (float64) and ``delta`` (int64 flags, 0 or 1) are the caller's
-    scratch, and the flags are left to :func:`_check_rows`.
+    ``delta``; the sort proves the order and the tie rule.  Otherwise the
+    values are checked to be finite and >= 0, the key is argsorted,
+    stably, and the raw records gathered into new arrays, so ``-0.0``
+    (keyed as ``0.0``) keeps its sign and its input order among the zeros.
+    Either way the rows pass :func:`_check_rows`.
     """
-    if not overwrite:
-        _check_flags(delta)
-        z, delta = np.array(z, dtype=np.float64), delta.astype(np.int64)
+    _check_flags(delta)
+    delta = delta.astype(np.int64, copy=False)
     one = np.uint64(1)
     key, flags = z.view(np.uint64), delta.view(np.uint64)
     if z.size > 0 and key.max() < _INF_BITS:
@@ -104,7 +99,9 @@ def _sort_rows(
         flags ^= one
         key >>= one
         return z, delta
-    key = ((z + 0.0).view(np.uint64) << one) | (delta == 0)
+    if not np.all((z >= 0.0) & (z < np.inf)):
+        raise ValidationError("observed values must be finite and >= 0")
+    key = (key << one) | (delta == 0)  # the shift drops the sign of -0.0
     order = np.argsort(key, axis=-1, kind="stable")
     return np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
 
@@ -172,10 +169,11 @@ class SortedCensoredSample:
 
         Records are ordered by ``z`` ascending and, within a tie, by
         ``delta`` descending, so any permutation of the input rows gives
-        the same sample.
+        the same sample.  :func:`_sort_rows` sorts and checks copies, so
+        the caller's arrays are never written.
         """
-        z = np.asarray(z, dtype=np.float64)
-        delta = np.asarray(delta)
+        z = np.array(z, dtype=np.float64)
+        delta = np.array(delta)
         if z.shape != delta.shape or z.ndim != 1:
             raise ValidationError(
                 "z and delta must be one-dimensional arrays of equal length"

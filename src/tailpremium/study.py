@@ -11,13 +11,14 @@ of the grid.  Cell aggregates are the empirical means, the absolute
 difference of those means, and the root mean squared per-replicate error.
 
 The engine works one block of a group's replicates at a time, as
-``(replicates, n)`` arrays: one quantile transform, one row-wise sort and
-one call of the chain kernel ``threshold._chain_rows`` (the threshold
-rule, then the index, Kaplan-Meier anchor and premium at every
-distortion parameter).  ``estimate`` and ``reiss_thomas_k`` run the
-same kernel on one row, ``php_estimate`` and ``weissman_tail`` its fit.
-A block holds at most ``_BLOCK_RECORDS`` records (at least one
-replicate), so its memory does not grow with n.
+``(replicates, n)`` arrays: one quantile transform, one row-wise sort
+that also checks the records (``samples._sort_rows``) and one call of
+the chain kernel ``threshold._chain_rows`` (the threshold rule, then the
+index, Kaplan-Meier anchor and premium at every distortion parameter).
+``estimate`` and ``reiss_thomas_k`` run the same kernel on one row,
+``php_estimate`` and ``weissman_tail`` its fit.  A block holds at most
+``_BLOCK_RECORDS`` records (at least one replicate), so its memory does
+not grow with n.
 
 Each process computes its blocks in one workspace (:class:`_Workspace`):
 a float64 buffer for the draws and an int64 one for the flags, sized at
@@ -69,9 +70,7 @@ import numpy as np
 
 from .errors import _CODE, REASONS, DomainError, ValidationError
 from .models import BurrModel, burr_scheme
-from .samples import (
-    _check_numbers, _check_positive, _check_rows, _is_integer, _sort_rows
-)
+from .samples import _check_numbers, _check_positive, _is_integer, _sort_rows
 from .threshold import _chain_rows
 
 logger = logging.getLogger(__name__)
@@ -87,7 +86,7 @@ _BLOCK_RECORDS = 50_000
 
 # The layers a study run is timed in, in the chain's order: those of a
 # block (:func:`_replicate_block`), then the exact premium of the run.
-_LAYERS = ("draw", "transform", "sort", "check", "rule", "fit", "exact_premium")
+_LAYERS = ("draw", "transform", "sort", "rule", "fit", "exact_premium")
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -388,14 +387,14 @@ def _replicate_block(
     ``(len(indices), len(rho_values))`` arrays: the estimated premium
     (NaN where the entry failed) and the code in ``errors.REASONS`` of
     why it failed (-1 where it did not).  Each replicate draws from its
-    own stream (:func:`_block_draws`); the block is transformed, sorted
-    and checked in ``(len(indices), n)`` array passes, then run through
-    the chain in one :func:`threshold._chain_rows` call, which merges a
-    failed threshold choice (every rho) with the fit's failures (their
-    rho only).  The exact premium is left to :func:`_price_exact`.  Every
-    kernel treats rows independently, so a replicate's values, failures
-    included, are bitwise the same in any block.  Settings are those a
-    :class:`StudyConfig` accepts.
+    own stream (:func:`_block_draws`); the block is transformed and
+    sorted, the sort checking the records, in ``(len(indices), n)`` array
+    passes, then run through the chain in one :func:`threshold._chain_rows`
+    call, which merges a failed threshold choice (every rho) with the
+    fit's failures (their rho only).  The exact premium is left to
+    :func:`_price_exact`.  Every kernel treats rows independently, so a
+    replicate's values, failures included, are bitwise the same in any
+    block.  Settings are those a :class:`StudyConfig` accepts.
 
     The draws, the records, the sort keys and the product-limit factors
     live in ``work``'s arrays (a new :class:`_Workspace` if None), each
@@ -410,10 +409,8 @@ def _replicate_block(
     work.lap("draw")
     z, delta = scheme.records(draws, out=flags)
     work.lap("transform")
-    z, delta = _sort_rows(z, delta, overwrite=True)
+    z, delta = _sort_rows(z, delta)
     work.lap("sort")
-    _check_rows(z, delta)
-    work.lap("check")
     # The censor half of the draws is free once the records are sorted.
     chain = _chain_rows(
         z, delta, rho_values, beta=beta, scratch=draws[:, 1], lap=work.lap

@@ -2,6 +2,11 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
@@ -69,3 +74,53 @@ def test_kills_known_mutants_and_keeps_the_tree(tmp_path, capsys):
     after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
     assert after == before
     capsys.readouterr()
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_a_stopped_run_kills_its_pytest_and_removes_its_tree(tmp_path):
+    root = tmp_path / "project"
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "src" / "tiny.py").write_text(MODULE)
+    pid_file = tmp_path / "pytest.pid"
+    (root / "tests" / "test_tiny.py").write_text(
+        "import os, time\n\n\n"
+        "def test_sleeps():\n"
+        f"    open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "    time.sleep(120)\n"
+    )
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    argv = [sys.executable, str(TOOL), "src/tiny.py", "tests/test_tiny.py",
+            "--root", str(root)]
+    harness = subprocess.Popen(
+        argv, env=dict(os.environ, TMPDIR=str(scratch)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pid = None
+    try:
+        # The sleeping test runs in the harness's copy of the root.
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text():
+            assert harness.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        assert [path.name for path in scratch.glob("*/*")] == ["tree"]
+        harness.send_signal(signal.SIGTERM)
+        # It exits on its own, before the test's sleep is over.
+        assert harness.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(scratch.iterdir()) == []
+        assert not alive(pid)
+    finally:
+        if harness.poll() is None:
+            harness.kill()
+            harness.wait()
+        if pid is not None and alive(pid):
+            os.kill(pid, signal.SIGKILL)

@@ -13,7 +13,7 @@ from tailpremium import (
     ValidationError,
     validate_settings,
 )
-from tailpremium.samples import _check_rows, _sort_rows
+from tailpremium.samples import _check_positive, _check_rows, _sort_rows
 
 NAN = float("nan")
 INF = float("inf")
@@ -140,12 +140,9 @@ class TestSortRows:
         for z_in, delta_in in ((z, delta), (z[..., ::-1], delta[..., ::-1])):
             before = z_in.tobytes(), delta_in.tobytes()
             want_z, want_delta = lexsorted_rows(z_in, delta_in)
-            # Run on the caller's arrays, and on scratch copies it hands over.
-            scratch = z_in.copy(), delta_in.astype(np.int64)
-            for got_z, got_delta in (
-                _sort_rows(z_in, delta_in),
-                _sort_rows(*scratch, overwrite=True),
-            ):
+            # The kernel sorts copies handed to it, int64 flags or float ones.
+            for flags in (delta_in.copy(), delta_in.astype(np.float64)):
+                got_z, got_delta = _sort_rows(z_in.copy(), flags)
                 np.testing.assert_array_equal(
                     got_z.view(np.uint64), want_z.view(np.uint64), strict=True
                 )
@@ -153,7 +150,6 @@ class TestSortRows:
                 np.testing.assert_array_equal(
                     _check_rows(got_z, got_delta), want_delta, strict=True
                 )
-            assert (z_in.tobytes(), delta_in.tobytes()) == before
             sample = SortedCensoredSample.from_unsorted(z_in.ravel(), delta_in.ravel())
             assert (z_in.tobytes(), delta_in.tobytes()) == before
             want = lexsorted_rows(z_in.ravel(), delta_in.ravel())
@@ -163,30 +159,51 @@ class TestSortRows:
     def test_overwrite_sorts_into_the_scratch_arrays(self):
         z = np.array([[3.0, 0.0, 3.0, 1.0], [2.0, 2.0, 0.5, 0.0]])
         delta = np.array([[0, 1, 1, 0], [0, 1, 0, 0]])
-        got_z, got_delta = _sort_rows(z, delta, overwrite=True)
+        got_z, got_delta = _sort_rows(z, delta)
         assert got_z is z and got_delta is delta
         assert z.tolist() == [[0.0, 1.0, 3.0, 3.0], [0.0, 0.5, 2.0, 2.0]]
         assert delta.tolist() == [[1, 0, 1, 0], [0, 0, 1, 0]]
+        # One record is sorted where it is too.
+        z, delta = np.array([[2.5]]), np.array([[0]])
+        got_z, got_delta = _sort_rows(z, delta)
+        assert got_z is z and got_delta is delta
+        assert (z.tolist(), delta.tolist()) == ([[2.5]], [[0]])
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, NAN, INF, -INF])
+    def test_each_bad_value_fails_in_the_sort(self, bad):
+        # Alone among good values, so no other value keeps the key unpacked.
+        for z in ([1.0, bad, 2.0], [bad]):
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                _sort_rows(np.array(z), np.ones(len(z), np.int64))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(records=record_rows(bad_values=(-1.0, -5e-324, NAN, INF, -INF)))
     def test_bad_values_still_fail_their_check(self, records):
         z, delta = records
-        before = z.tobytes()
+        before = z.tobytes(), delta.tobytes()
+        # The sort itself rejects them, and leaves what it was given as it was.
+        handed = z.copy(), delta.copy()
         with pytest.raises(ValidationError, match="finite and >= 0"):
-            _check_rows(*_sort_rows(z, delta))
-        with pytest.raises(ValidationError, match="finite and >= 0"):
-            _check_rows(*_sort_rows(z.copy(), delta.copy(), overwrite=True))
-        assert z.tobytes() == before
+            _sort_rows(*handed)
+        assert (handed[0].tobytes(), handed[1].tobytes()) == before
         with pytest.raises(ValidationError, match="finite and >= 0"):
             SortedCensoredSample.from_unsorted(z.ravel(), delta.ravel())
+        assert (z.tobytes(), delta.tobytes()) == before
         # A bad flag is reported first.
         delta = delta.copy()
         delta.flat[-1] = 2
         with pytest.raises(ValidationError, match="0 or 1"):
-            _sort_rows(z, delta)
+            _sort_rows(z.copy(), delta)
         with pytest.raises(ValidationError, match="0 or 1"):
             SortedCensoredSample.from_unsorted(z.ravel(), delta.ravel())
+
+    def test_a_bad_flag_never_reaches_the_values(self):
+        # Packed as it is, a flag of 2 would set the last bit of its value
+        # and turn 1.0 into 1.0000000000000002.
+        z = np.array([3.0, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="0 or 1"):
+            _sort_rows(z, np.array([1, 2, 0]))
+        assert z.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestSortedCensoredSample:
@@ -288,6 +305,12 @@ class TestSettings:
         settings = EstimationSettings(k=50, rho=1.1)
         assert validate_settings(settings, 500) is settings
 
+    def test_validate_accepts_the_smallest_sample_and_k(self):
+        settings = EstimationSettings(k=1, rho=1.0)
+        assert validate_settings(settings, 2) is settings
+        with pytest.raises(ValidationError, match="k must"):
+            validate_settings(EstimationSettings(k=0, rho=1.0), 2)
+
     def test_validate_rejects_k_at_n(self):
         with pytest.raises(ValidationError, match="k must"):
             validate_settings(EstimationSettings(k=500, rho=1.1), 500)
@@ -315,6 +338,12 @@ class TestSettings:
             validate_settings(
                 EstimationSettings(k=5, rho=1.0, retention=0.0), 500
             )
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, NAN, INF])
+    def test_positive_numbers_are_finite_and_above_zero(self, value):
+        with pytest.raises(ValidationError, match=r"eta must be > 0"):
+            _check_positive(gamma1=0.1, eta=value)
+        _check_positive(gamma1=0.1, eta=5e-324)
 
     def test_validate_rejects_tiny_sample(self):
         with pytest.raises(ValidationError, match="sample size"):

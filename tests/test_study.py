@@ -38,7 +38,7 @@ from tailpremium import estimators as estimators_module
 from tailpremium import models as models_module
 from tailpremium import study as study_module
 from tailpremium.errors import _CODE, REASONS
-from tailpremium.samples import _sort_rows
+from tailpremium.samples import _check_rows, _sort_rows
 from tailpremium import threshold as threshold_module
 from tailpremium.threshold import _chain_rows
 
@@ -1145,6 +1145,29 @@ class TestReplicateBlocks:
             assert chains == [config.beta]
             assert 1 <= len(paths) == len(rules)
             assert paths == rules
+
+    def test_chain_receives_checked_rows(self, monkeypatch):
+        # The block's sort is its only check of the records, so every block
+        # of the Table-1 study must reach the chain as valid sample rows.
+        received = []
+
+        def checking_chain(z_sorted, delta, rhos, **kwargs):
+            _check_rows(z_sorted, delta)
+            received.append(z_sorted.shape)
+            return _chain_rows(z_sorted, delta, rhos, **kwargs)
+
+        monkeypatch.setattr(study_module, "_chain_rows", checking_chain)
+        groups = list(product((0.4, 0.6, 0.8), (500, 1000, 1500)))
+        for p, n in groups:
+            cell = StudyCell(gamma1=0.1, p=p, n=n, eta=0.25)
+            rows = study_module._BLOCK_RECORDS // n
+            # The master seed of bench seed 1, as in the reference CSV.
+            study_module._replicate_block(
+                cell, (1.0, 1.1), range(rows), 7340927056714835338, 0.3
+            )
+        assert received == [
+            (study_module._BLOCK_RECORDS // n, n) for _, n in groups
+        ]
 
     def test_no_block_exceeds_the_record_budget(self, monkeypatch):
         real = study_module._replicate_block

@@ -19,7 +19,9 @@ its edit, the original source line and whether it was ``killed`` (with the
 first failing test), ``timeout`` (after ``TIMEOUT_S`` seconds) or
 ``survived``.  It goes to stdout, or into ``--out`` under the module's
 key, where a survivor keeps the ``note`` it had for the same edit of the
-same source line.
+same source line.  Stopped by SIGTERM or SIGINT, the script kills the
+running pytest, removes its copy of the root and exits with status
+128 + the signal's number.
 """
 
 from __future__ import annotations
@@ -103,9 +105,11 @@ def run_tests(root: Path, tests: List[str]) -> Tuple[str, Optional[str]]:
     )
     try:
         output, _ = process.communicate(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    except BaseException as exc:  # a timeout, or this script being stopped
         os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
+        if not isinstance(exc, subprocess.TimeoutExpired):
+            raise
         return "timeout", None
     if process.returncode == 0:
         return "passed", None
@@ -184,5 +188,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def _stop(signum, frame) -> None:
+    """Unwind on a stop signal, so that ``finally`` and ``with`` blocks clean up."""
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _stop)
+    signal.signal(signal.SIGINT, _stop)
     sys.exit(main())
