@@ -49,9 +49,10 @@ seed is a pure function of the master seed, the sample group (gamma1, p,
 n, eta), and the replicate index (:func:`replicate_stream`), and every
 kernel treats the rows of a block independently, so results are bitwise
 identical no matter how replicates are grouped into blocks or scheduled
-across processes.  A block computes its replicates' PCG64 states in one
-array pass, bit for bit those ``SeedSequence`` and ``PCG64`` give, rather
-than building the two objects per replicate.  Across machines that holds
+across processes.  A block hashes its replicate indices into the group's
+seed-sequence pool in one array pass, bit for bit the state words
+``SeedSequence`` would generate, rather than building one per replicate;
+numpy seeds each ``PCG64`` from those words.  Across machines that holds
 on one numpy build and CPU family: numpy dispatches ``log`` and ``power``
 to SIMD routines by CPU, which can move last bits.
 """
@@ -90,13 +91,10 @@ _LAYERS = ("draw", "transform", "sort", "rule", "fit", "exact_premium")
 
 _UINT64_MASK = (1 << 64) - 1
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_UINT128_MASK = (1 << 128) - 1
 _MAX_REPLICATES = 1 << 32
 
 
@@ -162,7 +160,7 @@ class StudyConfig:
             raise ValidationError(
                 f"every n must be an integer >= 100, got {self.n_values!r}"
             )
-        # A replicate index is one 32-bit entropy word (_pcg64_states).
+        # A replicate index is one 32-bit entropy word (_seed_words).
         if not _is_integer(self.replicates) or not (
             1 <= self.replicates <= _MAX_REPLICATES
         ):
@@ -223,82 +221,67 @@ def replicate_stream(
     )
 
 
-def _hashmix(value, const, mult=_MULT_A):
-    """One hash step of numpy's ``SeedSequence``: ``(hashed value, next const)``.
+def _hash_rows(values: np.ndarray, init: int, mult: int) -> np.ndarray:
+    """``SeedSequence``'s hash of each row of a ``uint32`` array.
 
-    ``value`` is a word (int) or a ``uint32`` array, ``const`` an int or a
-    ``uint32`` column of one constant per row of the result;
-    ``generate_state`` hashes with ``_MULT_B``.
+    Row ``j`` is hashed with the ``j``-th constant of the chain that starts
+    at ``init``, ``init * mult**j mod 2**32``, as ``SeedSequence`` hashes
+    its ``j``-th word from there.
     """
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+    consts = np.array(
+        [init * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(len(values) + 1)],
+        dtype=np.uint32,
+    )[:, None]
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
 
 
-def _mix(x, y):
-    """``SeedSequence``'s pool mix of two words (ints or ``uint32`` arrays).
+def _seed_words(words: List[int], indices: range) -> np.ndarray:
+    """``SeedSequence([*words, i]).generate_state(4, np.uint64)`` for each ``i``.
 
-    The first product is reduced before the subtraction, so an int ``x``
-    stays within ``uint32`` beside an array ``y``.
+    One C-contiguous uint64 row per index, as ``PCG64`` reads it raw.  numpy
+    mixes the group's pool once; its ``E`` entropy words (``max(1,
+    ceil(bit_length / 32))`` a value, at least five) more than fill the
+    4-word pool and take ``4 * E`` hash constants, so the index word only
+    mixes into the full pool, from the constant ``_INIT_A *
+    _MULT_A**(4 * E)``.  Its four hashes are one ``(4, len(indices))``
+    array pass, and so are the eight words of ``generate_state``.  One
+    entropy word per index: the caller keeps every index below ``2**32``.
     """
-    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _chain(const: int, count: int, mult: int) -> np.ndarray:
-    """``count`` successive hash constants from ``const``, as a ``uint32`` column."""
-    consts = [const]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _pcg64_states(words: List[int], indices: range) -> Tuple[List[int], List[int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence([*words, i]))`` for each ``i``.
-
-    The seed sequence's pool is mixed from the group words once, in Python
-    ints: the five group values give at least five 32-bit entropy words,
-    more than the 4-word pool holds, so the index word comes after the
-    pool is full and only mixes into it.  Its hash into each of the four
-    pool words takes the next constant of one chain, so the four hashes
-    are one ``(4, len(indices))`` array pass, and so are the eight words
-    of ``generate_state(4, uint64)``; PCG64's seeding step (O'Neill 2014)
-    follows.  One entropy word per index: the caller keeps every index
-    below ``2**32``.
-    """
-    entropy = []
-    for value in words:
-        entropy.append(value & _MASK32)
-        while value > _MASK32:
-            value >>= 32
-            entropy.append(value & _MASK32)
-    const = _INIT_A
-    pool = []
-    for word in entropy[:4]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[4:]:
-        for dst in range(4):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+    entropy = sum(max(1, -(-value.bit_length() // 32)) for value in words)
     index = np.arange(indices.start, indices.stop, dtype=np.uint32)
-    hashed, _ = _hashmix(index, _chain(const, 4, _MULT_A))
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
-    halves, _ = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, 8, _MULT_B), _MULT_B)
-    halves = halves.astype(np.uint64)
-    w0, w1, w2, w3 = (halves[0::2] | halves[1::2] << np.uint64(32)).tolist()
-    states, incs = [], []
-    for a, b, c, d in zip(w0, w1, w2, w3):
-        inc = ((c << 64 | d) << 1 | 1) & _UINT128_MASK
-        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _UINT128_MASK)
-        incs.append(inc)
-    return states, incs
+    hashed = _hash_rows(
+        np.broadcast_to(index, (4, len(index))),
+        _INIT_A * pow(_MULT_A, 4 * entropy, 1 << 32),
+        _MULT_A,
+    )
+    pool = np.random.SeedSequence(words).pool[:, None]
+    pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+    state = _hash_rows(np.tile(pool ^ pool >> 16, (2, 1)), _INIT_B, _MULT_B)
+    # generate_state's uint64 words are little-endian pairs of uint32 words.
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedRow:
+    """A replicate's :func:`_seed_words` row, for ``PCG64`` to seed from.
+
+    Each ``_block_draws`` call registers it as numpy's ``ISeedSequence``,
+    which ``PCG64`` requires (a no-op after the first).  Subclassing it
+    would load ``numpy.random`` at import, before the study's first block,
+    and that order alone raised a 100-replicate Table-1 ``simulate``'s
+    peak RSS by about 0.3 MB (2 vCPUs, Xeon, numpy 2.4).
+    """
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"PCG64 asked for {n_words} words of {np.dtype(dtype)}, "
+                "not the 4 uint64 words the study's streams are seeded with"
+            )
+        return self.row
 
 
 def _block_draws(
@@ -308,23 +291,17 @@ def _block_draws(
 
     Row ``b`` holds, bit for bit, ``CensoringScheme.draw(n, rng)`` with
     ``rng = np.random.default_rng(replicate_stream(master_seed, cell, i))``
-    for the ``b``-th index ``i``.  The block's PCG64 states come from one
-    array pass (:func:`_pcg64_states`), not one ``SeedSequence`` each; one
-    reused generator is set to each state in turn and fills its row of
-    ``out``, or of a new array.  Indices stay below ``2**32``
+    for the ``b``-th index ``i``.  The block's seed words come from one
+    array pass (:func:`_seed_words`), not one ``SeedSequence`` each; numpy
+    seeds each replicate's ``PCG64`` from its row, and the generator fills
+    its row of ``out``, or of a new array.  Indices stay below ``2**32``
     (:class:`StudyConfig`).
     """
-    states, incs = _pcg64_states(_group_words(master_seed, cell), indices)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    np.random.bit_generator.ISeedSequence.register(_SeedRow)
+    seeds = _seed_words(_group_words(master_seed, cell), indices)
     uniforms = np.empty((len(indices), 2, cell.n)) if out is None else out
-    for row, state, inc in zip(uniforms, states, incs):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for row, seed in zip(uniforms, seeds):
+        generator = np.random.Generator(np.random.PCG64(_SeedRow(seed)))
         for half in row:  # the loss half first, then the censor half
             generator.random(out=half)
     return uniforms

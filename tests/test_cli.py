@@ -1303,6 +1303,20 @@ def test_claims_commands_leave_out_scipy(tmp_path):
     assert _modules_after(probe) == "[]"
 
 
+def test_claims_commands_leave_out_the_study_and_numpy_random(tmp_path):
+    # The study's draws load numpy.random (15-20 ms), at its first block
+    # and not at import; estimate and km need neither.
+    assert _modules_after("import tailpremium.study", ("numpy.random",)) == "[]"
+    path = write_claims(tmp_path / "c.csv", [(1.0 + i, i % 2) for i in range(300)])
+    out = str(tmp_path / "km.csv")
+    probe = (
+        "from tailpremium.cli import main\n"
+        f"assert main(['estimate', {path!r}, '--rho', '1.1', '--auto-k']) == 0\n"
+        f"assert main(['km', {path!r}, '--out', {out!r}]) == 0"
+    )
+    assert _modules_after(probe, ("tailpremium.study", "numpy.random")) == "[]"
+
+
 def _command_probe(files, out, command):
     """A fresh-process probe that imports the CLI and runs ``command``."""
     probe = "from tailpremium.cli import main"

@@ -76,6 +76,36 @@ def test_kills_known_mutants_and_keeps_the_tree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_mutant_that_ends_pytest_early_with_status_0_is_killed(tmp_path, capsys):
+    root = tmp_path / "project"
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "src" / "tiny.py").write_text(
+        "import os\n\n\n"
+        "def leave(code):\n"
+        "    if code > 1:\n"
+        "        os._exit(0)\n"
+        "    return code\n"
+    )
+    (root / "tests" / "test_tiny.py").write_text(
+        "from tiny import leave\n\n\n"
+        "def test_leave():\n"
+        "    assert leave(1) == 1\n"
+    )
+    out = tmp_path / "MUTANTS.json"
+    argv = ["src/tiny.py", "tests/test_tiny.py", "--root", str(root), "--out", str(out)]
+    assert load_tool().main(argv) == 0
+    report = json.loads(out.read_text())["src/tiny.py"]
+    outcome = {(r["line"], r["edit"]): (r["status"], r.get("by")) for r in report["results"]}
+    # code >= 1 makes leave(1) end pytest's process with status 0.
+    assert outcome == {
+        (5, "> -> >="): ("killed", "pytest exited with status 0 before its summary"),
+        (5, "1 + 1"): ("survived", None),
+        (6, "0 + 1"): ("survived", None),
+    }
+    capsys.readouterr()
+
+
 def alive(pid):
     try:
         os.kill(pid, 0)

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ class TestBlockDraws:
     def test_block_states_equal_seed_sequences(
         self, master_seed, gamma1, p, eta, n, count, start
     ):
-        # The block's PCG64 states come from one array pass; each row must
+        # The block's seed words come from one array pass; each row must
         # still be, bit for bit, what SeedSequence and PCG64 give the
         # replicate.  Subnormal floats and small seeds take one entropy
         # word, others two; start=None ends the range at 2**32.
@@ -272,6 +273,52 @@ class TestBlockDraws:
         for row, i in zip(draws, indices):
             rng = np.random.default_rng(replicate_stream(master_seed, cell, i))
             assert row.tobytes() == rng.random((2, n)).tobytes()
+
+    @pytest.mark.parametrize(
+        "master_seed, gamma1, p, eta, n, entropy",
+        [
+            (7, 5e-324, 1e-320, 2e-315, 100, 5),
+            (1 << 40, 5e-324, 1e-320, 2e-315, 100, 6),
+            (7, 0.1, 0.4, 2e-315, 1000, 7),
+            ((1 << 64) - 1, 0.25, 1e-320, 0.5, 500, 8),
+            (1 << 32, 0.1, 0.4, 0.25, 1500, 9),
+            ((1 << 64) - 1, 0.1, 0.4, 0.25, (1 << 32) + 3, 10),
+        ],
+    )
+    def test_seed_words_equal_seed_sequence_states(
+        self, master_seed, gamma1, p, eta, n, entropy
+    ):
+        # The index word's first hash constant follows from the group's
+        # count of 32-bit entropy words: each count from the fewest (5)
+        # to the most (10, which takes n >= 2**32) is checked at the
+        # first, second and last index a study may use.
+        words = [master_seed, *map(float_bits, (gamma1, p)), n, float_bits(eta)]
+        assert words == study_module._group_words(
+            master_seed, StudyCell(gamma1=gamma1, p=p, n=n, eta=eta)
+        )
+        assert sum(-(-max(w.bit_length(), 1) // 32) for w in words) == entropy
+        for indices in (range(0, 2), range((1 << 32) - 1, 1 << 32)):
+            rows = study_module._seed_words(words, indices)
+            assert rows.dtype == np.uint64 and rows.shape == (len(indices), 4)
+            for row, i in zip(rows, indices):
+                assert row.flags.c_contiguous
+                expected = np.random.SeedSequence([*words, i]).generate_state(
+                    4, np.uint64
+                )
+                np.testing.assert_array_equal(row, expected, strict=True)
+
+    @pytest.mark.parametrize(
+        "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64)]
+    )
+    def test_seed_row_serves_only_four_uint64_words(self, n_words, dtype):
+        # PCG64 reads four uint64 words from the row as they are; a numpy
+        # that asked for anything else would seed other streams, so the
+        # request fails instead.
+        row = study_module._seed_words([7, 1, 2, 100, 3], range(5, 6))[0]
+        seed = study_module._SeedRow(row)
+        assert seed.generate_state(4, np.uint64) is row
+        with pytest.raises(RuntimeError, match="4 uint64 words"):
+            seed.generate_state(n_words, dtype)
 
     def test_block_retentions_come_from_the_public_streams(self):
         retention, _, code = study_module._replicate_block(
@@ -472,11 +519,21 @@ class TestStudyConfig:
             (dict(replicates=True), "replicates must .* got True"),
             (dict(master_seed=True), "master_seed must .* got True"),
             (dict(master_seed=False), "master_seed must .* got False"),
+            (dict(beta=0.501), "beta"),
+            (dict(p_values=(0.0, 0.6)), "p must"),
         ],
     )
     def test_validation(self, overrides, message):
         with pytest.raises(ValidationError, match=message):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(n_values=(100,)), dict(beta=0.0), dict(beta=0.5)]
+    )
+    def test_accepts_each_bound(self, overrides):
+        config = small_config(**overrides)
+        for field, value in overrides.items():
+            assert getattr(config, field) == value
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -651,6 +708,48 @@ class TestRunStudy:
             for r in caplog.records
         )
 
+    def test_the_first_reason_fails_a_replicate_like_any_other(
+        self, monkeypatch, caplog
+    ):
+        # Code 0 (too_few_positive) is a failure: it is counted, named in
+        # the warning, kept out of the means, the error quantiles and the
+        # exact premium; a cell with no failure warns nothing.
+        real = study_module._replicate_block
+
+        def failing_two_low_p_replicates(
+            cell, rho_values, indices, seed, beta=0.3, work=None
+        ):
+            retention, pi_hat, code = real(cell, rho_values, indices, seed, beta)
+            if cell.p == 0.4:
+                for index, reason in ((0, "too_few_positive"), (2, "no_admissible_k")):
+                    row = np.equal(indices, index)
+                    retention[row] = pi_hat[row] = np.nan
+                    code[row] = _CODE[reason]
+            return retention, pi_hat, code
+
+        monkeypatch.setattr(
+            study_module, "_replicate_block", failing_two_low_p_replicates
+        )
+        config = small_config(p_values=(0.4, 0.6), replicates=5)
+        with caplog.at_level(logging.DEBUG, logger="tailpremium.study"):
+            failed, clean = run_study(config)
+        assert (failed.failure_count, clean.failure_count) == (2, 0)
+        assert [
+            r.getMessage() for r in caplog.records if r.levelno == logging.WARNING
+        ] == [
+            "cell (p=0.4, rho=1, n=150): 2 of 5 replicates failed; "
+            "reasons: too_few_positive=1, no_admissible_k=1"
+        ]
+        debug = [r.args[3] for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == 2 and not any("nan" in logged for logged in debug)
+        cell = StudyCell(config.gamma1, 0.4, 150, config.eta)
+        pi_true, pi_hat, _ = priced(
+            cell, (1.0,), real(cell, (1.0,), range(5), config.master_seed, 0.3)
+        )
+        kept = [1, 3, 4]
+        assert failed.mean_pi_hat == np.mean(pi_hat[kept, 0])
+        assert failed.mean_pi_true == np.mean(pi_true[kept, 0])
+
     def test_every_cell_failing_is_an_error(self, monkeypatch):
         monkeypatch.setattr(
             study_module,
@@ -783,6 +882,33 @@ class TestWorkerProcesses:
         assert not (tmp_path / "rows.csv").exists()
         assert len(forks) == 2
         assert_reaped(forks)
+
+    def test_child_whose_results_do_not_pickle_exits_1(self, forks, patch_blocks):
+        def unpicklable_in_child(in_child, task, real):
+            outcome = real(*task)
+            return (*outcome[:2], lambda: outcome[2]) if in_child else outcome
+
+        patch_blocks(unpicklable_in_child)
+        with pytest.raises(ChildProcessError, match=r"exit status 1\)$"):
+            run_study(small_config(), workers=2)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_blocks_are_weighed_by_their_records(self, monkeypatch):
+        real = study_module._split_shares
+        weights = []
+
+        def spy(block_weights, count):
+            weights.append(list(block_weights))
+            return real(block_weights, count)
+
+        monkeypatch.setattr(study_module, "_split_shares", spy)
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 1000)
+        config = small_config(n_values=(150, 400), replicates=7)
+        assert run_study(config, workers=2) == run_study(config)
+        # Blocks of 6 and 1 replicates at n = 150, then 2, 2, 2 and 1 at
+        # n = 400: each weighs its records.
+        assert weights[0] == [6 * 150, 1 * 150, 2 * 400, 2 * 400, 2 * 400, 1 * 400]
 
     @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
     def test_parent_failure_kills_its_children(self, forks, patch_blocks, error):
@@ -1369,6 +1495,27 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < 8 * rows * n
 
+    def test_a_new_workspace_starts_empty_and_books_laps_from_zero(
+        self, monkeypatch
+    ):
+        ticks = iter([10, 25, 60, 100, 180])
+        monkeypatch.setattr(
+            study_module, "time", SimpleNamespace(perf_counter_ns=ticks.__next__)
+        )
+        work = study_module._Workspace()
+        assert work.clocks == dict.fromkeys(study_module._LAYERS, 0)
+        draws, flags = work.block(1, 1)
+        assert (draws.shape, flags.shape) == ((1, 2, 1), (1, 1))
+        work.lap("draw")
+        draws, flags = work.block(3, 5)
+        assert (draws.shape, flags.shape) == ((3, 2, 5), (3, 5))
+        assert (work.draws.size, work.flags.size) == (30, 15)
+        work.lap("draw")
+        work.lap("sort")
+        assert work.clocks == {
+            **dict.fromkeys(study_module._LAYERS, 0), "draw": 15 + 40, "sort": 80
+        }
+
     def test_threads_each_return_the_serial_rows(self):
         config = small_config(p_values=(0.4, 0.6), n_values=(150, 400), replicates=6)
         expected = run_study(config)
@@ -1402,6 +1549,35 @@ class TestWorkspace:
             assert rows == expected
             assert tuple(layer_us) == study_module._LAYERS
             assert all(0.0 < us < 1e6 for us in layer_us.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_layer_times_are_per_sample_and_per_rho(self, monkeypatch, workers):
+        # Each share books 1, 2, ... ms to the layers in order; the exact
+        # premium adds one tick of 7 us.  Two groups of 4 samples, two
+        # distinct rhos: the fit and the exact premium are per (sample, rho).
+        real = study_module._run_share
+        share_ns = {
+            layer: 10**6 * (i + 1) for i, layer in enumerate(study_module._LAYERS)
+        }
+        monkeypatch.setattr(
+            study_module,
+            "_run_share",
+            lambda tasks, share: (real(tasks, share)[0], dict(share_ns)),
+        )
+        ticks = iter(range(0, 10**9, 7000))
+        monkeypatch.setattr(
+            study_module, "time", SimpleNamespace(perf_counter_ns=ticks.__next__)
+        )
+        monkeypatch.setattr(study_module, "_BLOCK_RECORDS", 300)
+        config = small_config(p_values=(0.4, 0.6), rho_values=(1.0, 1.1, 1.0))
+        rows, layer_us = study_module._timed_study(config, workers)
+        assert rows == run_study(config)
+        total = {layer: workers * ns for layer, ns in share_ns.items()}
+        total["exact_premium"] += 7000
+        assert layer_us == {
+            layer: ns / 1e3 / (8 * (2 if layer in ("fit", "exact_premium") else 1))
+            for layer, ns in total.items()
+        }
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -17,7 +17,9 @@ on ``PYTHONPATH``, stopping at the first failure; the unmutated module, as
 never written.  The report is JSON: the counts and, per mutant, its line,
 its edit, the original source line and whether it was ``killed`` (with the
 first failing test), ``timeout`` (after ``TIMEOUT_S`` seconds) or
-``survived``.  It goes to stdout, or into ``--out`` under the module's
+``survived``.  A run survives only if pytest reports its passes: a mutant
+that ends pytest's own process early with status 0 (a forked child's
+``os._exit`` run by the parent) is killed.  It goes to stdout, or into ``--out`` under the module's
 key, where a survivor keeps the ``note`` it had for the same edit of the
 same source line.  Stopped by SIGTERM or SIGINT, the script kills the
 running pytest, removes its copy of the root and exits with status
@@ -30,6 +32,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -51,6 +54,8 @@ SYMBOLS = {
 TIMEOUT_S = 300.0  # a mutant's run longer than this counts as a timeout
 # A run's outcome as the mutant's status.
 STATUS = {"passed": "survived", "failed": "killed", "timeout": "timeout"}
+# pytest -q's closing line once the session has run, for example "5 passed in 1.02s".
+SUMMARY = re.compile(r"^\d+ passed\b.* in [\d.]+s", re.MULTILINE)
 IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work", "build"
 )
@@ -112,7 +117,9 @@ def run_tests(root: Path, tests: List[str]) -> Tuple[str, Optional[str]]:
             raise
         return "timeout", None
     if process.returncode == 0:
-        return "passed", None
+        if SUMMARY.search(output):
+            return "passed", None
+        return "failed", "pytest exited with status 0 before its summary"
     failures = [line.split(" ", 1)[1] for line in output.splitlines()
                 if line.startswith(("FAILED ", "ERROR "))]
     return "failed", failures[0].split(" - ")[0] if failures else output[-300:]
