@@ -180,7 +180,8 @@ def confidence_interval(
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k!r}")
-    # Imported here, its only use: it costs every CLI start 5-7 ms.
+    # Imported here, its only use (5-7 ms): the asymptotics command loads
+    # this module but never builds an interval.
     from statistics import NormalDist
 
     tail = (1.0 + level) / 2.0

@@ -266,25 +266,26 @@ def _write_text(path: str, header: str, body: str) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    from .estimators import PremiumEstimate, _raise_failure
+    from .estimators import PremiumEstimate, _fit_rows, _raise_failure
     from .threshold import _chain_rows
 
     sample = read_claims(args.input)
+    z, delta = sample.z_sorted[None], sample.delta_concomitant[None]
+    asked = None if args.retention == THRESHOLD else args.retention
 
-    def settings(k: int) -> EstimationSettings:
+    def settings(k: int) -> int:
         given = EstimationSettings(k=k, rho=args.rho, retention=args.retention)
-        return validate_settings(given, sample.n)
+        return validate_settings(given, sample.n).k
 
     # The rule's failures come first, then the settings' bounds, then the fit's.
-    chain = _chain_rows(
-        sample.z_sorted[None], sample.delta_concomitant[None], (args.rho,),
-        k=None if args.auto_k else np.array([settings(args.k).k]),
-        retention=None if args.retention == THRESHOLD else args.retention,
-    )
-    k = int(chain.k[0])
-    if k == 0:
-        _raise_failure(chain, args.rho)
-    settings(k)
+    if args.auto_k:
+        chain = _chain_rows(z, delta, (args.rho,), retention=asked)
+        if chain.k[0] == 0:
+            _raise_failure(chain, args.rho)
+        k = settings(int(chain.k[0]))
+    else:
+        k = settings(args.k)
+        chain = _fit_rows(z, delta, np.array([k]), (args.rho,), asked)
     _raise_failure(chain, args.rho)
     row = (chain.gamma1, chain.p_hat, chain.retention, chain.pi_hat[:, 0], chain.anchor)
     gamma1, p_hat, retention, premium, anchor = (float(v[0]) for v in row)

@@ -40,7 +40,8 @@ class HeavyTailModel(Protocol):
         """The level whose survival is ``s``, for ``s`` in (0, 1].
 
         With ``out``, an array shaped like ``s`` (it may be ``s`` itself),
-        the quantiles are written into it and it is returned.
+        the quantiles are written into it and it is returned.  A scalar
+        ``s`` gives a float, bitwise the quantile of a one-element array.
         """
 
     def second_order_rate(self, t: ArrayLike) -> ArrayLike: ...
@@ -59,28 +60,16 @@ def _match(x, out: np.ndarray):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _survival_levels(s: ArrayLike) -> np.ndarray:
-    """``s`` as a float64 array, checked to lie in (0, 1]."""
-    ss = np.asarray(s, dtype=np.float64)
-    if not (np.all(ss > 0.0) and np.all(ss <= 1.0)):
+def _survival_levels(s: ArrayLike, out=None) -> np.ndarray:
+    """``s``, checked to lie in (0, 1], in a float64 array the caller may
+    write: ``out`` (which may be ``s`` itself) if given, else a copy."""
+    levels = np.asarray(s, dtype=np.float64)
+    if not (np.all(levels > 0.0) and np.all(levels <= 1.0)):
         raise DomainError("survival level must lie in (0, 1]")
-    return ss
-
-
-def _power(base: np.ndarray, exponent: float, out=None):
-    """``base ** exponent``, written into ``out`` when it is given.
-
-    ``out`` may be ``base`` itself.  The in-place ``**=`` keeps the
-    operator's shortcuts (a square for 2, a root for 0.5), so the bits are
-    those of ``base ** exponent``.  Without ``out`` a 0-d ``base`` gives a
-    numpy scalar, as the operator does, so a caller's further augmented
-    assignments stay the scalar arithmetic of the operator expression.
-    """
     if out is None:
-        return base ** exponent
-    if out is not base:
-        np.copyto(out, base)
-    out **= exponent
+        return levels.copy()
+    if out is not levels:
+        np.copyto(out, levels)
     return out
 
 
@@ -129,8 +118,10 @@ class BurrModel:
         return log_power > 700.0, -np.logaddexp(0.0, log_power)
 
     def quantile_of_survival(self, s: ArrayLike, out=None) -> ArrayLike:
-        """``(s**(-eta) - 1)**(gamma/eta)``, into ``out`` if given (:func:`_power`)."""
-        out = _power(_survival_levels(s), -self.eta, out)
+        """``(s**(-eta) - 1)**(gamma/eta)``, worked in place on
+        :func:`_survival_levels`, so into ``out`` if given."""
+        out = _survival_levels(s, out)
+        out **= -self.eta
         out -= 1.0
         out **= self.gamma / self.eta
         return _match(s, out)
@@ -281,8 +272,10 @@ class ParetoModel:
         return _match(x, out)
 
     def quantile_of_survival(self, s: ArrayLike, out=None) -> ArrayLike:
-        """``x_min * s**(-gamma)``, into ``out`` if given (:func:`_power`)."""
-        out = _power(_survival_levels(s), -self.gamma, out)
+        """``x_min * s**(-gamma)``, worked in place on
+        :func:`_survival_levels`, so into ``out`` if given."""
+        out = _survival_levels(s, out)
+        out **= -self.gamma
         out *= self.x_min
         return _match(s, out)
 

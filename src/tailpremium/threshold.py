@@ -15,8 +15,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import _CODE, DomainError, ValidationError
-from .estimators import _Chain, _fit_rows, _raise_failure, _tail_path
+from .errors import _CODE, ValidationError
+from .estimators import _Chain, _fit_rows, _path_to, _raise_failure, _tail_path
 from .samples import SortedCensoredSample, _check_k
 
 _MIN_SAMPLE = 10
@@ -56,16 +56,11 @@ def tail_index_path(
 
     Returns ``(gamma1, p_hat)`` arrays indexed by ``k - 1``.  Where the
     top-k flags are all zero the corrected index is undefined and the
-    entry is NaN.
+    entry is NaN.  A ``z_(n-k_max)`` that is not positive raises the
+    ``nonpositive_threshold`` failure.
     """
-    n = sample.n
-    _check_k(k_max, n, "k_max")
-    if sample.z_sorted[n - k_max - 1] <= 0.0:
-        raise DomainError(
-            "threshold selection needs strictly positive order statistics "
-            "over the whole candidate range"
-        )
-    return _tail_path(sample.z_sorted, sample.delta_concomitant, k_max)[:2]
+    _check_k(k_max, sample.n, "k_max")
+    return _path_to(sample, k_max)[:2]
 
 
 def _open_windows(
@@ -119,18 +114,16 @@ def _window_scores(
 
 def _chain_rows(
     z_sorted: np.ndarray, delta: np.ndarray, rhos: Sequence[float], *,
-    beta: float = _BETA, k=None, retention=None, scratch=None, lap=None,
+    beta: float = _BETA, retention=None, scratch=None, lap=None,
 ) -> _Chain:
     """The chain on every row of sorted samples ``(B, n)``: rule, then fit.
 
-    Given ``k``, one per row, this is :func:`estimators._fit_rows`.  Else
     :func:`reiss_thomas_k`'s rule picks each row's k on a path up to the
-    candidate ceiling, or on its own path if it widens, and the fit reads
-    the row's entries there; then ``lap("rule")`` is called, if given.
-    Each row's values, curve and codes are bitwise those of the row alone.
+    candidate ceiling, or on its own path if it widens; then
+    ``lap("rule")`` is called, if given, and :func:`estimators._fit_rows`
+    reads the row's entries there.  Each row's values, curve and codes are
+    bitwise those of the row alone.
     """
-    if k is not None:
-        return _fit_rows(z_sorted, delta, k, rhos, retention, scratch)
     n = z_sorted.shape[-1]
     if n < _MIN_SAMPLE:
         raise ValidationError(

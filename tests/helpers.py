@@ -221,3 +221,55 @@ def mp_premium(survival, tail_index, rho, retention, knots=(), dps=30):
 
         cuts = sorted((mpmath.mpf(k) / r) ** (-c) for k in knots if k > retention)
         return float(mpmath.quad(integrand, [0] + cuts + [1]))
+
+
+def mp_layer_premium(survival, rho, retention, knots=(), dps=30):
+    """Layer premium ``integral_R^inf survival(x)**(1/rho) dx`` by plain
+    quadrature over ``x``, split at the ``knots`` above ``R``.
+
+    Unlike :func:`mp_premium` it needs no tail index, and it stays exact
+    for retentions far below the Burr knee, where most of the integral
+    lies between ``R`` and 1.
+    """
+    with mpmath.workdps(dps):
+        inv_rho = 1 / mpmath.mpf(rho)
+        cuts = [mpmath.mpf(k) for k in sorted(knots) if k > retention]
+        return float(
+            mpmath.quad(
+                lambda x: survival(x) ** inv_rho,
+                [mpmath.mpf(retention)] + cuts + [mpmath.inf],
+            )
+        )
+
+
+def mp_asym_variance(gamma1, p, rho, dps=30):
+    """The printed variance of ``asym_variance``'s docstring, in mpmath.
+
+    ``gamma1**2 / (1 - rho*gamma1)**2 * (p*(2 - p) + rho*(p - 1)/(1 -
+    rho*gamma1) + rho**2*(1 - 2p)/(p*(1 - rho*gamma1)**2))``
+    """
+    with mpmath.workdps(dps):
+        gamma1, p, rho = mpmath.mpf(gamma1), mpmath.mpf(p), mpmath.mpf(rho)
+        one_minus = 1 - rho * gamma1
+        inner = (
+            p * (2 - p)
+            + rho * (p - 1) / one_minus
+            + rho**2 * (1 - 2 * p) / (p * one_minus**2)
+        )
+        return float(gamma1**2 / one_minus**2 * inner)
+
+
+def mp_asym_mean(gamma1, p, rho, tau1, lambda1, dps=30):
+    """The printed mean of ``asym_mean``'s docstring, in mpmath.
+
+    ``rho * lambda1 / ((1 - p*tau1) * (1 - rho*gamma1)**2)
+    + lambda1 / (rho * (gamma1 + tau1 + rho - 2) * (2 - rho - gamma1))``
+    """
+    with mpmath.workdps(dps):
+        gamma1, p, rho, tau1, lambda1 = (
+            mpmath.mpf(v) for v in (gamma1, p, rho, tau1, lambda1)
+        )
+        return float(
+            rho * lambda1 / ((1 - p * tau1) * (1 - rho * gamma1) ** 2)
+            + lambda1 / (rho * (gamma1 + tau1 + rho - 2) * (2 - rho - gamma1))
+        )

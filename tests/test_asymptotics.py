@@ -19,6 +19,8 @@ from tailpremium import (
     normalization_factor,
 )
 
+from helpers import mp_asym_mean, mp_asym_variance
+
 
 def make_estimate(value):
     return PremiumEstimate(
@@ -46,6 +48,8 @@ class TestAsymptoticParams:
             (dict(gamma1=0.1, p=0.4, rho=1.0, lambda1=float("inf")), "lambda1"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=-float("inf")), "tau1 must be fin"),
             (dict(gamma1=0.1, p=0.4, rho=1.0, tau1=float("nan")), "tau1 must be fin"),
+            (dict(gamma1=0.1, p=0.4, rho=float("inf")), "rho must"),
+            (dict(gamma1=0.1, p=1.0000000000000002, rho=1.0), "p must"),
         ],
     )
     def test_validation(self, kwargs, message):
@@ -110,6 +114,26 @@ class TestAsymMean:
         with pytest.raises(DomainError, match="vanishes"):
             asym_mean(params)
 
+    def test_second_singular_factor_named(self):
+        # 2 - 1.5 - 0.5 is exactly 0; tau1 keeps the first factor at -0.5.
+        params = AsymptoticParams(
+            gamma1=0.5, p=0.4, rho=1.5, tau1=-0.5, lambda1=1.0
+        )
+        with pytest.raises(DomainError, match=r"\(2 - rho - gamma1\) vanishes"):
+            asym_mean(params)
+
+    @pytest.mark.parametrize("rho", [1.1, 1.5])
+    @pytest.mark.parametrize(
+        "gamma1, p, tau1, lambda1",
+        [(0.1, 0.6, -0.25, 1.0), (0.25, 0.7, -0.5, -0.3), (0.4, 0.8, 0.0, 2.0)],
+    )
+    def test_printed_formula_off_rho_one(self, gamma1, p, rho, tau1, lambda1):
+        params = AsymptoticParams(
+            gamma1=gamma1, p=p, rho=rho, tau1=tau1, lambda1=lambda1
+        )
+        want = mp_asym_mean(gamma1, p, rho, tau1, lambda1)
+        assert asym_mean(params) == pytest.approx(want, rel=1e-13)
+
 
 class TestAsymVariance:
     def test_hand_value_positive_case(self):
@@ -122,6 +146,14 @@ class TestAsymVariance:
 
     def test_vanishes_with_gamma(self):
         assert asym_variance(1e-9, 0.4, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [1.1, 1.5])
+    @pytest.mark.parametrize(
+        "gamma1, p", [(0.1, 0.6), (0.25, 0.7), (0.4, 0.8), (0.5, 0.3)]
+    )
+    def test_printed_formula_off_rho_one(self, gamma1, p, rho):
+        want = mp_asym_variance(gamma1, p, rho)
+        assert asym_variance(gamma1, p, rho) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_p_zero(self):
         with pytest.raises(DomainError, match="p = 0"):
@@ -200,6 +232,12 @@ class TestNormalizationFactor:
             with pytest.raises(DomainError, match="premium overflows the float range"):
                 normalization_factor(1e-3, 1005.0, 1.0, 3.98e-4, 1.0)
 
+    def test_overflow_names_rho_times_gamma1(self):
+        with pytest.raises(DomainError) as raised:
+            normalization_factor(1e-3, 1005.0, 1.0, 1e-4, 2.0)
+        assert raised.value.reason == "premium_overflow"
+        assert str(raised.value).endswith("rho * gamma1=0.0002")
+
 
 class TestGaussianQuantile:
     """The interval's half-width is the normal quantile of ``(1 + level)/2``."""
@@ -265,6 +303,12 @@ class TestConfidenceInterval:
             confidence_interval(make_estimate(5.0), limit, 100, 1.0)
         with pytest.raises(ValidationError, match="k must"):
             confidence_interval(make_estimate(5.0), limit, 0, 0.95)
+
+    def test_one_top_order_statistic_is_enough(self):
+        # k = 1, the smallest k the chain allows, scales by 1/sqrt(1).
+        limit = NormalLimit(mu=0.5, sigma2=0.04, normalization=2.0)
+        lo, hi = confidence_interval(make_estimate(5.0), limit, 1, 0.0)
+        assert lo == hi == 4.0
 
     def test_normal_limit_rejects_bad_normalization(self):
         with pytest.raises(ValidationError, match="normalization"):

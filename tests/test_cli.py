@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tailpremium import (
+    THRESHOLD,
     AsymptoticParams,
     EstimationSettings,
     FileFormatError,
@@ -30,7 +31,10 @@ from tailpremium import (
     reiss_thomas_k,
     run_study,
 )
-from tailpremium.cli import _read_claims_rows, main, read_claims, read_study_config
+from tailpremium import cli as cli_module
+from tailpremium.cli import (
+    _read_claims_rows, build_parser, main, read_claims, read_study_config
+)
 
 from helpers import naive_km_grouped
 
@@ -260,6 +264,12 @@ class TestReadClaims:
         assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 2
         assert "c.csv:3002: cannot decode byte 0xff" in capsys.readouterr().err
 
+    def test_a_line_break_as_the_first_byte_counts(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\n\xff,1\n")
+        with pytest.raises(FileFormatError, match=r"c\.csv:2: cannot decode"):
+            read_claims(str(path))
+
     def test_one_pass_matches_the_row_loop(self, tmp_path):
         # the row loop is the reference: same values, bit for bit
         rng = np.random.default_rng(12)
@@ -296,6 +306,19 @@ def assert_reads_like_the_row_loop(path):
 
 class TestReadClaimsRoutes:
     """read_claims hands numpy the file's path; every route reads like the rows."""
+
+    def test_a_last_row_without_a_newline_is_read_by_numpy(
+        self, tmp_path, monkeypatch
+    ):
+        def row_loop(path, text):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(cli_module, "_read_claims_rows", row_loop)
+        path = tmp_path / "c.csv"
+        path.write_text("z,delta\n1.5,1\n2,0", newline="")
+        sample = read_claims(str(path))
+        assert sample.z_sorted.tolist() == [1.5, 2.0]
+        assert sample.delta_concomitant.tolist() == [1, 0]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compression_suffixes_are_read_as_text(self, tmp_path, suffix):
@@ -461,6 +484,24 @@ class TestEstimateCommand:
         report = parse_report(captured.out)
         assert "ci_level" not in report
         assert "confidence interval omitted" in captured.err
+
+    def test_zero_variance_omits_interval(self, tmp_path, capsys):
+        # At k = 19 of these claims the printed variance crosses zero near
+        # rho = 1.035; this rho, found by bisection and a scan of its
+        # neighbouring doubles, makes it exactly 0.
+        rho = 1.0353482989869287
+        rows = interval_rows(200, 50)
+        rows[150:] = [(z, d) for (z, _), d in zip(rows[150:], [1, 1, 1, 0, 0] * 10)]
+        path = write_claims(tmp_path / "c.csv", rows)
+        est = censored_hill(read_claims(path), 19)
+        assert asym_variance(est.gamma1_hat, est.p_hat, rho) == 0.0
+        code = main(
+            ["estimate", path, "--rho", repr(rho), "--k", "19", "--tau1", "0"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "ci_level" not in parse_report(captured.out)
+        assert "non-positive (0); confidence interval omitted" in captured.err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(
@@ -910,6 +951,16 @@ class TestAsymptoticsCommand:
         assert float(report["sigma2"]) == pytest.approx(-0.0023228, abs=1e-6)
         assert "no confidence interval available" in out
 
+    def test_zero_variance_warns(self, capsys):
+        # gamma1**2 underflows, so the printed variance is exactly 0.
+        code = main(
+            ["asymptotics", "--gamma1", "1e-200", "--p", "0.4", "--rho", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert parse_report(out)["sigma2"] == "0"
+        assert "no confidence interval available" in out
+
     def test_singular_mean_is_domain_error(self, capsys):
         code = main(
             [
@@ -968,6 +1019,33 @@ class TestReadStudyConfig:
         path = write_config(tmp_path / "study.cfg", mutation(CONFIG_TEXT))
         with pytest.raises(FileFormatError, match=message):
             read_study_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# study\n\ngamma1 = 0.1\nshape = 1\n", "cfg:4: unknown key 'shape'"),
+        (
+            "gamma1 = 0.1\n\ngamma1 = 0.2\n",
+            "cfg:3: duplicate key 'gamma1' \\(first seen on line 1\\)",
+        ),
+    ],
+    ids=["unknown", "duplicate"],
+)
+def test_config_errors_name_their_line(tmp_path, text, message):
+    # Comments and blank lines count as lines.
+    with pytest.raises(FileFormatError, match=message):
+        read_study_config(write_config(tmp_path / "study.cfg", text))
+
+
+def test_documented_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["estimate", "c.csv", "--rho", "1", "--k", "2"])
+    assert (args.retention, args.level, args.tau1, args.lambda1) == (
+        THRESHOLD, 0.95, None, None
+    )
+    args = parser.parse_args(["simulate", "s.cfg", "--out", "o.csv"])
+    assert (args.workers, args.seed) == (1, None)
 
 
 def test_config_reports_the_first_bad_key_in_key_order(tmp_path):

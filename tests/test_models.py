@@ -24,6 +24,7 @@ from tailpremium import models
 from helpers import (
     karamata_premium,
     mp_burr_survival,
+    mp_layer_premium,
     mp_pareto_survival,
     mp_premium,
 )
@@ -67,7 +68,7 @@ class TestBurrModel:
 
     def test_quantile_rejects_out_of_range(self):
         model = BurrModel(0.1, 0.25)
-        for s in (0.0, -0.1, 1.5):
+        for s in (0.0, -0.1, 1.5, np.nextafter(1.0, 2.0)):
             with pytest.raises(DomainError, match="survival level"):
                 model.quantile_of_survival(s)
 
@@ -167,6 +168,12 @@ class TestCensoringScheme:
         with pytest.raises(ValidationError, match="n must"):
             scheme.sample_arrays(0, np.random.default_rng(1))
 
+    def test_one_record_is_enough(self):
+        z, delta = burr_scheme(0.1, 0.6, 0.25).sample_arrays(
+            1, np.random.default_rng(1)
+        )
+        assert z.shape == delta.shape == (1,)
+
     def test_uncensored_share_against_quadrature(self):
         # Empirical mean of delta vs P(X <= Y) computed by quadrature.
         scheme = burr_scheme(0.1, 0.6, 0.25)
@@ -258,10 +265,10 @@ class TestInPlaceTransform:
         assert s.tobytes() == before
         assert model.quantile_of_survival(s, out=s) is s
         assert s.tobytes() == want
-        # A scalar takes the operator's scalar arithmetic.
+        # A scalar level takes the same array arithmetic as a one-element array.
         level = values[0]
-        assert model.quantile_of_survival(level) == float(
-            plain_quantile(model, np.asarray(level))
+        assert np.float64(model.quantile_of_survival(level)).tobytes() == (
+            plain_quantile(model, np.array([level])).tobytes()
         )
 
     @pytest.mark.parametrize(
@@ -365,6 +372,25 @@ class TestTheoreticalPremium:
         got = BurrModel(gamma, eta).premium(rho, retention)
         assert abs(got / want - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "gamma, eta, rho, retention",
+        [
+            (0.05, 0.1, 1.0, 1e-3),
+            (0.05, 1.0, 1.5, 0.5),
+            (0.1, 0.25, 1.0, 1e-3),
+            (0.4, 1.0, 1.0, 1e-3),
+        ],
+    )
+    def test_burr_premium_past_the_mirror_cut(self, gamma, eta, rho, retention):
+        # t lies so far past the cut (p + 1)/(p + q + 2) that the fraction
+        # of B_t(p, q) itself does not converge in _BETA_TERMS terms; the
+        # mirrored fraction of B_(1-t)(q, p) needs a few.
+        want = mp_layer_premium(
+            mp_burr_survival(gamma, eta), rho, retention, knots=(1.0, 2.0)
+        )
+        got = BurrModel(gamma, eta).premium(rho, retention)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_burr_premium_where_the_power_underflows(self):
         # R**(eta/gamma) = 1e-400 rounds to 0, leaving the whole integral
         # b * B(a - b, b); pytest turns any RuntimeWarning into an error.
@@ -416,8 +442,10 @@ class TestTheoreticalPremium:
         self, monkeypatch
     ):
         monkeypatch.setattr(models, "_BETA_TERMS", 1)
-        with pytest.raises(DomainError, match="did not converge"):
-            BurrModel(0.1, 0.25).premium(1.0, np.array([1.0, 3.0]))
+        # p = 1/(eta*rho) - gamma/eta and q = gamma/eta, at rho = 1.25.
+        message = r"^incomplete beta B_t\(2\.8, 0\.4\) did not converge in 1 "
+        with pytest.raises(DomainError, match=message):
+            BurrModel(0.1, 0.25).premium(1.25, np.array([1.0, 3.0]))
 
     @pytest.mark.parametrize(
         "model, terms",
@@ -474,7 +502,16 @@ class TestTheoreticalPremium:
             5.26315789473657e-306,
         ]
 
-    @pytest.mark.parametrize("model", [BurrModel(0.6, 0.25), ParetoModel(0.6)])
+    # At a tail index of 0.5, rho * tail_index is the bound 1 itself.
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BurrModel(0.6, 0.25),
+            ParetoModel(0.6),
+            BurrModel(0.5, 0.25),
+            ParetoModel(0.5),
+        ],
+    )
     def test_premium_method_guards(self, model):
         with pytest.raises(DomainError, match="diverges"):
             model.premium(2.0, np.array([1.0, 2.0]))
@@ -540,6 +577,29 @@ class TestHThreshold:
         with pytest.raises(ValidationError, match="k must"):
             h_threshold(scheme, 100, 100)
 
+    def test_root_is_the_nearest_double(self):
+        # The bisection ends on two adjacent doubles and keeps the one nearer
+        # the target, so on this monotone survival neither neighbour of the
+        # root is nearer.  Every k here takes the bisection.
+        scheme, n = burr_scheme(0.1, 0.6, 0.25), 1000
+        for k in range(1, n // 2, 7):
+            h = h_threshold(scheme, k, n)
+            gaps = [
+                abs(scheme.observed_survival(x) - k / n)
+                for x in (np.nextafter(h, 0.0), h, np.nextafter(h, np.inf))
+            ]
+            assert gaps[1] <= min(gaps[0], gaps[2]), k
+
+    @pytest.mark.parametrize("k, n", [(1, 4), (3, 10)])
+    def test_no_double_meets_the_equation(self, k, n):
+        # At gamma = 1e-7 the observed survival falls by about 4e-9 relative
+        # from one double to the next near its root, past the 1e-10
+        # tolerance.  (1, 4) bisects down to two adjacent doubles; (3, 10)
+        # takes the lower end of its bracket.
+        scheme = CensoringScheme(ParetoModel(1e-7), ParetoModel(1e-7))
+        with pytest.raises(DomainError, match="did not converge"):
+            h_threshold(scheme, k, n)
+
     @pytest.mark.parametrize("k, n", [(True, 10), (3, True), (2.0, 10)])
     def test_rejects_a_non_integer_k_or_n(self, k, n):
         # A bool is not an integer here, as for every count in the package.
@@ -561,8 +621,9 @@ class TestSecondOrderRate:
         assert values[-1] < 1e-20
 
     def test_rejects_non_positive_t(self):
-        with pytest.raises(DomainError, match="t > 0"):
-            BurrModel(0.1, 0.25).second_order_rate(0.0)
+        for model in (BurrModel(0.1, 0.25), ParetoModel(0.5)):
+            with pytest.raises(DomainError, match="t > 0"):
+                model.second_order_rate(0.0)
 
     def test_second_order_expansion_oracle(self):
         # (F(tx)/F(t) - x**(-1/g)) / A1(t) approaches

@@ -1,5 +1,7 @@
-"""The mutation harness (``tools/mutants.py``) on a throwaway module."""
+"""The mutation harness (``tools/mutants.py``) on a throwaway module, and
+the committed ``MUTANTS.json`` against the modules it reports on."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -8,6 +10,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
 
@@ -39,6 +43,27 @@ def load_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+ROOT = TOOL.parents[1]
+RECORDED = json.loads((ROOT / "MUTANTS.json").read_text())
+
+
+@pytest.mark.parametrize("module", sorted(RECORDED))
+def test_the_committed_report_matches_the_module(module):
+    # A module changed since its report was made must be run again, so
+    # that its survivors are those of the code as it stands.
+    source = (ROOT / module).read_text()
+    lines = source.splitlines()
+    sites = [
+        (lines[node.lineno - 1].strip(), edit)
+        for node, _, edit in load_tool().sites(ast.parse(source))
+    ]
+    report = RECORDED[module]
+    assert [(r["source"], r["edit"]) for r in report["results"]] == sites
+    assert report["mutants"] == len(sites)
+    # Every survivor says why no test kills it.
+    assert all(r.get("note") for r in report["results"] if r["status"] == "survived")
 
 
 def test_kills_known_mutants_and_keeps_the_tree(tmp_path, capsys):

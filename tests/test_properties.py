@@ -28,14 +28,14 @@ from tailpremium import (
 )
 from tailpremium.cli import main
 
-settings.register_profile(
-    "quick",
+# Applied to this file's tests one by one, not loaded as a profile, so that
+# the settings of other test files do not depend on which files are imported.
+quick = settings(
     derandomize=True,
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("quick")
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dyadic_scales = st.integers(min_value=-8, max_value=8).map(lambda j: 2.0**j)
@@ -54,6 +54,7 @@ def rescaled(sample, c):
     return SortedCensoredSample(c * sample.z_sorted, sample.delta_concomitant)
 
 
+@quick
 @given(seed=seeds, c=dyadic_scales)
 def test_hill_is_scale_invariant(seed, c):
     sample = heavy_sample(seed)
@@ -62,6 +63,7 @@ def test_hill_is_scale_invariant(seed, c):
     )
 
 
+@quick
 @given(seed=seeds, c=dyadic_scales)
 def test_threshold_choice_is_scale_invariant(seed, c):
     sample = heavy_sample(seed, n=150)
@@ -72,6 +74,7 @@ def test_threshold_choice_is_scale_invariant(seed, c):
     assert reiss_thomas_k(rescaled(sample, c)).k_star == base.k_star
 
 
+@quick
 @given(seed=seeds, c=st.floats(min_value=1e-3, max_value=1e3))
 def test_premium_is_degree_one_homogeneous(seed, c):
     sample = heavy_sample(seed)
@@ -88,6 +91,7 @@ def test_premium_is_degree_one_homogeneous(seed, c):
     assert scaled.value == pytest.approx(c * base.value, rel=1e-10)
 
 
+@quick
 @given(seed=seeds)
 def test_kaplan_meier_never_increases(seed):
     sample = heavy_sample(seed)
@@ -97,6 +101,7 @@ def test_kaplan_meier_never_increases(seed):
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+@quick
 @given(
     s=survival_levels,
     gamma=st.floats(min_value=0.05, max_value=0.95),
@@ -109,6 +114,7 @@ def test_burr_round_trip(s, gamma, eta):
     )
 
 
+@quick
 @given(
     s=survival_levels,
     gamma=st.floats(min_value=0.05, max_value=0.95),
@@ -142,6 +148,7 @@ def _cli_outputs(directory, name, z, delta):
         return code, out.getvalue(), err.getvalue().replace(name, ""), handle.read()
 
 
+@quick
 @given(seed=seeds, shuffle_seed=seeds)
 def test_input_order_is_irrelevant(seed, shuffle_seed):
     # A coarse grid makes blocks of tied values with mixed flags.

@@ -215,6 +215,26 @@ class TestSortedCensoredSample:
         with pytest.raises(ValidationError, match="mismatch"):
             SortedCensoredSample(np.array([1.0, 2.0]), np.array([1]))
 
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, NAN, INF, -INF])
+    def test_constructor_rejects_bad_values(self, bad):
+        # Sorted as they stand, so only the value check can reject them.
+        z = np.sort(np.array([1.0, 2.0, bad]))
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            SortedCensoredSample(z, np.ones(3, np.int64))
+
+    @pytest.mark.parametrize(
+        "z, delta",
+        [
+            ([[1.0, 2.0]], [[1, 1]]),
+            ([[1.0, 2.0]], [1, 1]),
+            ([1.0, 2.0], [[1, 1]]),
+        ],
+        ids=["both", "values", "flags"],
+    )
+    def test_constructor_rejects_two_dimensional_arrays(self, z, delta):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            SortedCensoredSample(np.array(z), np.array(delta))
+
     @pytest.mark.parametrize(
         "build", [SortedCensoredSample, SortedCensoredSample.from_unsorted],
         ids=["constructor", "from_unsorted"],

@@ -1,6 +1,7 @@
 """Data-driven threshold selection: path, scoring rule, fallbacks."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from tailpremium import (
 from tailpremium import estimators as estimators_module
 from tailpremium import threshold as threshold_module
 from tailpremium.errors import _CODE, REASONS
-from tailpremium.estimators import _tail_path
+from tailpremium.estimators import _fit_rows, _tail_path
 from tailpremium.samples import _sort_rows
 from tailpremium.threshold import _chain_rows, _window_scores
 
@@ -126,8 +127,10 @@ class TestTailIndexPath:
 
     def test_rejects_non_positive_threshold(self):
         sample = sample_from_pairs([(0.0, 1), (1.0, 1), (2.0, 1)])
-        with pytest.raises(DomainError, match="strictly positive"):
+        text = REASONS[_CODE["nonpositive_threshold"]][1].format(threshold=0.0)
+        with pytest.raises(DomainError, match=re.escape(text)) as info:
             tail_index_path(sample, 2)
+        assert info.value.reason == "nonpositive_threshold"
 
     def test_single_entry_path_is_the_estimators_at_one(self):
         # k_max = 1 is the smallest range the docstring allows.
@@ -597,11 +600,11 @@ class TestChainKernel:
         rhos = (1.0, 0.0, 2.5)
 
         def run(rows):
-            return _chain_rows(
-                z[rows].copy(), delta[rows].copy(), rhos, beta=0.3,
-                k=k[rows] if mode == "given k" else None,
-                retention=retention[rows] if with_retention else None,
-            )
+            z_rows, delta_rows = z[rows].copy(), delta[rows].copy()
+            given = retention[rows] if with_retention else None
+            if mode == "given k":
+                return _fit_rows(z_rows, delta_rows, k[rows], rhos, given)
+            return _chain_rows(z_rows, delta_rows, rhos, beta=0.3, retention=given)
 
         chain = run(slice(None))
         for r in range(len(z)):
