@@ -9,10 +9,12 @@ Monte Carlo study round out the toolkit.
 
 Names resolve on first use (PEP 562): ``tailpremium.X`` and ``from
 tailpremium import X`` import the submodule that defines ``X`` then, so
-``import tailpremium`` loads no submodule and each CLI command loads only
-its own.  A resolved name is not stored here: every read goes to the
-submodule.  A submodule itself is an attribute of the package only once
-it has been imported.
+``import tailpremium`` loads no submodule, ``import tailpremium.cli`` loads
+only ``cli`` and ``errors`` and no numpy, and each CLI command loads only
+its own.  The ``tailpremium`` executable runs numpy with one OpenBLAS
+thread; set ``OPENBLAS_NUM_THREADS`` to choose another count.  A resolved
+name is not stored here: every read goes to the submodule.  A submodule
+itself is an attribute of the package only once it has been imported.
 """
 
 from importlib import import_module

@@ -5,10 +5,12 @@ CSV, ``km`` exports the product-limit survival curve, ``asymptotics``
 evaluates the normal-limit mean and variance, and ``simulate`` runs a
 replicated study from a config file.
 
-Each command imports the package modules it uses when it runs, so a
-fresh process loads only those: ``import tailpremium.cli`` loads ``cli``,
-``errors`` and ``samples``, and only ``simulate`` loads ``study``,
-``models`` and ``logging``.
+Each command imports numpy and the package modules it uses when it runs,
+so ``import tailpremium.cli``, ``--help`` and usage errors load only
+``cli`` and ``errors``, and only ``simulate`` loads ``study``, ``models``
+and ``logging``.  :func:`entrypoint` runs numpy with one OpenBLAS thread;
+set ``OPENBLAS_NUM_THREADS`` to choose another count.  :func:`main` changes
+no environment.
 
 Exit codes: 0 success, 2 malformed input (bad flags, bad CSV or config),
 3 violated mathematical precondition, 4 input/output failure.  Numbers are
@@ -19,22 +21,17 @@ printed precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import math
 import os
 import sys
 import warnings
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import DomainError, FileFormatError, ValidationError
-from .samples import (
-    THRESHOLD, EstimationSettings, SortedCensoredSample, validate_settings
-)
 
 if TYPE_CHECKING:
+    from .samples import SortedCensoredSample
     from .study import StudyConfig
 
 EXIT_OK = 0
@@ -42,7 +39,6 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-_CLAIMS_DTYPE = np.dtype([("z", np.float64), ("delta", np.int64)])
 # Every emitted number that is not a count: 12 significant digits.
 _FLOAT = "%.12g"
 _STUDY_HEADER = "p,rho,n,pi_true,pi_hat,abs_bias,rmse,failures"
@@ -87,6 +83,10 @@ def read_claims(path: str) -> SortedCensoredSample:
     routine behind ``float``, so both passes read the same values.  A file
     that does not decode fails at the line of its first undecodable byte.
     """
+    import numpy as np
+
+    from .samples import SortedCensoredSample
+
     try:
         with open(path, newline="") as handle:
             encoding = handle.encoding
@@ -117,7 +117,7 @@ def read_claims(path: str) -> SortedCensoredSample:
             warnings.simplefilter("error")
             records = np.loadtxt(
                 os.path.abspath(path),
-                dtype=_CLAIMS_DTYPE,
+                dtype=[("z", np.float64), ("delta", np.int64)],
                 delimiter=",",
                 comments=None,
                 skiprows=1,
@@ -143,6 +143,8 @@ def _read_claims_rows(path: str, text: str) -> SortedCensoredSample:
     # Imported here: a file that numpy parses never reaches this loop.
     import csv
     import io
+
+    from .samples import SortedCensoredSample
 
     z: List[float] = []
     delta: List[int] = []
@@ -247,14 +249,15 @@ def read_study_config(path: str) -> StudyConfig:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _retention_flag(value: str) -> Union[float, str]:
-    if value == THRESHOLD:
-        return THRESHOLD
+def _retention_flag(value: str) -> Optional[float]:
+    """A retention level, or None for 'threshold': the k-th upper order statistic."""
+    if value == "threshold":
+        return None
     try:
         return float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"retention must be a number or '{THRESHOLD}', got {value!r}"
+            f"retention must be a number or 'threshold', got {value!r}"
         ) from None
 
 
@@ -266,15 +269,19 @@ def _write_text(path: str, header: str, body: str) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .estimators import PremiumEstimate, _fit_rows, _raise_failure
+    from .samples import THRESHOLD, EstimationSettings, validate_settings
     from .threshold import _chain_rows
 
     sample = read_claims(args.input)
     z, delta = sample.z_sorted[None], sample.delta_concomitant[None]
-    asked = None if args.retention == THRESHOLD else args.retention
+    asked = args.retention  # None: the k-th upper order statistic
 
     def settings(k: int) -> int:
-        given = EstimationSettings(k=k, rho=args.rho, retention=args.retention)
+        retention = THRESHOLD if asked is None else asked
+        given = EstimationSettings(k=k, rho=args.rho, retention=retention)
         return validate_settings(given, sample.n).k
 
     # The rule's failures come first, then the settings' bounds, then the fit's.
@@ -343,6 +350,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_km(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .estimators import kaplan_meier_survival
 
     sample = read_claims(args.input)
@@ -380,6 +389,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import dataclasses
     # The study reports dropped replicates through logging.
     import logging
 
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument(
         "--retention",
         type=_retention_flag,
-        default=THRESHOLD,
+        default=None,
         help="retention level, or 'threshold' for the k-th upper order statistic",
     )
     estimate.add_argument(
@@ -493,8 +503,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    """Run :func:`main`, then freeze the collector so that finalization's
-    full collections skip the import heap (about 30 ms a command), and exit."""
+    """Pin OpenBLAS to one thread unless the caller set a count, run
+    :func:`main`, then freeze the collector so that finalization's full
+    collections skip the import heap (about 30 ms a command), and exit.
+
+    No command calls BLAS, and an idle OpenBLAS worker spins on a core for
+    about 0.1 s after numpy loads.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -204,32 +204,38 @@ def karamata_premium(survival, tail_index, rho, retention):
 def mp_premium(survival, tail_index, rho, retention, knots=(), dps=30):
     """Layer premium ``integral_R^inf survival(x)**(1/rho) dx`` by quadrature.
 
-    The substitution ``x = R * t**(-1/c)`` with ``c = 1/(tail_index*rho) - 1``
-    maps ``[R, inf)`` onto ``(0, 1]`` and turns a pure power tail into a
-    constant integrand, so tanh-sinh converges to the working precision.
     ``knots`` are levels where the survival bends sharply (the Burr knee at
-    1, the Pareto ``x_min``); those above ``R`` split the interval.
+    1, the Pareto ``x_min``).  Up to the highest knot above ``R`` the
+    integral runs over ``x``, split at the knots, as in
+    :func:`mp_layer_premium`.  Above it, from ``L`` (``R`` itself when no
+    knot lies above it), the substitution ``x = L * t**(-1/c)`` with
+    ``c = 1/(tail_index*rho) - 1`` maps ``[L, inf)`` onto ``(0, 1]`` and
+    turns a pure power tail into a constant integrand, so tanh-sinh
+    converges to the working precision.
     """
     with mpmath.workdps(dps):
-        r = mpmath.mpf(retention)
         inv_rho = 1 / mpmath.mpf(rho)
         c = 1 / (mpmath.mpf(tail_index) * mpmath.mpf(rho)) - 1
+        levels = [mpmath.mpf(retention)]
+        levels += [mpmath.mpf(k) for k in sorted(knots) if k > retention]
+        low = levels[-1]
 
         def integrand(t):
-            x = r * t ** (-1 / c)
+            x = low * t ** (-1 / c)
             return survival(x) ** inv_rho * x / (c * t)
 
-        cuts = sorted((mpmath.mpf(k) / r) ** (-c) for k in knots if k > retention)
-        return float(mpmath.quad(integrand, [0] + cuts + [1]))
+        body = 0
+        if len(levels) > 1:
+            body = mpmath.quad(lambda x: survival(x) ** inv_rho, levels)
+        return float(body + mpmath.quad(integrand, [0, 1]))
 
 
 def mp_layer_premium(survival, rho, retention, knots=(), dps=30):
     """Layer premium ``integral_R^inf survival(x)**(1/rho) dx`` by plain
     quadrature over ``x``, split at the ``knots`` above ``R``.
 
-    Unlike :func:`mp_premium` it needs no tail index, and it stays exact
-    for retentions far below the Burr knee, where most of the integral
-    lies between ``R`` and 1.
+    Unlike :func:`mp_premium` it needs no tail index, and it runs over
+    ``x`` all the way, with no change of variable in the tail.
     """
     with mpmath.workdps(dps):
         inv_rho = 1 / mpmath.mpf(rho)

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, wiring, formats, exit codes."""
 
+import ast
 import csv
 import dataclasses
 import gc
@@ -1041,9 +1042,12 @@ def test_config_errors_name_their_line(tmp_path, text, message):
 def test_documented_defaults():
     parser = build_parser()
     args = parser.parse_args(["estimate", "c.csv", "--rho", "1", "--k", "2"])
+    # None asks for the threshold as the retention, as --retention threshold does.
     assert (args.retention, args.level, args.tau1, args.lambda1) == (
-        THRESHOLD, 0.95, None, None
+        None, 0.95, None, None
     )
+    argv = ["estimate", "c.csv", "--rho", "1", "--k", "2", "--retention", THRESHOLD]
+    assert parser.parse_args(argv) == args
     args = parser.parse_args(["simulate", "s.cfg", "--out", "o.csv"])
     assert (args.workers, args.seed) == (1, None)
 
@@ -1131,17 +1135,21 @@ class TestSimulateCommand:
 
 
 def _package_env():
-    """Environment in which a fresh process imports this checkout's package."""
+    """Environment in which a fresh process imports this checkout's package,
+    with no ``OPENBLAS_NUM_THREADS``, as for a caller that sets none."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
 
-def _run_fresh(args):
-    """``python <args>`` in a fresh process that imports this checkout."""
+def _run_fresh(args, **env):
+    """``python <args>`` in a fresh process that imports this checkout, with
+    the variables ``env`` added to its environment."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=_package_env()
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**_package_env(), **env},
     )
 
 
@@ -1312,6 +1320,70 @@ class TestEntryPath:
         assert process.returncode == 0, process.stderr
         assert process.stdout == "start 0\nexit True\n"
 
+    @pytest.mark.parametrize("command", ["km", "simulate-2"])
+    @pytest.mark.parametrize("caller, seen", [(None, "1"), ("3", "3")])
+    def test_entrypoint_pins_blas_to_one_thread(
+        self, tmp_path, entry_files, command, caller, seen
+    ):
+        # No command calls BLAS, whose idle worker thread would spin on a
+        # core after numpy loads; a caller's own setting wins.
+        argv = ["tailpremium", *ENTRY_ARGV[command]]
+        argv = _entry_argv(argv, entry_files, str(tmp_path / "o"))
+        probe = (
+            "import atexit, os, sys\n"
+            "def report():\n"
+            "    tasks = '/proc/self/task'\n"
+            "    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules,"
+            " threads)\n"
+            "atexit.register(report)\n"
+            "from tailpremium.cli import entrypoint\n"
+            f"sys.argv = {argv!r}\n"
+            "entrypoint()"
+        )
+        env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+        process = _run_fresh(["-c", probe], **env)
+        assert process.returncode == 0, process.stderr
+        blas, numpy_loaded, threads = process.stdout.split()
+        assert (blas, numpy_loaded) == (seen, "True")
+        if caller is None and threads != "None":
+            assert threads == "1"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["estimate", "--help"], 0),
+            (["estimate", "c.csv", "--k", "2"], 2),
+            (["estimate", "c.csv", "--rho", "1", "--k", "2", "--retention", "max"], 2),
+        ],
+    )
+    def test_help_and_usage_errors_leave_out_numpy(self, argv, code):
+        # argparse exits inside main(); the atexit handler still runs.
+        probe = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'numpy' or m == 'tailpremium.samples')))\n"
+            "from tailpremium.cli import entrypoint\n"
+            f"sys.argv = ['tailpremium', *{argv!r}]\n"
+            "entrypoint()"
+        )
+        process = _run_fresh(["-c", probe])
+        assert process.returncode == code, process.stderr
+        assert process.stdout.splitlines()[-1] == "[]"
+
+    def test_main_leaves_the_environment_alone(
+        self, tmp_path, capsys, entry_files, monkeypatch
+    ):
+        # Only the entry point pins BLAS, so a library caller's process
+        # keeps the environment it had.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        for command in ("km", "simulate-2"):
+            argv = _entry_argv(ENTRY_ARGV[command], entry_files, str(tmp_path / "o"))
+            assert main(argv) == 0
+        assert dict(os.environ) == before
+
 
 def _modules_after(probe, packages=("scipy",)):
     """The loaded modules of ``packages`` after ``probe`` runs in a fresh process."""
@@ -1422,17 +1494,69 @@ def test_commands_leave_out_statistics_and_csv(tmp_path, entry_files, command):
     assert _modules_after(probe, ("statistics", "csv")) == "[]"
 
 
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(source):
+    """``(line, what)`` for each BLAS entry point the module ``source`` names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            found += [
+                (node.lineno, name) for name in names
+                if BLAS_NAMES & set(name.split("."))
+            ]
+    return found
+
+
+def test_blas_uses_are_found():
+    source = (
+        "import numpy.linalg\nfrom numpy import einsum\n"
+        "a @ b\na @= b\nnp.dot(a, b)\na.inner(b)\nnp.linalg.norm(a)\n"
+        "inner = a + b\n"
+    )
+    # A local name such as ``inner`` is no BLAS call.
+    assert sorted(_blas_uses(source)) == [
+        (1, "numpy.linalg"), (2, "numpy.einsum"), (3, "@"), (4, "@"),
+        (5, "dot"), (6, "inner"), (7, "linalg"),
+    ]
+
+
+def test_the_package_calls_no_blas():
+    # entrypoint() runs every command with OPENBLAS_NUM_THREADS=1, which
+    # costs nothing only while no code calls BLAS.
+    src = Path(__file__).resolve().parents[1] / "src" / "tailpremium"
+    uses = [
+        f"{path.name}:{line} {what}"
+        for path in sorted(src.glob("*.py"))
+        for line, what in _blas_uses(path.read_text())
+    ]
+    assert not uses, (
+        "BLAS is called, so revisit the one-thread OpenBLAS pin in "
+        f"cli.entrypoint(): {uses}"
+    )
+
+
 def test_package_import_loads_no_submodule():
     # The package namespace resolves names on first use.
     assert _modules_after("import tailpremium", ("tailpremium",)) == "['tailpremium']"
 
 
 def test_cli_import_loads_only_its_own_modules():
-    # Each command imports its modules when it runs.
-    loaded = _modules_after("import tailpremium.cli", ("tailpremium",))
-    assert loaded == str(
-        ["tailpremium", "tailpremium.cli", "tailpremium.errors", "tailpremium.samples"]
-    )
+    # Each command imports numpy and its package modules when it runs, so
+    # the parser, --help and usage errors never pay for numpy.
+    packages = ("tailpremium", "numpy", "dataclasses")
+    loaded = _modules_after("import tailpremium.cli", packages)
+    assert loaded == str(["tailpremium", "tailpremium.cli", "tailpremium.errors"])
 
 
 @pytest.mark.parametrize(

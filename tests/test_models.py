@@ -360,7 +360,12 @@ class TestTheoreticalPremium:
 
     @pytest.mark.parametrize(
         "gamma, eta, rho, retention",
-        [(0.05, 1.0, 1.0, 0.1), (0.05, 1.0, 1.0, 0.3), (0.1, 1.0, 1.0, 0.05)],
+        [
+            (0.05, 1.0, 1.0, 0.1),
+            (0.05, 1.0, 1.0, 0.3),
+            (0.1, 1.0, 1.0, 0.05),
+            (0.05, 1.0, 1.0, 1e-3),
+        ],
     )
     def test_burr_matches_quadrature_oracle_below_the_knee(
         self, gamma, eta, rho, retention
@@ -371,6 +376,20 @@ class TestTheoreticalPremium:
         )
         got = BurrModel(gamma, eta).premium(rho, retention)
         assert abs(got / want - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "gamma, eta, rho, retention",
+        [(0.05, 1.0, 1.0, 1e-3), (0.1, 0.25, 1.0, 1e-3), (0.4, 1.0, 1.5, 1e-2)],
+    )
+    def test_quadrature_oracles_agree_far_below_the_knee(
+        self, gamma, eta, rho, retention
+    ):
+        # Most of the integral lies between R and the knee, where a tail
+        # substitution from R would put almost no nodes.
+        survival = mp_burr_survival(gamma, eta)
+        want = mp_layer_premium(survival, rho, retention, knots=(1.0,))
+        got = mp_premium(survival, gamma, rho, retention, knots=(1.0,))
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "gamma, eta, rho, retention",

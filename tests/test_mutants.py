@@ -131,6 +131,51 @@ def test_a_mutant_that_ends_pytest_early_with_status_0_is_killed(tmp_path, capsy
     capsys.readouterr()
 
 
+def test_the_bound_is_a_multiple_of_the_unmutated_wall_with_a_floor():
+    tool = load_tool()
+    assert tool.timeout_for(0.5) == tool.TIMEOUT_FLOOR_S
+    above = 2 * tool.TIMEOUT_FLOOR_S / tool.TIMEOUT_FACTOR
+    assert tool.timeout_for(above) == 2 * tool.TIMEOUT_FLOOR_S
+    assert tool.timeout_for(tool.TIMEOUT_FLOOR_S / tool.TIMEOUT_FACTOR) == (
+        tool.TIMEOUT_FLOOR_S
+    )
+
+
+def test_a_mutant_that_outlasts_the_bound_is_a_timeout(tmp_path, capsys):
+    root = tmp_path / "project"
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    # n // n is 1 without a constant, so the step is the one mutation site.
+    (root / "src" / "tiny.py").write_text(
+        "def spin(n):\n"
+        "    while n:\n"
+        "        n -= n // n\n"
+        "    return n\n"
+    )
+    (root / "tests" / "test_tiny.py").write_text(
+        "from tiny import spin\n\n\n"
+        "def test_spin():\n"
+        "    assert spin(2) == 0\n"
+    )
+    out = tmp_path / "MUTANTS.json"
+    tool = load_tool()
+    # The one mutant never ends, so the bound may be as short as the
+    # unmutated run: the whole check takes about two pytest runs.
+    tool.TIMEOUT_FACTOR, tool.TIMEOUT_FLOOR_S = 1.0, 0.0
+    argv = ["src/tiny.py", "tests/test_tiny.py", "--root", str(root), "--out", str(out)]
+    started = time.monotonic()
+    assert tool.main(argv) == 0
+    elapsed = time.monotonic() - started
+    report = json.loads(out.read_text())["src/tiny.py"]
+    assert [(r["line"], r["edit"], r["status"]) for r in report["results"]] == [
+        (3, "- -> +", "timeout")
+    ]
+    assert (report["mutants"], report["timeout"]) == (1, 1)
+    assert report["timeout_s"] == tool.timeout_for(report["baseline_s"])
+    assert 0.0 < report["baseline_s"] <= report["timeout_s"] < elapsed
+    capsys.readouterr()
+
+
 def alive(pid):
     try:
         os.kill(pid, 0)

@@ -13,12 +13,15 @@ float constant times 1.01.
 The root is copied once into a temporary directory.  Each mutant in turn is
 written there over the module and pytest runs in the copy, with its ``src``
 on ``PYTHONPATH``, stopping at the first failure; the unmutated module, as
-``ast`` writes it back, runs first and must pass.  The working tree is
-never written.  The report is JSON: the counts and, per mutant, its line,
-its edit, the original source line and whether it was ``killed`` (with the
-first failing test), ``timeout`` (after ``TIMEOUT_S`` seconds) or
-``survived``.  A run survives only if pytest reports its passes: a mutant
-that ends pytest's own process early with status 0 (a forked child's
+``ast`` writes it back, runs first and must pass.  Its wall sets the
+bound on each mutant's run: ``TIMEOUT_FACTOR`` times it, but at least
+``TIMEOUT_FLOOR_S`` seconds.  The working tree is never written.  The
+report is JSON: the counts, the unmutated run's wall (``baseline_s``), the
+bound (``timeout_s``) and, per mutant, its line, its edit, the original
+source line and whether it was ``killed`` (with the first failing test),
+``timeout`` (its run outlasted the bound) or ``survived``.  A run
+survives only if pytest reports its passes: a mutant that ends pytest's
+own process early with status 0 (a forked child's
 ``os._exit`` run by the parent) is killed.  It goes to stdout, or into ``--out`` under the module's
 key, where a survivor keeps the ``note`` it had for the same edit of the
 same source line.  Stopped by SIGTERM or SIGINT, the script kills the
@@ -51,7 +54,11 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
     ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
 }
-TIMEOUT_S = 300.0  # a mutant's run longer than this counts as a timeout
+# A mutant's run longer than TIMEOUT_FACTOR times the unmutated run's wall,
+# and than TIMEOUT_FLOOR_S, counts as a timeout.  The floor keeps a short
+# selection's start-up noise from turning a slow kill into a timeout.
+TIMEOUT_FACTOR = 4.0
+TIMEOUT_FLOOR_S = 30.0
 # A run's outcome as the mutant's status.
 STATUS = {"passed": "survived", "failed": "killed", "timeout": "timeout"}
 # pytest -q's closing line once the session has run, for example "5 passed in 1.02s".
@@ -99,8 +106,16 @@ def mutate(source: str, index: int) -> Tuple[str, ast.AST, str]:
     return ast.unparse(tree) + "\n", node, edit
 
 
-def run_tests(root: Path, tests: List[str]) -> Tuple[str, Optional[str]]:
-    """Run pytest in ``root``: ``("passed" | "failed" | "timeout", first failure)``."""
+def timeout_for(baseline_s: float) -> float:
+    """The bound on a mutant's run, given the unmutated run's wall in seconds."""
+    return max(TIMEOUT_FACTOR * baseline_s, TIMEOUT_FLOOR_S)
+
+
+def run_tests(
+    root: Path, tests: List[str], timeout: Optional[float] = None
+) -> Tuple[str, Optional[str]]:
+    """Run pytest in ``root``, stopped after ``timeout`` seconds if given:
+    ``("passed" | "failed" | "timeout", first failure)``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-o", "addopts=",
             "-p", "no:cacheprovider", *tests]
@@ -109,7 +124,7 @@ def run_tests(root: Path, tests: List[str]) -> Tuple[str, Optional[str]]:
         text=True, start_new_session=True,
     )
     try:
-        output, _ = process.communicate(timeout=TIMEOUT_S)
+        output, _ = process.communicate(timeout=timeout)
     except BaseException as exc:  # a timeout, or this script being stopped
         os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
@@ -135,14 +150,18 @@ def mutation_report(root: Path, module: str, tests: List[str]) -> Dict:
         shutil.copytree(root, copy, ignore=IGNORED)
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
+        started = time.perf_counter()
         status, failure = run_tests(copy, tests)
         if status != "passed":
             raise SystemExit(f"the unmutated module fails its tests: {failure}")
+        baseline_s = round(time.perf_counter() - started, 2)
+        timeout_s = timeout_for(baseline_s)
+        print(f"unmutated: {baseline_s:.1f} s; bound {timeout_s:.1f} s", file=sys.stderr)
         for index in range(count):
             text, node, edit = mutate(source, index)
             target.write_text(text)
             started = time.perf_counter()
-            status, failure = run_tests(copy, tests)
+            status, failure = run_tests(copy, tests, timeout_s)
             entry = {
                 "line": node.lineno,
                 "edit": edit,
@@ -157,6 +176,8 @@ def mutation_report(root: Path, module: str, tests: List[str]) -> Dict:
     statuses = [entry["status"] for entry in results]
     return {
         "tests": tests,
+        "baseline_s": baseline_s,
+        "timeout_s": timeout_s,
         "mutants": count,
         **{status: statuses.count(status) for status in STATUS.values()},
         "results": results,
